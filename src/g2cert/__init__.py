@@ -44,14 +44,15 @@ from .reduction import (
     ElementOrderReport,
     ExcludedPrimeSet,
     FrobeniusClassification,
+    ReductionContext,
     element_order,
-    excluded_primes,
     frobenius_class,
 )
 from .certify import (
     MAXIMAL_SUBGROUPS,
     VERDICT_CERTIFIED,
     CertificationReport,
+    Pair,
     ScanSummary,
     certify_prime,
     scan,
@@ -93,12 +94,13 @@ __all__ = [
     "FrobeniusClassification",
     "ElementOrderReport",
     "ExcludedPrimeSet",
+    "ReductionContext",
     "frobenius_class",
     "element_order",
-    "excluded_primes",
     "MAXIMAL_SUBGROUPS",
     "VERDICT_CERTIFIED",
     "CertificationReport",
+    "Pair",
     "ScanSummary",
     "certify_prime",
     "scan",

@@ -21,13 +21,8 @@ from typing import Callable, Mapping
 from .arith import legendre_symbol, primes_up_to
 from .errors import G2CertError
 from .palindromic import independence_check
-from .poly import RatPoly
-from .reduction import (
-    ExcludedPrimeSet,
-    FrobeniusClassification,
-    ReductionContext,
-    reduction_context,
-)
+from .polyfile import PolyFile
+from .reduction import ElementOrderReport, FrobeniusClassification, ReductionContext
 from .weyl import CLASS_LABELS
 
 VERDICT_CERTIFIED = "Certified"
@@ -118,69 +113,80 @@ MAXIMAL_SUBGROUPS: tuple[MaximalSubgroupEntry, ...] = (
 BOUNDED_SUBGROUPS = tuple(e for e in MAXIMAL_SUBGROUPS if e.bounded)
 
 
+class Pair:
+    """Two analysed inputs with independent splitting fields.
+
+    Construction checks the global hypotheses once: both inputs classify
+    as D6 and their square classes do not meet.  The excluded primes are
+    those of both inputs, Steinberg primes included; on a prime excluded
+    by both, the first input's reason is kept.
+    """
+
+    def __init__(self, a: ReductionContext, b: ReductionContext):
+        a.require_d6()
+        b.require_d6()
+        verdict = independence_check(a.pair, b.pair, (a.classification, b.classification))
+        if not verdict.independent:
+            raise G2CertError(
+                "splitting fields are not independent: shared quadratic kernel(s) "
+                f"{sorted(verdict.kernels_a & verdict.kernels_b)}"
+            )
+        self.a = a
+        self.b = b
+        self.excluded = a.excluded.union(b.excluded)
+
+    @classmethod
+    def from_files(cls, file_a: PolyFile, file_b: PolyFile) -> "Pair":
+        return cls(ReductionContext.from_polyfile(file_a), ReductionContext.from_polyfile(file_b))
+
+
 @dataclass(frozen=True)
 class CertificationReport:
     p: int
     verdict: str
-    class_a: str | None = None
-    class_b: str | None = None
-    order_a: int | None = None
-    order_b: int | None = None
     evidence_a: FrobeniusClassification | None = None
     evidence_b: FrobeniusClassification | None = None
+    order_report_a: ElementOrderReport | None = None
+    order_report_b: ElementOrderReport | None = None
     excluded_subgroups: tuple[tuple[str, str], ...] = ()
     note: str = ""
 
+    @property
+    def class_a(self) -> str | None:
+        return None if self.evidence_a is None else self.evidence_a.weyl_class
 
-_PAIR_VALIDATED: set[tuple] = set()
+    @property
+    def class_b(self) -> str | None:
+        return None if self.evidence_b is None else self.evidence_b.weyl_class
 
+    @property
+    def order_a(self) -> int | None:
+        return None if self.order_report_a is None else self.order_report_a.exact_order
 
-def _validate_pair(poly_a: RatPoly, poly_b: RatPoly) -> tuple[ReductionContext, ReductionContext]:
-    """Global hypotheses, checked once per pair per process."""
-    ctx_a = reduction_context(poly_a)
-    ctx_b = reduction_context(poly_b)
-    key = (poly_a.coeffs, poly_b.coeffs)
-    if key not in _PAIR_VALIDATED:
-        verdict = independence_check(ctx_a.pair, ctx_b.pair)
-        if not verdict.independent:
-            raise G2CertError(
-                "splitting fields are not independent: shared quadratic kernel(s) "
-                f"{sorted(set(verdict.kernels_a) & set(verdict.kernels_b))}"
-            )
-        _PAIR_VALIDATED.add(key)
-    return ctx_a, ctx_b
+    @property
+    def order_b(self) -> int | None:
+        return None if self.order_report_b is None else self.order_report_b.exact_order
 
 
-def certify_prime(
-    poly_a: RatPoly, poly_b: RatPoly, p: int, excluded: ExcludedPrimeSet
-) -> CertificationReport:
+def certify_prime(pair: Pair, p: int) -> CertificationReport:
     """Full evidence chain for one prime; never raises for a merely
-    unsuitable prime, only for broken global hypotheses or witnesses."""
-    ctx_a, ctx_b = _validate_pair(poly_a, poly_b)
+    unsuitable prime, only for broken witnesses or a p that is not prime."""
     if p <= 5:
         return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note="p <= 5 is outside the certification range")
-    if p in excluded:
-        return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note=str(excluded.reason(p)))
-    return _certify_good_prime(ctx_a, ctx_b, p)
+    if p in pair.excluded:
+        return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note=str(pair.excluded.reason(p)))
+    return _certify_good_prime(pair, p)
 
 
-def _certify_good_prime(
-    ctx_a: ReductionContext, ctx_b: ReductionContext, p: int
-) -> CertificationReport:
-    cls_a = ctx_a.classify(p)
-    cls_b = ctx_b.classify(p)
-    common = dict(
-        p=p,
-        class_a=cls_a.weyl_class,
-        class_b=cls_b.weyl_class,
-        evidence_a=cls_a,
-        evidence_b=cls_b,
-    )
+def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
+    cls_a = pair.a.classify(p)
+    cls_b = pair.b.classify(p)
     if {cls_a.weyl_class, cls_b.weyl_class} != {"3a", "6a"}:
-        return CertificationReport(verdict=VERDICT_NOT_COXETER, **common)
-    order_a = ctx_a.order_report(p, cls_a).exact_order
-    order_b = ctx_b.order_report(p, cls_b).exact_order
-    common.update(order_a=order_a, order_b=order_b)
+        return CertificationReport(p=p, verdict=VERDICT_NOT_COXETER, evidence_a=cls_a, evidence_b=cls_b)
+    rep_a = pair.a.order_report(p, cls_a)
+    rep_b = pair.b.order_report(p, cls_b)
+    common = dict(p=p, evidence_a=cls_a, evidence_b=cls_b, order_report_a=rep_a, order_report_b=rep_b)
+    order_a, order_b = rep_a.exact_order, rep_b.exact_order
     if cls_a.weyl_class == "3a":
         order_u, order_t = order_a, order_b
     else:
@@ -224,34 +230,26 @@ class ScanSummary:
     predicted_density: Fraction = PREDICTED_PATTERN_DENSITY
 
 
-def _scan_chunk(args: tuple) -> list[CertificationReport]:
-    poly_a, poly_b, primes = args
-    ctx_a, ctx_b = _validate_pair(poly_a, poly_b)
-    return [_certify_good_prime(ctx_a, ctx_b, p) for p in primes]
+def _scan_chunk(args: tuple[Pair, list[int]]) -> list[CertificationReport]:
+    pair, primes = args
+    return [_certify_good_prime(pair, p) for p in primes]
 
 
 def scan(
-    poly_a: RatPoly,
-    poly_b: RatPoly,
+    pair: Pair,
     limit: int,
     *,
-    excluded: ExcludedPrimeSet | None = None,
     record_sink: Callable[[CertificationReport], None] | None = None,
     jobs: int = 1,
 ) -> ScanSummary:
-    """Certify every non-excluded prime up to limit, ascending.
+    """Certify every prime p > 5 up to limit that the pair does not exclude, ascending.
 
     The record sink, when given, sees one report per scanned prime in
     ascending order.  jobs > 1 fans the prime ranges out over processes;
     chunk boundaries are fixed by the input alone, so the merged output
     is identical to a serial run.
     """
-    ctx_a, ctx_b = _validate_pair(poly_a, poly_b)
-    if excluded is None:
-        reasons = dict(ctx_b.intrinsic_reasons)
-        reasons.update(ctx_a.intrinsic_reasons)
-        excluded = ExcludedPrimeSet.from_mapping(reasons)
-    skip = set(excluded.primes) | {2, 3, 5}
+    skip = set(pair.excluded.primes) | {2, 3, 5}
     all_primes = primes_up_to(limit)
     scan_primes = [p for p in all_primes if p not in skip]
     excluded_count = len(all_primes) - len(scan_primes)
@@ -278,14 +276,12 @@ def scan(
         chunk = max(1000, len(scan_primes) // (jobs * 8))
         batches = [scan_primes[i : i + chunk] for i in range(0, len(scan_primes), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for reports in pool.map(
-                _scan_chunk, [(poly_a, poly_b, batch) for batch in batches]
-            ):
+            for reports in pool.map(_scan_chunk, [(pair, batch) for batch in batches]):
                 for report in reports:
                     consume(report)
     else:
         for p in scan_primes:
-            consume(_certify_good_prime(ctx_a, ctx_b, p))
+            consume(_certify_good_prime(pair, p))
 
     scanned = len(scan_primes)
     certified_n = len(certified)

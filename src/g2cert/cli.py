@@ -10,6 +10,7 @@ precondition or certification failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -21,21 +22,14 @@ from .arith import primes_up_to
 from .certify import (
     VERDICT_CERTIFIED,
     CertificationReport,
+    Pair,
     certify_prime,
     scan,
 )
-from .errors import ExcludedPrimeError, G2CertError, NotPalindromicError
+from .errors import ExcludedPrimeError, G2CertError
 from .golden import EXPECTED, INDEPENDENT, TORUS_TABLE
-from .palindromic import (
-    TAG_D6,
-    classify_galois,
-    g2_lift_check,
-    independence_check,
-    palindromic_reduce,
-    ramified_primes,
-    temperedness_check,
-)
-from .poly import RatPoly, deflate_root_one, format_poly
+from .palindromic import TAG_D6, independence_check
+from .poly import format_poly
 from .polyfile import (
     BUNDLED_NAMES,
     PolyFile,
@@ -44,7 +38,7 @@ from .polyfile import (
     digest,
     load_polyfile,
 )
-from .reduction import element_order, excluded_primes, frobenius_class
+from .reduction import ExcludedPrimeSet, ReductionContext
 from .weyl import CLASS_LABELS, torus_order, torus_poly_str
 
 SCHEMA = "g2cert-report-1"
@@ -59,17 +53,6 @@ def _load_input(arg: str) -> PolyFile:
     if arg in BUNDLED_NAMES:
         return bundled_polyfile(arg)
     return load_polyfile(arg)
-
-
-def _sextic_of(pf: PolyFile) -> RatPoly:
-    """The palindromic sextic: strip the eigenvalue-1 linear factor if present."""
-    poly = pf.poly()
-    if poly.degree == 7:
-        try:
-            return deflate_root_one(poly)
-        except ValueError as e:
-            raise NotPalindromicError(f"{pf.name}: {e}") from e
-    return poly
 
 
 def _decimal(fr: Fraction, places: int = 6) -> str:
@@ -92,79 +75,73 @@ def _input_doc(pf: PolyFile) -> dict:
     }
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout for no path or "-", else the file at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
-def _emit_json(doc: Any, out) -> None:
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+def _write_json(doc: Any, path: str | None) -> None:
+    with _output(path) as out:
+        json.dump(doc, out, indent=2)
+        out.write("\n")
+
+
+def _excluded_doc(excluded: ExcludedPrimeSet) -> list[dict]:
+    return [{"p": p, "reason": why} for p, why in excluded.reasons]
+
+
+def _exceeds(order: int, order_bound: int) -> dict[str, bool]:
+    """Whether the exact order is above 3 and above the --order-bound threshold."""
+    return {str(b): order > b for b in sorted({3, order_bound})}
 
 
 # ---------------------------------------------------------------------------
 # reduce
 
 
-def _analysis_doc(pf: PolyFile) -> dict:
-    sextic = _sextic_of(pf)
-    pair = palindromic_reduce(sextic)
-    classification = classify_galois(pair)
-    tempered = temperedness_check(pair)
-    lift = g2_lift_check(pair.q)
-    exset = excluded_primes(sextic, pf.steinberg_prime) if classification.tag == TAG_D6 else None
+def cmd_reduce(args: argparse.Namespace) -> int:
+    pf = _load_input(args.input)
+    ctx = ReductionContext.from_polyfile(pf)
+    pair, tag = ctx.pair, ctx.classification.tag
     doc = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": "reduce",
         "input": _input_doc(pf),
         "characteristic_poly": list(pf.coefficients),
-        "sextic": sextic.to_strings(),
-        "sextic_str": format_poly(sextic.coeffs, "x"),
+        "sextic": ctx.sextic.to_strings(),
+        "sextic_str": format_poly(ctx.sextic.coeffs, "x"),
         "cubic": pair.q.to_strings(),
         "cubic_str": format_poly(pair.q.coeffs, "y"),
         "cubic_at_2": str(pair.q_at_2),
         "cubic_at_minus_2": str(pair.q_at_minus_2),
         "discriminant": str(pair.delta),
         "discriminant_product": str(pair.delta_prime),
-        "squarefree_kernels": sorted(
-            {_sf(pair.delta), _sf(pair.delta_prime), _sf(pair.delta * pair.delta_prime)}
-        ),
-        "ramified_primes": sorted(ramified_primes(pair)),
-        "classification": classification.tag,
-        "evidence": dict(classification.evidence),
-        "tempered": tempered,
-        "unit_product": lift,
+        "squarefree_kernels": sorted(ctx.square_kernels),
+        "ramified_primes": sorted(ctx.ramified),
+        "classification": tag,
+        "evidence": dict(ctx.classification.evidence),
+        "tempered": ctx.tempered,
+        "unit_product": ctx.unit_product,
     }
-    if exset is not None:
-        doc["excluded_primes"] = [{"p": p, "reason": exset.reason(p)} for p in exset]
-    return doc
-
-
-def _sf(value: Fraction) -> int:
-    from .arith import squarefree_kernel
-
-    return squarefree_kernel(value)
-
-
-def cmd_reduce(args: argparse.Namespace) -> int:
-    pf = _load_input(args.input)
-    doc = {"schema": SCHEMA, "version": __version__, "command": "reduce"}
-    doc.update(_analysis_doc(pf))
-    out, close = _open_out(args.out)
-    try:
-        _emit_json(doc, out)
-    finally:
-        if close:
-            out.close()
-    return 0 if doc["classification"] == TAG_D6 and doc["tempered"] else 1
+    if tag == TAG_D6:
+        doc["excluded_primes"] = _excluded_doc(ctx.excluded)
+    _write_json(doc, args.out)
+    return 0 if tag == TAG_D6 and ctx.tempered else 1
 
 
 # ---------------------------------------------------------------------------
 # frobenius
 
 
-def _frobenius_record(sextic: RatPoly, p: int, order_bound: int) -> dict:
-    cls = frobenius_class(sextic, p)
-    report = element_order(sextic, p, cls, bounds=(3, order_bound))
+def _frobenius_record(ctx: ReductionContext, p: int, order_bound: int) -> dict:
+    cls = ctx.classify(p)
+    order = ctx.order_report(p, cls)
     return {
         "p": p,
         "y_pattern": list(cls.y_pattern),
@@ -173,58 +150,50 @@ def _frobenius_record(sextic: RatPoly, p: int, order_bound: int) -> dict:
         "weyl_class": cls.weyl_class,
         "torus_order": cls.torus_order,
         "x_pattern": list(cls.x_pattern),
-        "exact_order": report.exact_order,
-        "order_divides_torus": report.order_divides_torus,
-        "exceeds": {str(b): flag for b, flag in sorted(report.exceeds.items())},
+        "exact_order": order.exact_order,
+        "order_divides_torus": order.order_divides_torus,
+        "exceeds": _exceeds(order.exact_order, order_bound),
     }
 
 
 def cmd_frobenius(args: argparse.Namespace) -> int:
     pf = _load_input(args.input)
-    sextic = _sextic_of(pf)
-    exset = excluded_primes(sextic, pf.steinberg_prime)
-    if args.prime is not None:
-        targets = [args.prime]
-    else:
-        targets = primes_up_to(args.limit)
+    ctx = ReductionContext.from_polyfile(pf)
+    ctx.require_d6()
+    targets = [args.prime] if args.prime is not None else primes_up_to(args.limit)
     records = []
     for p in targets:
-        if p in exset:
-            records.append({"p": p, "excluded": exset.reason(p)})
-            continue
         try:
-            records.append(_frobenius_record(sextic, p, args.order_bound))
-        except (ExcludedPrimeError, ValueError) as e:
-            records.append({"p": p, "excluded": str(e)})
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(
-                ["p", "y_pattern", "chi_delta_prime", "chi_delta", "weyl_class",
-                 "torus_order", "exact_order", "excluded"]
-            )
-            for r in records:
-                if "excluded" in r:
-                    writer.writerow([r["p"], "", "", "", "", "", "", r["excluded"]])
-                else:
-                    writer.writerow(
-                        [r["p"], "+".join(map(str, r["y_pattern"])), r["chi_delta_prime"],
-                         r["chi_delta"], r["weyl_class"], r["torus_order"],
-                         r["exact_order"], ""]
-                    )
-        else:
-            doc = {
-                "schema": SCHEMA,
-                "version": __version__,
-                "command": "frobenius",
-                "input": _input_doc(pf),
-                "records": records,
-            }
-            _emit_json(doc, out)
-    finally:
-        if close:
-            out.close()
+            if p in ctx.excluded:
+                raise ExcludedPrimeError(p, ctx.excluded.reason(p))
+            records.append(_frobenius_record(ctx, p, args.order_bound))
+        except ExcludedPrimeError as e:
+            records.append({"p": p, "excluded": e.reason})
+    if args.format == "json":
+        doc = {
+            "schema": SCHEMA,
+            "version": __version__,
+            "command": "frobenius",
+            "input": _input_doc(pf),
+            "records": records,
+        }
+        _write_json(doc, args.out)
+        return 0
+    with _output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(
+            ["p", "y_pattern", "chi_delta_prime", "chi_delta", "weyl_class",
+             "torus_order", "exact_order", "excluded"]
+        )
+        for r in records:
+            if "excluded" in r:
+                writer.writerow([r["p"], "", "", "", "", "", "", r["excluded"]])
+            else:
+                writer.writerow(
+                    [r["p"], "+".join(map(str, r["y_pattern"])), r["chi_delta_prime"],
+                     r["chi_delta"], r["weyl_class"], r["torus_order"],
+                     r["exact_order"], ""]
+                )
     return 0
 
 
@@ -232,65 +201,8 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 # certify
 
 
-def _certification_doc(report: CertificationReport) -> dict:
-    doc: dict[str, Any] = {
-        "p": report.p,
-        "class_a": report.class_a,
-        "class_b": report.class_b,
-        "order_a": report.order_a,
-        "order_b": report.order_b,
-        "verdict": report.verdict,
-        "reasons": [f"{label}: {why}" for label, why in report.excluded_subgroups],
-    }
-    if report.note:
-        doc["note"] = report.note
-    for side, ev in (("a", report.evidence_a), ("b", report.evidence_b)):
-        if ev is not None:
-            doc[f"y_pattern_{side}"] = list(ev.y_pattern)
-            doc[f"x_pattern_{side}"] = list(ev.x_pattern)
-            doc[f"chi_delta_{side}"] = ev.chi_delta
-            doc[f"chi_delta_prime_{side}"] = ev.chi_delta_prime
-            doc[f"torus_order_{side}"] = ev.torus_order
-    return doc
-
-
-def cmd_certify(args: argparse.Namespace) -> int:
-    pf_a = _load_input(args.input_a)
-    pf_b = _load_input(args.input_b)
-    sextic_a, sextic_b = _sextic_of(pf_a), _sextic_of(pf_b)
-    exset = excluded_primes(sextic_a, pf_a.steinberg_prime).union(
-        excluded_primes(sextic_b, pf_b.steinberg_prime)
-    )
-    report = certify_prime(sextic_a, sextic_b, args.prime, exset)
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "certify",
-        "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)},
-    }
-    doc.update(_certification_doc(report))
-    if report.order_a is not None:
-        for side, sextic, ev in (("a", sextic_a, report.evidence_a), ("b", sextic_b, report.evidence_b)):
-            rep = element_order(sextic, args.prime, ev, bounds=(3, args.order_bound))
-            doc[f"order_evidence_{side}"] = {
-                "exact_order": rep.exact_order,
-                "order_divides_torus": rep.order_divides_torus,
-                "exceeds": {str(b): flag for b, flag in sorted(rep.exceeds.items())},
-            }
-    out, close = _open_out(args.out)
-    try:
-        _emit_json(doc, out)
-    finally:
-        if close:
-            out.close()
-    return 0 if report.verdict == VERDICT_CERTIFIED else 1
-
-
-# ---------------------------------------------------------------------------
-# scan
-
-
-def _scan_record_doc(r: CertificationReport) -> dict:
+def _record_doc(r: CertificationReport) -> dict:
+    """One prime of a pair: a scan record, and the body of a certify report."""
     doc: dict[str, Any] = {
         "p": r.p,
         "class_a": r.class_a,
@@ -309,6 +221,40 @@ def _scan_record_doc(r: CertificationReport) -> dict:
     if r.excluded_subgroups:
         doc["reasons"] = [f"{label}: {why}" for label, why in r.excluded_subgroups]
     return doc
+
+
+def cmd_certify(args: argparse.Namespace) -> int:
+    pf_a = _load_input(args.input_a)
+    pf_b = _load_input(args.input_b)
+    report = certify_prime(Pair.from_files(pf_a, pf_b), args.prime)
+    doc = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": "certify",
+        "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)},
+    }
+    doc.update(_record_doc(report))
+    if report.note:
+        doc["note"] = report.note
+    for side, ev, order in (
+        ("a", report.evidence_a, report.order_report_a),
+        ("b", report.evidence_b, report.order_report_b),
+    ):
+        if ev is not None:
+            doc[f"x_pattern_{side}"] = list(ev.x_pattern)
+            doc[f"torus_order_{side}"] = ev.torus_order
+        if order is not None:
+            doc[f"order_evidence_{side}"] = {
+                "exact_order": order.exact_order,
+                "order_divides_torus": order.order_divides_torus,
+                "exceeds": _exceeds(order.exact_order, args.order_bound),
+            }
+    _write_json(doc, args.out)
+    return 0 if report.verdict == VERDICT_CERTIFIED else 1
+
+
+# ---------------------------------------------------------------------------
+# scan
 
 
 def _summary_doc(summary) -> dict:
@@ -333,12 +279,8 @@ def _summary_doc(summary) -> dict:
 def cmd_scan(args: argparse.Namespace) -> int:
     pf_a = _load_input(args.input_a)
     pf_b = _load_input(args.input_b)
-    sextic_a, sextic_b = _sextic_of(pf_a), _sextic_of(pf_b)
-    exset = excluded_primes(sextic_a, pf_a.steinberg_prime).union(
-        excluded_primes(sextic_b, pf_b.steinberg_prime)
-    )
-    out, close = _open_out(args.out)
-    try:
+    pair = Pair.from_files(pf_a, pf_b)
+    with _output(args.out) as out:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["p", "class_A", "class_B", "order_A", "order_B", "verdict"])
@@ -351,45 +293,31 @@ def cmd_scan(args: argparse.Namespace) -> int:
                      r.verdict]
                 )
 
-            summary = scan(
-                sextic_a, sextic_b, args.limit,
-                excluded=exset, record_sink=sink, jobs=args.jobs,
-            )
-            out.write("# " + json.dumps(_summary_doc(summary)) + "\n")
         else:
-            out.write("{\n")
-            out.write(f'  "schema": {json.dumps(SCHEMA)},\n')
-            out.write(f'  "version": {json.dumps(__version__)},\n')
-            out.write('  "command": "scan",\n')
-            inputs = {"a": _input_doc(pf_a), "b": _input_doc(pf_b)}
-            out.write(f'  "inputs": {json.dumps(inputs)},\n')
-            params = {
-                "limit": args.limit,
-                "order_bound": args.order_bound,
-                "excluded_primes": [
-                    {"p": p, "reason": exset.reason(p)} for p in exset
-                ],
+            # one report document, its records streamed as they arrive
+            head = {
+                "schema": SCHEMA,
+                "version": __version__,
+                "command": "scan",
+                "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)},
+                "parameters": {"limit": args.limit, "excluded_primes": _excluded_doc(pair.excluded)},
             }
-            out.write(f'  "parameters": {json.dumps(params)},\n')
+            out.write("{\n")
+            for key, value in head.items():
+                out.write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
             out.write('  "records": [\n')
             first = True
 
             def sink(r: CertificationReport) -> None:
                 nonlocal first
-                prefix = "    " if first else ",\n    "
+                out.write(("    " if first else ",\n    ") + json.dumps(_record_doc(r)))
                 first = False
-                out.write(prefix + json.dumps(_scan_record_doc(r)))
 
-            summary = scan(
-                sextic_a, sextic_b, args.limit,
-                excluded=exset, record_sink=sink, jobs=args.jobs,
-            )
-            out.write("\n  ],\n")
-            out.write(f'  "summary": {json.dumps(_summary_doc(summary))}\n')
-            out.write("}\n")
-    finally:
-        if close:
-            out.close()
+        summary = json.dumps(_summary_doc(scan(pair, args.limit, record_sink=sink, jobs=args.jobs)))
+        if args.format == "csv":
+            out.write(f"# {summary}\n")
+        else:
+            out.write(f'\n  ],\n  "summary": {summary}\n}}\n')
     return 0
 
 
@@ -406,24 +334,20 @@ def cmd_torus_orders(args: argparse.Namespace) -> int:
         if args.q is not None:
             row["value"] = torus_order(label, args.q)
         rows.append(row)
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            doc = {
-                "schema": SCHEMA, "version": __version__, "command": "torus-orders",
-                "q": args.q, "rows": rows,
-            }
-            _emit_json(doc, out)
-        else:
-            width = max(len(r["polynomial"]) for r in rows)
-            for row in rows:
-                line = f'{row["class"]}  {row["polynomial"]:<{width}}'
-                if args.q is not None:
-                    line += f'  {row["value"]}'
-                out.write(line.rstrip() + "\n")
-    finally:
-        if close:
-            out.close()
+    if args.format == "json":
+        doc = {
+            "schema": SCHEMA, "version": __version__, "command": "torus-orders",
+            "q": args.q, "rows": rows,
+        }
+        _write_json(doc, args.out)
+        return 0
+    width = max(len(r["polynomial"]) for r in rows)
+    with _output(args.out) as out:
+        for row in rows:
+            line = f'{row["class"]}  {row["polynomial"]:<{width}}'
+            if args.q is not None:
+                line += f'  {row["value"]}'
+            out.write(line.rstrip() + "\n")
     return 0
 
 
@@ -431,84 +355,69 @@ def cmd_torus_orders(args: argparse.Namespace) -> int:
 # reproduce
 
 
-def _compare(name: str, field: str, expected, got, failures: list[str], out) -> None:
-    if expected == got:
-        out.write(f"ok {name}.{field}\n")
-    else:
-        failures.append(f"{name}.{field}")
-        out.write(f"MISMATCH {name}.{field}: expected {expected!r}, got {got!r}\n")
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.inputs and len(args.inputs) != 2:
         raise ValueError("reproduce takes either no inputs or exactly two")
     names = args.inputs if args.inputs else list(BUNDLED_NAMES)
-    out, close = _open_out(args.out)
     failures: list[str] = []
-    pairs = []
-    try:
+    analyses = []
+    with _output(args.out) as out:
+
+        def mismatch(field: str, why: str) -> None:
+            failures.append(field)
+            out.write(f"MISMATCH {field}: {why}\n")
+
+        def compare(field: str, expected, got) -> None:
+            if expected == got:
+                out.write(f"ok {field}\n")
+            else:
+                mismatch(field, f"expected {expected!r}, got {got!r}")
+
         for arg in names:
             pf = _load_input(arg)
             if pf.name not in EXPECTED:
                 raise PolyFileError(f"no expected values for input named {pf.name!r}")
             want = EXPECTED[pf.name]
             try:
-                sextic = _sextic_of(pf)
-                pair = palindromic_reduce(sextic)
+                ctx = ReductionContext.from_polyfile(pf)
             except G2CertError as e:
-                failures.append(f"{pf.name}.pipeline")
-                out.write(f"MISMATCH {pf.name}.pipeline: {e}\n")
+                mismatch(f"{pf.name}.pipeline", str(e))
                 continue
-            pairs.append(pair)
-            _compare(pf.name, "sextic_coefficients", want["sextic_coefficients"],
-                     sextic.coeffs, failures, out)
-            _compare(pf.name, "cubic_coefficients", want["cubic_coefficients"],
-                     pair.q.coeffs, failures, out)
-            _compare(pf.name, "cubic_at_2", want["cubic_at_2"], pair.q_at_2, failures, out)
-            _compare(pf.name, "cubic_at_minus_2", want["cubic_at_minus_2"],
-                     pair.q_at_minus_2, failures, out)
-            _compare(pf.name, "discriminant", want["discriminant"], pair.delta, failures, out)
-            _compare(pf.name, "discriminant_product", want["discriminant_product"],
-                     pair.delta_prime, failures, out)
-            tag = classify_galois(pair).tag
-            _compare(pf.name, "classification", want["classification"], tag, failures, out)
-            _compare(pf.name, "tempered", want["tempered"], temperedness_check(pair), failures, out)
-            _compare(pf.name, "unit_product", want["unit_product"], g2_lift_check(pair.q),
-                     failures, out)
-            kernels = frozenset(
-                {_sf(pair.delta), _sf(pair.delta_prime), _sf(pair.delta * pair.delta_prime)}
-            )
-            _compare(pf.name, "squarefree_kernels", want["squarefree_kernels"], kernels,
-                     failures, out)
+            analyses.append(ctx)
+            pair, tag = ctx.pair, ctx.classification.tag
+            for field, got in (
+                ("sextic_coefficients", ctx.sextic.coeffs),
+                ("cubic_coefficients", pair.q.coeffs),
+                ("cubic_at_2", pair.q_at_2),
+                ("cubic_at_minus_2", pair.q_at_minus_2),
+                ("discriminant", pair.delta),
+                ("discriminant_product", pair.delta_prime),
+                ("classification", tag),
+                ("tempered", ctx.tempered),
+                ("unit_product", ctx.unit_product),
+                ("squarefree_kernels", ctx.square_kernels),
+            ):
+                compare(f"{pf.name}.{field}", want[field], got)
             if tag == TAG_D6:
-                _compare(pf.name, "excluded_primes", want["excluded_primes"],
-                         excluded_primes(sextic, pf.steinberg_prime).primes, failures, out)
+                compare(f"{pf.name}.excluded_primes", want["excluded_primes"], ctx.excluded.primes)
             else:
-                failures.append(f"{pf.name}.excluded_primes")
-                out.write(
-                    f"MISMATCH {pf.name}.excluded_primes: not computable, "
-                    f"classification is {tag}\n"
-                )
-        if len(pairs) == 2:
+                mismatch(f"{pf.name}.excluded_primes", f"not computable, classification is {tag}")
+        if len(analyses) == 2:
+            a, b = analyses
             try:
-                verdict = independence_check(pairs[0], pairs[1])
-                _compare("pair", "independent", INDEPENDENT, verdict.independent,
-                         failures, out)
+                verdict = independence_check(a.pair, b.pair, (a.classification, b.classification))
+                compare("pair.independent", INDEPENDENT, verdict.independent)
             except G2CertError as e:
-                failures.append("pair.independent")
-                out.write(f"MISMATCH pair.independent: {e}\n")
+                mismatch("pair.independent", str(e))
         for label, (poly_str, at2, at5) in TORUS_TABLE.items():
-            _compare("torus", f"{label}.polynomial", poly_str, torus_poly_str(label), failures, out)
-            _compare("torus", f"{label}.at_2", at2, torus_order(label, 2), failures, out)
-            _compare("torus", f"{label}.at_5", at5, torus_order(label, 5), failures, out)
+            compare(f"torus.{label}.polynomial", poly_str, torus_poly_str(label))
+            compare(f"torus.{label}.at_2", at2, torus_order(label, 2))
+            compare(f"torus.{label}.at_5", at5, torus_order(label, 5))
         if failures:
             out.write(f"FAILED: {len(failures)} mismatched field(s): {', '.join(failures)}\n")
             return 1
         out.write("all values reproduced exactly\n")
         return 0
-    finally:
-        if close:
-            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (output unchanged)")
-    p.add_argument("--order-bound", type=int, default=19)
     common_out(p)
     p.set_defaults(func=cmd_scan)
 

@@ -129,11 +129,30 @@ def ramified_primes(pair: PalindromicPair) -> frozenset[int]:
 def temperedness_check(pair: PalindromicPair) -> bool:
     """Exact sign test confining the roots of Q to (-2, 2).
 
-    For a monic cubic: disc > 0 gives three distinct real roots; the signs
-    of Q' at -2, 0, 2 put both critical points inside (-2, 2); the signs of
-    Q at the endpoints then pin all three roots inside.  Equivalently every
-    root of P lies on the unit circle.  All six inequalities are strict and
-    rational, so no floating point is involved.
+    For a monic cubic Q = y^3 + q2 y^2 + q1 y + q0 the test is
+
+        disc > 0,  Q(-2) < 0 < Q(2),  Q'(-2) > 0,  Q'(2) > 0,  -6 < q2 < 6.
+
+    Why it is exact.  disc > 0 means three distinct real roots
+    r1 < r2 < r3, so Q' = 3y^2 + 2 q2 y + q1 has two real zeros (the
+    critical points) c1 < c2 with r1 < c1 < r2 < c2 < r3, placed
+    symmetrically about the vertex v = -q2/3.  The last condition is
+    exactly v in (-2, 2).  Q' is an upward parabola, so Q'(t) > 0 says t
+    lies outside [c1, c2].  If v is in (-2, 2) and Q'(+-2) > 0, then
+    -2 < v < c2 forces -2 < c1, and c1 < v < 2 forces c2 < 2: both
+    critical points lie in (-2, 2).  Conversely, if both do, then so does
+    their midpoint v, and +-2 lie outside [c1, c2].  With both critical
+    points inside, Q(-2) < 0 puts -2 below r1 (the other negative stretch
+    (r2, r3) lies right of c1 > -2) and Q(2) > 0 puts 2 above r3 (the
+    other positive stretch (r1, r2) lies left of c2 < 2), so all three
+    roots lie in (-2, 2).  Conversely, roots in (-2, 2) put the critical
+    points between them, and Q(-2) < 0 < Q(2) because +-2 lie beyond the
+    outer roots.  The sign of Q'(0) does not enter: the roots may all lie
+    on one side of 0.
+
+    Equivalently every root of P lies on the unit circle.  All the
+    inequalities are strict and rational, so no floating point is
+    involved.
     """
     q = pair.q
     if q.degree != 3:
@@ -144,8 +163,8 @@ def temperedness_check(pair: PalindromicPair) -> bool:
         and pair.q_at_minus_2 < 0
         and pair.q_at_2 > 0
         and qp.evaluate(-2) > 0
-        and qp.evaluate(0) < 0
         and qp.evaluate(2) > 0
+        and -6 < q[2] < 6
     )
 
 
@@ -177,18 +196,25 @@ def _divisors(n: int) -> list[int]:
 
 
 def _cubic_irreducible(q: RatPoly) -> bool:
-    # rational root test on the primitive integer model
-    if q[0] == 0:
+    """Whether the monic cubic q has no rational root, i.e. is irreducible over Q.
+
+    Let D be the lcm of the coefficient denominators.  Then
+    F(z) = D^3 q(z / D) = z^3 + D q2 z^2 + D^2 q1 z + D^3 q0 is monic with
+    integer coefficients, and y is a root of q exactly when z = D y is a
+    root of F.  By Gauss's lemma a rational root r/s of F in lowest terms
+    has s | 1 (s^3 F(r/s) = 0 gives s | r^3), so it is an integer, and it
+    divides the constant term F(0).  So q has a rational root iff F has an
+    integer root dividing F(0), which is what is searched, in integer
+    arithmetic only.
+    """
+    den = math.lcm(*(c.denominator for c in q.coeffs))
+    c2, c1, c0 = int(q[2] * den), int(q[1] * den**2), int(q[0] * den**3)
+    if c0 == 0:
         return False
-    lcm = 1
-    for c in q.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in q.coeffs]
-    for num in _divisors(abs(ints[0])):
-        for den in _divisors(abs(ints[3])):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if q.evaluate(cand) == 0:
-                    return False
+    for d in _divisors(abs(c0)):
+        for z in (d, -d):
+            if ((z + c2) * z + c1) * z + c0 == 0:
+                return False
     return True
 
 
@@ -244,26 +270,29 @@ class IndependenceVerdict:
     independent: bool
 
 
-def _kernel_set(pair: PalindromicPair) -> frozenset[int]:
-    kernels = {
-        squarefree_kernel(pair.delta),
-        squarefree_kernel(pair.delta_prime),
-        squarefree_kernel(pair.delta * pair.delta_prime),
-    }
-    kernels.discard(1)
-    return frozenset(kernels)
+def square_kernels(pair: PalindromicPair) -> frozenset[int]:
+    """Squarefree kernels of delta, delta_prime and their product; pair must be separable."""
+    return frozenset(
+        squarefree_kernel(v) for v in (pair.delta, pair.delta_prime, pair.delta * pair.delta_prime)
+    )
 
 
-def independence_check(pair_a: PalindromicPair, pair_b: PalindromicPair) -> IndependenceVerdict:
+def independence_check(
+    pair_a: PalindromicPair,
+    pair_b: PalindromicPair,
+    classifications: tuple[GaloisClassification, GaloisClassification] | None = None,
+) -> IndependenceVerdict:
     """Are the two splitting fields linearly disjoint?
 
     The quadratic subfields are cut out by the squarefree kernels of delta,
     delta_prime and their product; the two degree-12 fields are independent
-    exactly when the kernel sets do not meet.
+    exactly when the kernel sets do not meet.  Callers that already hold
+    both classifications pass them instead of having them recomputed.
     """
-    for pair in (pair_a, pair_b):
-        if classify_galois(pair).tag != TAG_D6:
-            raise G2CertError("independence test requires both pairs to classify as D6")
-    ka = _kernel_set(pair_a)
-    kb = _kernel_set(pair_b)
+    if classifications is None:
+        classifications = (classify_galois(pair_a), classify_galois(pair_b))
+    if any(c.tag != TAG_D6 for c in classifications):
+        raise G2CertError("independence test requires both pairs to classify as D6")
+    ka = square_kernels(pair_a) - {1}
+    kb = square_kernels(pair_b) - {1}
     return IndependenceVerdict(kernels_a=ka, kernels_b=kb, independent=not (ka & kb))

@@ -18,19 +18,35 @@ cubic arithmetic with a logarithmic ladder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .arith import factor_integer, is_prime
-from .errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
-from .palindromic import TAG_D6, classify_galois, palindromic_reduce, ramified_primes
-from .poly import DegreePattern, ModPoly, RatPoly, _ModulusEngine, degree_pattern
+from .errors import (
+    ExcludedPrimeError,
+    G2CertError,
+    NotPalindromicError,
+    NotSeparableError,
+    WitnessMismatchError,
+)
+from .palindromic import (
+    TAG_D6,
+    classify_galois,
+    g2_lift_check,
+    palindromic_reduce,
+    ramified_primes,
+    square_kernels,
+)
+from .poly import DegreePattern, ModPoly, RatPoly, _ModulusEngine, deflate_root_one, degree_pattern
+from .polyfile import PolyFile
 from .weyl import frobenius_lookup, torus_order
 
 REASON_DENOMINATOR = "DenominatorVanishes"
 REASON_RAMIFIED = "RamifiedDiscriminant"
 REASON_STEINBERG = "SteinbergPrime"
+REASON_EVEN = "EvenPrime"
 
 
 @dataclass(frozen=True)
@@ -51,7 +67,6 @@ class ElementOrderReport:
     p: int
     exact_order: int
     order_divides_torus: bool
-    exceeds: Mapping[int, bool]
 
 
 @dataclass(frozen=True)
@@ -77,9 +92,6 @@ class ExcludedPrimeSet:
     def __contains__(self, p: int) -> bool:
         return any(q == p for q, _ in self.reasons)
 
-    def __iter__(self):
-        return iter(self.primes)
-
     def union(self, other: "ExcludedPrimeSet") -> "ExcludedPrimeSet":
         merged = dict(other.reasons)
         merged.update(dict(self.reasons))
@@ -95,44 +107,76 @@ def _int_model(poly: RatPoly) -> tuple[tuple[int, ...], int]:
 
 
 class ReductionContext:
-    """Everything about one sextic that is shared across primes.
+    """The analysis of one input sextic, computed once.
 
-    Construction validates the global hypotheses once: the input must
-    reduce to a cubic that classifies as the order-12 dihedral group with
-    the unit-product constraint.  Per-prime calls then only do modular
+    Construction reduces the sextic to its trace cubic, refuses an
+    inseparable input, and records the Galois classification,
+    temperedness, the lift identity, the square kernels, the ramified
+    primes and the excluded primes (the Steinberg prime included when
+    one is given).  Any separable sextic gets an analysis; only the
+    per-prime methods, which need the order-12 dihedral splitting field,
+    refuse other classifications.  Per-prime calls then only do modular
     work.
     """
 
-    def __init__(self, sextic: RatPoly):
+    def __init__(self, sextic: RatPoly, steinberg_prime: int | None = None):
         if sextic.degree != 6:
             raise ValueError(f"expected a sextic, got degree {sextic.degree}")
+        if steinberg_prime is not None and not is_prime(steinberg_prime):
+            raise ValueError(f"Steinberg prime must be prime, got {steinberg_prime}")
         self.sextic = sextic
-        self.pair = palindromic_reduce(sextic)
-        self.classification = classify_galois(self.pair)
+        self.pair = pair = palindromic_reduce(sextic)
+        if pair.delta == 0:
+            raise NotSeparableError("disc(Q) = 0: the sextic has a repeated root")
+        if pair.delta_prime == 0:
+            raise NotSeparableError("Q(2)Q(-2) = 0: the sextic has a root at 1 or -1")
+        self.classification = classify_galois(pair)
+        self.tempered = self.classification.evidence["roots_in_interval"]
+        self.unit_product = g2_lift_check(pair.q)
+        self.square_kernels = square_kernels(pair)
+        self.ramified = ramified_primes(pair)
+        self.x_num, self.x_den = _int_model(sextic)
+        self.y_num, self.y_den = _int_model(pair.q)
+        # chi(delta) mod p = chi(num * den): den^2 * delta = num * den
+        self.delta_nd = pair.delta.numerator * pair.delta.denominator
+        self.delta_prime_nd = pair.delta_prime.numerator * pair.delta_prime.denominator
+        bad: dict[int, str] = {}
+        for den in (self.x_den, self.y_den):
+            for q in factor_integer(den).primes():
+                bad[q] = REASON_DENOMINATOR
+        for q in sorted(self.ramified):
+            bad.setdefault(q, REASON_RAMIFIED)
+        self.intrinsic_reasons = bad
+        reasons = dict(bad)
+        if steinberg_prime is not None:
+            reasons.setdefault(steinberg_prime, REASON_STEINBERG)
+        self.excluded = ExcludedPrimeSet.from_mapping(reasons)
+
+    @classmethod
+    def from_polyfile(cls, pf: PolyFile) -> "ReductionContext":
+        """The analysis of a file; a degree-7 file loses its eigenvalue-1 factor first."""
+        poly = pf.poly()
+        if poly.degree == 7:
+            try:
+                poly = deflate_root_one(poly)
+            except ValueError as e:
+                raise NotPalindromicError(f"{pf.name}: {e}") from e
+        return cls(poly, pf.steinberg_prime)
+
+    def require_d6(self) -> None:
         if self.classification.tag != TAG_D6:
             raise G2CertError(
                 "Frobenius classes need the order-12 dihedral splitting field, "
                 f"classification is {self.classification.tag}"
             )
-        self.x_num, self.x_den = _int_model(sextic)
-        self.y_num, self.y_den = _int_model(self.pair.q)
-        delta, dprime = self.pair.delta, self.pair.delta_prime
-        # chi(delta) mod p = chi(num * den): den^2 * delta = num * den
-        self.delta_nd = delta.numerator * delta.denominator
-        self.delta_prime_nd = dprime.numerator * dprime.denominator
-        bad: dict[int, str] = {}
-        for den in (self.x_den, self.y_den):
-            for q in factor_integer(den).primes():
-                bad[q] = REASON_DENOMINATOR
-        for q in sorted(ramified_primes(self.pair)):
-            bad.setdefault(q, REASON_RAMIFIED)
-        self.intrinsic_reasons = bad
-        self._lookup = frobenius_lookup()
 
     def ensure_good(self, p: int) -> None:
+        self.require_d6()
         reason = self.intrinsic_reasons.get(p)
         if reason is not None:
             raise ExcludedPrimeError(p, reason)
+        if p == 2:
+            raise ExcludedPrimeError(p, REASON_EVEN)
         if p < 3 or not is_prime(p):
             raise ValueError(f"need an odd prime, got {p}")
 
@@ -150,7 +194,7 @@ class ReductionContext:
         y_pattern = degree_pattern(ModPoly(p, tuple(self.cubic_mod(p))))
         chi_dp = -1 if pow(self.delta_prime_nd % p, half, p) == p - 1 else 1
         chi_d = -1 if pow(self.delta_nd % p, half, p) == p - 1 else 1
-        info = self._lookup[(y_pattern, chi_dp)]
+        info = frobenius_lookup()[(y_pattern, chi_dp)]
         if chi_d != info.epsilon:
             raise WitnessMismatchError(
                 f"p={p}: chi(delta) = {chi_d} but class {info.label} "
@@ -172,9 +216,7 @@ class ReductionContext:
             x_pattern=x_pattern,
         )
 
-    def order_report(
-        self, p: int, cls: FrobeniusClassification, bounds: tuple[int, ...] = (3, 19)
-    ) -> ElementOrderReport:
+    def order_report(self, p: int, cls: FrobeniusClassification) -> ElementOrderReport:
         self.ensure_good(p)
         eng = _ModulusEngine(p, self.cubic_mod(p))
         torus = cls.torus_order
@@ -191,12 +233,7 @@ class ReductionContext:
         for q in factor_integer(bound).primes():
             while order % q == 0 and _trace_power_is_two(eng, order // q):
                 order //= q
-        return ElementOrderReport(
-            p=p,
-            exact_order=order,
-            order_divides_torus=divides,
-            exceeds={b: order > b for b in bounds},
-        )
+        return ElementOrderReport(p=p, exact_order=order, order_divides_torus=divides)
 
 
 def _trace_power_is_two(eng: _ModulusEngine, m: int) -> bool:
@@ -233,38 +270,18 @@ def _trace_power_is_two(eng: _ModulusEngine, m: int) -> bool:
     return v == two
 
 
-_CONTEXTS: dict[tuple, ReductionContext] = {}
-
-
-def reduction_context(sextic: RatPoly) -> ReductionContext:
-    """Cached per-polynomial context; validation runs once per process."""
-    ctx = _CONTEXTS.get(sextic.coeffs)
-    if ctx is None:
-        ctx = ReductionContext(sextic)
-        _CONTEXTS[sextic.coeffs] = ctx
-    return ctx
+@functools.lru_cache(maxsize=8)
+def _context(sextic: RatPoly) -> ReductionContext:
+    # the per-sextic helpers below are called once per prime by library
+    # users; a few recent analyses are kept so each is built once
+    return ReductionContext(sextic)
 
 
 def frobenius_class(sextic: RatPoly, p: int) -> FrobeniusClassification:
     """Weyl class of Frobenius at a good odd prime, triple-witnessed."""
-    return reduction_context(sextic).classify(p)
+    return _context(sextic).classify(p)
 
 
-def element_order(
-    sextic: RatPoly,
-    p: int,
-    cls: FrobeniusClassification,
-    bounds: tuple[int, ...] = (3, 19),
-) -> ElementOrderReport:
+def element_order(sextic: RatPoly, p: int, cls: FrobeniusClassification) -> ElementOrderReport:
     """Exact order of the reduced element at p, descending from Phi_w(p)."""
-    return reduction_context(sextic).order_report(p, cls, bounds)
-
-
-def excluded_primes(sextic: RatPoly, steinberg_q: int) -> ExcludedPrimeSet:
-    """Denominator primes, ramified primes, and the designated Steinberg prime."""
-    if not is_prime(steinberg_q):
-        raise ValueError(f"Steinberg prime must be prime, got {steinberg_q}")
-    ctx = reduction_context(sextic)
-    reasons = dict(ctx.intrinsic_reasons)
-    reasons.setdefault(steinberg_q, REASON_STEINBERG)
-    return ExcludedPrimeSet.from_mapping(reasons)
+    return _context(sextic).order_report(p, cls)

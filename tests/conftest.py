@@ -5,10 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from g2cert.cli import _sextic_of
-from g2cert.palindromic import palindromic_reduce
+from g2cert.certify import Pair
 from g2cert.polyfile import bundled_polyfile
-from g2cert.reduction import reduction_context
+from g2cert.reduction import ReductionContext
 
 
 @pytest.fixture(scope="session")
@@ -22,30 +21,35 @@ def bundle_b():
 
 
 @pytest.fixture(scope="session")
-def sextic_a(bundle_a):
-    return _sextic_of(bundle_a)
+def ctx_a(bundle_a):
+    return ReductionContext.from_polyfile(bundle_a)
 
 
 @pytest.fixture(scope="session")
-def sextic_b(bundle_b):
-    return _sextic_of(bundle_b)
+def ctx_b(bundle_b):
+    return ReductionContext.from_polyfile(bundle_b)
 
 
 @pytest.fixture(scope="session")
-def pair_a(sextic_a):
-    return palindromic_reduce(sextic_a)
+def bundled_pair(ctx_a, ctx_b):
+    return Pair(ctx_a, ctx_b)
 
 
 @pytest.fixture(scope="session")
-def pair_b(sextic_b):
-    return palindromic_reduce(sextic_b)
+def sextic_a(ctx_a):
+    return ctx_a.sextic
 
 
 @pytest.fixture(scope="session")
-def ctx_a(sextic_a):
-    return reduction_context(sextic_a)
+def sextic_b(ctx_b):
+    return ctx_b.sextic
 
 
 @pytest.fixture(scope="session")
-def ctx_b(sextic_b):
-    return reduction_context(sextic_b)
+def pair_a(ctx_a):
+    return ctx_a.pair
+
+
+@pytest.fixture(scope="session")
+def pair_b(ctx_b):
+    return ctx_b.pair

@@ -186,3 +186,44 @@ def naive_degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
     assert rest in (0, 6), (f, p, n1, n2, n3)
     pattern = [1] * n1 + [2] * n2 + [3] * n3 + ([6] if rest else [])
     return tuple(sorted(pattern))
+
+
+def _trial_divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out |= {d, n // d}
+        d += 1
+    return sorted(out)
+
+
+def naive_has_rational_root(coeffs: list[Fraction]) -> bool:
+    """Rational root theorem on the primitive integer model, by brute force.
+
+    Clears denominators (leading coefficient kept), then tries every
+    +-n/d with n dividing the constant term and d dividing the leading
+    coefficient, evaluating in Fractions.
+    """
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // _gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    if ints[0] == 0:
+        return True
+    for n in _trial_divisors(ints[0]):
+        for d in _trial_divisors(ints[-1]):
+            for cand in (Fraction(n, d), Fraction(-n, d)):
+                acc = Fraction(0)
+                for c in reversed(coeffs):
+                    acc = acc * cand + c
+                if acc == 0:
+                    return True
+    return False
+
+
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return abs(a)

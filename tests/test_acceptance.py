@@ -21,7 +21,7 @@ from g2cert.palindromic import (
     temperedness_check,
 )
 from g2cert.poly import ModPoly, degree_pattern
-from g2cert.reduction import element_order, frobenius_class, reduction_context
+from g2cert.reduction import element_order, frobenius_class
 from g2cert.weyl import CLASS_LABELS, torus_order, weyl_classes
 from oracles import (
     naive_degree_pattern,
@@ -36,11 +36,10 @@ WITNESS_PRIME_COUNT = 10**4
 
 
 @pytest.fixture(scope="module")
-def witness_sweep(sextic_a, sextic_b):
+def witness_sweep(ctx_a, ctx_b):
     """Per polynomial: the first 10^4 good primes with class and exact order."""
     out = {}
-    for key, sextic in (("a", sextic_a), ("b", sextic_b)):
-        ctx = reduction_context(sextic)
+    for key, ctx in (("a", ctx_a), ("b", ctx_b)):
         rows = []
         mismatches = 0
         for p in primes_up_to(110000):
@@ -123,9 +122,9 @@ def test_a4_torus_table():
     print("PASS torus polynomial table, class sizes (1,3,3,1,2,2), orders (1,2,2,2,3,6)")
 
 
-def test_a5_chebotarev_statistics(sextic_a, sextic_b):
+def test_a5_chebotarev_statistics(bundled_pair):
     t0 = time.perf_counter()
-    summary = scan(sextic_a, sextic_b, 10**6)
+    summary = scan(bundled_pair, 10**6)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"scan took {elapsed:.1f}s, budget is 120s"
     sizes = {label: cls.size for label, cls in weyl_classes().items()}
@@ -160,11 +159,11 @@ def test_a6_triple_witness_and_order_divisibility(witness_sweep):
     )
 
 
-def test_a7_oracle_equivalence(sextic_a, sextic_b):
+def test_a7_oracle_equivalence(ctx_a, ctx_b):
     pattern_checks = 0
     inseparable_checks = 0
-    for sextic in (sextic_a, sextic_b):
-        ctx = reduction_context(sextic)
+    for ctx in (ctx_a, ctx_b):
+        sextic = ctx.sextic
         cubic_coeffs = list(ctx.pair.q.coeffs)
         sextic_coeffs = list(sextic.coeffs)
         for p in primes_up_to(199):
@@ -193,8 +192,8 @@ def test_a7_oracle_equivalence(sextic_a, sextic_b):
     assert pattern_checks + inseparable_checks == 172
     assert inseparable_checks == 7
     order_checks = 0
-    for sextic in (sextic_a, sextic_b):
-        ctx = reduction_context(sextic)
+    for ctx in (ctx_a, ctx_b):
+        sextic = ctx.sextic
         for p in primes_up_to(200):
             try:
                 ctx.ensure_good(p)
@@ -226,9 +225,9 @@ def test_a8_stickelberger_parity(witness_sweep):
     )
 
 
-def test_a9_certification_soundness_replay(sextic_a, sextic_b):
+def test_a9_certification_soundness_replay(bundled_pair, sextic_a, sextic_b):
     records = []
-    summary = scan(sextic_a, sextic_b, 10**5, record_sink=records.append)
+    summary = scan(bundled_pair, 10**5, record_sink=records.append)
     certified = [r for r in records if r.verdict == VERDICT_CERTIFIED]
     assert len(certified) == len(summary.certified) > 0
     for r in certified:

@@ -10,17 +10,13 @@ from g2cert.certify import (
     VERDICT_EXCLUDED,
     VERDICT_NOT_COXETER,
     VERDICT_ORDER_TOO_SMALL,
+    Pair,
     certify_prime,
     cyclotomic_value,
     scan,
 )
 from g2cert.errors import G2CertError
-from g2cert.reduction import ElementOrderReport, ReductionContext, excluded_primes
-
-
-@pytest.fixture(scope="module")
-def exset(sextic_a, sextic_b):
-    return excluded_primes(sextic_a, 5).union(excluded_primes(sextic_b, 5))
+from g2cert.reduction import ElementOrderReport, ReductionContext
 
 
 def test_cyclotomic_values():
@@ -75,83 +71,80 @@ def test_unbounded_orders_prime_to_p():
     assert by_label["PGL2(p)"].order_prime_to_p(7) == 36 * 8
 
 
-def test_certified_at_29(sextic_a, sextic_b, exset):
-    report = certify_prime(sextic_a, sextic_b, 29, exset)
+def test_certified_at_29(bundled_pair):
+    report = certify_prime(bundled_pair, 29)
     assert report.verdict == VERDICT_CERTIFIED
     assert (report.class_a, report.class_b) == ("3a", "6a")
     assert (report.order_a, report.order_b) == (871, 813)
+    # the report carries both order descents, so no caller has to redo them
+    assert report.order_report_a.order_divides_torus
+    assert report.order_report_b.order_divides_torus
     labels = [label for label, why in report.excluded_subgroups]
     assert labels == ["2^3.L3(2)", "L2(13)", "G2(2)", "L2(8)"]
     for label, why in report.excluded_subgroups:
         assert why.startswith("excluded")
 
 
-def test_not_coxeter_at_11(sextic_a, sextic_b, exset):
-    report = certify_prime(sextic_a, sextic_b, 11, exset)
+def test_not_coxeter_at_11(bundled_pair):
+    report = certify_prime(bundled_pair, 11)
     assert report.verdict == VERDICT_NOT_COXETER
     assert (report.class_a, report.class_b) == ("6a", "6a")
     assert report.order_a is None
 
 
-def test_excluded_primes_get_verdict_not_exception(sextic_a, sextic_b, exset):
+def test_excluded_primes_get_verdict_not_exception(bundled_pair):
     # the small-prime gate fires first, then the named exclusion reasons
     for p in (2, 3, 5):
-        report = certify_prime(sextic_a, sextic_b, p, exset)
+        report = certify_prime(bundled_pair, p)
         assert report.verdict == VERDICT_EXCLUDED
         assert "outside the certification range" in report.note
     for p, reason in ((71, "RamifiedDiscriminant"), (7321, "RamifiedDiscriminant")):
-        report = certify_prime(sextic_a, sextic_b, p, exset)
+        report = certify_prime(bundled_pair, p)
         assert report.verdict == VERDICT_EXCLUDED
         assert report.note == reason
 
 
 def test_small_primes_excluded_even_when_not_in_set(sextic_a, sextic_b):
-    empty = excluded_primes(sextic_a, 5)
-    report = certify_prime(sextic_a, sextic_b, 5, empty)
+    # without Steinberg primes neither input excludes 5
+    pair = Pair(ReductionContext(sextic_a), ReductionContext(sextic_b))
+    assert 5 not in pair.excluded
+    report = certify_prime(pair, 5)
     assert report.verdict == VERDICT_EXCLUDED
     assert "outside the certification range" in report.note
 
 
-def test_order_too_small_branch(sextic_a, sextic_b, exset, monkeypatch):
-    def tiny_order(self, p, cls, bounds=(3, 19)):
-        return ElementOrderReport(
-            p=p, exact_order=3, order_divides_torus=True,
-            exceeds={b: 3 > b for b in bounds},
-        )
+def test_order_too_small_branch(bundled_pair, monkeypatch):
+    def tiny_order(self, p, cls):
+        return ElementOrderReport(p=p, exact_order=3, order_divides_torus=True)
 
     monkeypatch.setattr(ReductionContext, "order_report", tiny_order)
-    report = certify_prime(sextic_a, sextic_b, 29, exset)
+    report = certify_prime(bundled_pair, 29)
     assert report.verdict == VERDICT_ORDER_TOO_SMALL
 
 
-def test_bounded_not_excluded_branch(sextic_a, sextic_b, exset, monkeypatch):
+def test_bounded_not_excluded_branch(bundled_pair, monkeypatch):
     # orders 7 and 21 both divide |2^3.L3(2)| = 1344, so the Lagrange
     # argument cannot rule that subgroup out
     fake = {29: iter([7, 21])}
 
-    def fake_order(self, p, cls, bounds=(3, 19)):
-        val = next(fake[p])
-        return ElementOrderReport(
-            p=p, exact_order=val, order_divides_torus=True,
-            exceeds={b: val > b for b in bounds},
-        )
+    def fake_order(self, p, cls):
+        return ElementOrderReport(p=p, exact_order=next(fake[p]), order_divides_torus=True)
 
     monkeypatch.setattr(ReductionContext, "order_report", fake_order)
-    report = certify_prime(sextic_a, sextic_b, 29, exset)
+    report = certify_prime(bundled_pair, 29)
     assert report.verdict == VERDICT_BOUNDED_NOT_EXCLUDED
     bad = [label for label, why in report.excluded_subgroups if "not excluded" in why]
     assert "2^3.L3(2)" in bad
 
 
-def test_certify_rejects_dependent_pair(sextic_a):
-    ex = excluded_primes(sextic_a, 5)
-    with pytest.raises(G2CertError):
-        certify_prime(sextic_a, sextic_a, 29, ex)
+def test_certify_rejects_dependent_pair(ctx_a):
+    with pytest.raises(G2CertError, match="not independent"):
+        Pair(ctx_a, ctx_a)
 
 
-def test_scan_summary_consistency(sextic_a, sextic_b):
+def test_scan_summary_consistency(bundled_pair):
     records = []
-    summary = scan(sextic_a, sextic_b, 2000, record_sink=records.append)
+    summary = scan(bundled_pair, 2000, record_sink=records.append)
     assert summary.limit == 2000
     assert summary.scanned == len(records)
     assert summary.primes_total == summary.scanned + summary.excluded_count
@@ -169,18 +162,18 @@ def test_scan_summary_consistency(sextic_a, sextic_b):
     assert summary.predicted_density == Fraction(1, 18)
 
 
-def test_scan_deterministic_and_parallel_equal(sextic_a, sextic_b):
+def test_scan_deterministic_and_parallel_equal(bundled_pair):
     r1, r2, r3 = [], [], []
-    s1 = scan(sextic_a, sextic_b, 3000, record_sink=r1.append)
-    s2 = scan(sextic_a, sextic_b, 3000, record_sink=r2.append)
-    s3 = scan(sextic_a, sextic_b, 3000, record_sink=r3.append, jobs=2)
+    s1 = scan(bundled_pair, 3000, record_sink=r1.append)
+    s2 = scan(bundled_pair, 3000, record_sink=r2.append)
+    s3 = scan(bundled_pair, 3000, record_sink=r3.append, jobs=2)
     assert r1 == r2 == r3
     assert s1 == s2 == s3
 
 
-def test_scan_certified_orders_present(sextic_a, sextic_b):
+def test_scan_certified_orders_present(bundled_pair):
     records = []
-    scan(sextic_a, sextic_b, 500, record_sink=records.append)
+    scan(bundled_pair, 500, record_sink=records.append)
     for r in records:
         if r.verdict == VERDICT_CERTIFIED:
             assert r.order_a is not None and r.order_a > 3

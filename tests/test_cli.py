@@ -1,10 +1,15 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
-from g2cert.polyfile import bundled_polyfile, serialize_polyfile
+from g2cert.certify import Pair, scan
+from g2cert.palindromic import inflate_palindromic
+from g2cert.poly import RatPoly
+from g2cert.polyfile import bundled_polyfile, load_polyfile, serialize_polyfile
 
 
 def run_cli(*args, **kw):
@@ -14,6 +19,20 @@ def run_cli(*args, **kw):
         text=True,
         **kw,
     )
+
+
+def cubic_file(tmp_path, name, cubic, steinberg_prime=5):
+    """A degree-7 input file (x - 1) x^3 Q(x + 1/x) for the cubic Q, ascending coefficients."""
+    septic = inflate_palindromic(RatPoly.from_coeffs(cubic)) * RatPoly.from_coeffs([-1, 1])
+    doc = {
+        "name": name,
+        "steinberg_prime": steinberg_prime,
+        "variable": "x",
+        "coefficients": list(septic.to_strings()),
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def no_floats(text):
@@ -55,6 +74,29 @@ def test_reduce_non_d6_input_exit_one(tmp_path):
     assert out["classification"] != "D6"
 
 
+@pytest.mark.parametrize(
+    "cubic, reason",
+    [
+        ([1, -1, -1, 1], "repeated root"),  # (y - 1)^2 (y + 1): disc(Q) = 0
+        ([-2, 1, -2, 1], "root at 1 or -1"),  # (y - 2)(y^2 + 1): Q(2) = 0
+    ],
+)
+def test_reduce_inseparable_input_exit_one(tmp_path, cubic, reason):
+    r = run_cli("reduce", str(cubic_file(tmp_path, "inseparable", cubic)))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert reason in r.stderr
+
+
+def test_reduce_tempered_with_roots_on_one_side_of_zero(tmp_path):
+    # roots of Q in (0, 2), lift identity holds: see test_palindromic
+    path = cubic_file(tmp_path, "one-sided", [F(-1, 16), F(7, 4), F(-11, 4), 1])
+    r = run_cli("reduce", str(path))
+    assert r.returncode == 0, r.stderr
+    doc = no_floats(r.stdout)
+    assert (doc["classification"], doc["tempered"]) == ("D6", True)
+
+
 def test_frobenius_single_prime():
     r = run_cli("frobenius", "frobenius2", "--prime", "7")
     assert r.returncode == 0
@@ -74,6 +116,37 @@ def test_frobenius_order_bound_changes_evidence_only():
     rec_base.pop("exceeds")
     rec_wide.pop("exceeds")
     assert rec_base == rec_wide
+
+
+def test_frobenius_exceeds_boundary():
+    # the exact order at 7 is 24: "exceeds" is a strict comparison
+    for bound, flag in ((23, True), (24, False), (25, False)):
+        r = run_cli("frobenius", "frobenius2", "--prime", "7", "--order-bound", str(bound))
+        rec = no_floats(r.stdout)["records"][0]
+        assert rec["exact_order"] == 24
+        assert rec["exceeds"] == {"3": True, str(bound): flag}
+    r = run_cli("certify", "frobenius2", "frobenius3", "--prime", "29", "--order-bound", "871")
+    evidence = no_floats(r.stdout)["order_evidence_a"]
+    assert evidence["exact_order"] == 871
+    assert evidence["exceeds"] == {"3": True, "871": False}
+
+
+def test_frobenius_non_prime_is_a_usage_error():
+    r = run_cli("frobenius", "frobenius2", "--prime", "9")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "need an odd prime, got 9" in r.stderr
+
+
+def test_frobenius_range_flags_even_prime_of_good_reduction(tmp_path):
+    # D6 and tempered, and 2 divides no denominator or discriminant
+    path = cubic_file(tmp_path, "odd-disc", [F(-37, 9), F(-4, 3), F(7, 3), 1])
+    r = run_cli("frobenius", str(path), "--limit", "12")
+    assert r.returncode == 0, r.stderr
+    by_p = {rec["p"]: rec for rec in no_floats(r.stdout)["records"]}
+    assert by_p[2]["excluded"] == "EvenPrime"
+    assert by_p[3]["excluded"] == "DenominatorVanishes"
+    assert by_p[7]["exact_order"] > 0
 
 
 def test_frobenius_range_flags_excluded_inline():
@@ -148,6 +221,39 @@ def test_scan_byte_identical_across_jobs(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+def test_scan_output_pinned():
+    # pinned sha256 of the CSV bytes and of the JSON records and summary;
+    # the JSON parameters no longer carry order_bound, so they are not pinned
+    r = run_cli("scan", "frobenius2", "frobenius3", "--limit", "3000", "--format", "csv")
+    digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+    assert digest == "a05afa5a142c2d8c74e408092dd3ee8518a61e46e26d8ea1860a262fb8911482"
+    doc = json.loads(run_cli("scan", "frobenius2", "frobenius3", "--limit", "3000").stdout)
+    for key, want in (
+        ("records", "4cf84eb8ab7b37d2db842379f5f956f3a268879bb89d590ea58a647956fd01a7"),
+        ("summary", "751a183bb10ae070f3abc950ab3cc17bcd644d0dfd3dbe19f5858207371f90c9"),
+    ):
+        assert hashlib.sha256(json.dumps(doc[key]).encode()).hexdigest() == want, key
+    assert doc["parameters"].keys() == {"limit", "excluded_primes"}
+
+
+def test_scan_excludes_steinberg_prime_in_library_and_cli(tmp_path):
+    # frobenius2 with Steinberg prime 29, where the bundled pair certifies
+    doc = json.loads(serialize_polyfile(bundled_polyfile("frobenius2")))
+    doc["steinberg_prime"] = 29
+    path = tmp_path / "steinberg29.json"
+    path.write_text(json.dumps(doc))
+    records = []
+    summary = scan(Pair.from_files(load_polyfile(str(path)), bundled_polyfile("frobenius3")),
+                   300, record_sink=records.append)
+    assert 29 not in [rec.p for rec in records]
+    assert summary.certified == (89, 283)
+    r = run_cli("scan", str(path), "frobenius3", "--limit", "300")
+    out = no_floats(r.stdout)
+    assert 29 not in [rec["p"] for rec in out["records"]]
+    assert {"p": 29, "reason": "SteinbergPrime"} in out["parameters"]["excluded_primes"]
+    assert out["summary"]["certified"] == [89, 283]
+
+
 def test_scan_rejects_dependent_pair():
     r = run_cli("scan", "frobenius2", "frobenius2", "--limit", "100")
     assert r.returncode == 1
@@ -199,6 +305,8 @@ def test_reproduce_corrupted_input_exit_one(tmp_path):
 def test_usage_errors_exit_two(tmp_path):
     assert run_cli("frobenius", "frobenius2").returncode == 2  # no prime/limit
     assert run_cli("scan", "frobenius2", "frobenius3").returncode == 2  # no limit
+    assert run_cli("scan", "frobenius2", "frobenius3", "--limit", "100",
+                   "--order-bound", "19").returncode == 2  # option removed
     assert run_cli("nonsense").returncode == 2
     assert run_cli("reduce", str(tmp_path / "missing.json")).returncode == 2
     garbled = tmp_path / "garbled.json"

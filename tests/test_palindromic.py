@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from g2cert.errors import NotMonicError, NotPalindromicError
 from g2cert.palindromic import (
     TAG_D6,
+    _cubic_irreducible,
     classify_galois,
     g2_lift_check,
     independence_check,
@@ -17,6 +19,7 @@ from g2cert.palindromic import (
     temperedness_check,
 )
 from g2cert.poly import RatPoly
+from oracles import naive_has_rational_root
 
 F = Fraction
 
@@ -111,6 +114,62 @@ def test_temperedness_interior_roots_pass():
     q = RatPoly.from_coeffs([F(3, 4), F(-7, 4), F(0), F(1)])
     pair = palindromic_reduce(inflate_palindromic(q))
     assert temperedness_check(pair)
+
+
+def test_temperedness_roots_on_one_side_of_zero():
+    # Q = y^3 - 11/4 y^2 + 7/4 y - 1/16 satisfies the lift identity
+    # a^2 = c + 2b + 4 (121/16 = 1/16 + 14/4 + 4), and its roots lie in
+    # (0, 1/2), (1/2, 3/2) and (3/2, 2) by the sign changes checked below.
+    # Q'(0) = 7/4 > 0, so a test that asks for Q'(0) < 0 rejects it.
+    q = RatPoly.from_coeffs([F(-1, 16), F(7, 4), F(-11, 4), F(1)])
+    assert [q.evaluate(t) for t in (0, F(1, 2), F(3, 2), 2)] == [
+        F(-1, 16), F(1, 4), F(-1, 4), F(7, 16)
+    ]
+    assert g2_lift_check(q)
+    assert q.derivative().evaluate(0) > 0
+    pair = palindromic_reduce(inflate_palindromic(q))
+    assert temperedness_check(pair)
+    assert classify_galois(pair).tag == TAG_D6
+
+
+def _root_test_cubics() -> list[tuple[RatPoly, bool]]:
+    """(monic cubic, built with a rational root) over small denominators.
+
+    Half are (y - r)(y^2 + s y + t), with r such as 3/4 and s, t over 16,
+    so the root is rational but not an integer; the other half have
+    random coefficients and are mostly irreducible.
+    """
+    rng = random.Random(20140612)
+
+    def rat(dens):
+        return F(rng.randint(-40, 40), rng.choice(dens))
+
+    out = [(RatPoly.from_coeffs([F(21, 64), F(-7, 16), F(-3, 4), 1]), True)]  # (y - 3/4)(y^2 - 7/16)
+    for _ in range(60):
+        r, s, t = rat((1, 2, 3, 4, 8, 16)), rat((16,)), rat((16,))
+        # (y - r)(y^2 + s y + t) = y^3 + (s - r) y^2 + (t - r s) y - r t
+        out.append((RatPoly.from_coeffs([-r * t, t - r * s, s - r, 1]), True))
+        out.append((RatPoly.from_coeffs([rat((1, 2, 4, 16, 27)) for _ in range(3)] + [1]), None))
+    return out
+
+
+def test_cubic_root_test_matches_oracle():
+    irreducible = 0
+    for q, built_reducible in _root_test_cubics():
+        has_root = naive_has_rational_root(list(q.coeffs))
+        if built_reducible:
+            assert has_root, q
+        assert _cubic_irreducible(q) == (not has_root), q
+        irreducible += not has_root
+    assert 0 < irreducible < 121
+
+
+def test_cubic_root_test_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    for q, _ in _root_test_cubics():
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * y**k for k, c in enumerate(q.coeffs))
+        assert _cubic_irreducible(q) == sympy.Poly(expr, y, domain="QQ").is_irreducible, q
 
 
 def test_lift_identity_bundles(pair_a, pair_b):

@@ -1,16 +1,19 @@
+from fractions import Fraction as F
+
 import pytest
 
 from g2cert.errors import ExcludedPrimeError, G2CertError
+from g2cert.palindromic import inflate_palindromic
 from g2cert.poly import RatPoly
 from g2cert.reduction import (
     REASON_DENOMINATOR,
+    REASON_EVEN,
     REASON_RAMIFIED,
     REASON_STEINBERG,
     ExcludedPrimeSet,
+    ReductionContext,
     element_order,
-    excluded_primes,
     frobenius_class,
-    reduction_context,
 )
 from oracles import (
     naive_degree_pattern,
@@ -66,8 +69,8 @@ def test_x_pattern_against_oracle(sextic_a, sextic_b):
             assert cls.x_pattern == naive_degree_pattern(mod, p), (p, sextic)
 
 
-def test_excluded_primes_first_bundle(sextic_a):
-    ex = excluded_primes(sextic_a, 5)
+def test_excluded_primes_first_bundle(ctx_a):
+    ex = ctx_a.excluded
     assert ex.primes == (2, 3, 5, 71, 199)
     assert ex.reason(2) == REASON_DENOMINATOR
     assert ex.reason(3) == REASON_RAMIFIED
@@ -77,8 +80,8 @@ def test_excluded_primes_first_bundle(sextic_a):
     assert 71 in ex and 73 not in ex
 
 
-def test_excluded_primes_second_bundle(sextic_b):
-    ex = excluded_primes(sextic_b, 5)
+def test_excluded_primes_second_bundle(ctx_b):
+    ex = ctx_b.excluded
     assert ex.primes == (2, 3, 5, 7, 13, 7321)
     assert ex.reason(3) == REASON_DENOMINATOR
     assert ex.reason(2) == REASON_RAMIFIED
@@ -87,7 +90,7 @@ def test_excluded_primes_second_bundle(sextic_b):
 
 def test_excluded_primes_rejects_composite_steinberg(sextic_a):
     with pytest.raises(ValueError):
-        excluded_primes(sextic_a, 6)
+        ReductionContext(sextic_a, 6)
 
 
 def test_excluded_prime_set_union():
@@ -112,27 +115,33 @@ def test_bad_primes_raise_typed_errors(sextic_a):
         frobenius_class(sextic_a, 4)
     with pytest.raises(ValueError):
         frobenius_class(sextic_a, 9)
+    # Q = y^3 + 7/3 y^2 - 4/3 y - 37/9 is D6 and tempered, and 2 divides no
+    # denominator, disc(Q) or Q(2)Q(-2); the residue-symbol witness still
+    # needs an odd prime
+    q = RatPoly.from_coeffs([F(-37, 9), F(-4, 3), F(7, 3), 1])
+    ctx = ReductionContext(inflate_palindromic(q))
+    assert ctx.classification.tag == "D6"
+    assert ctx.excluded.primes == (3, 5, 19)
+    with pytest.raises(ExcludedPrimeError) as exc_even:
+        ctx.classify(2)
+    assert exc_even.value.reason == REASON_EVEN
 
 
 def test_rejects_non_d6_inputs():
     # y^3 - 3y + 1 reduces with square discriminant: wrong Galois type
-    from g2cert.palindromic import inflate_palindromic
-
+    # the analysis exists; the per-prime methods refuse it
     q = RatPoly.from_coeffs([1, -3, 0, 1])
+    ctx = ReductionContext(inflate_palindromic(q))
+    assert ctx.classification.tag != "D6"
     with pytest.raises(G2CertError):
-        reduction_context(inflate_palindromic(q))
-
-
-def test_element_order_bounds_flags(sextic_a):
-    cls = frobenius_class(sextic_a, 7)
-    report = element_order(sextic_a, 7, cls, bounds=(3, 19, 24, 25))
-    assert report.exact_order == 24
-    assert report.exceeds == {3: True, 19: True, 24: False, 25: False}
+        ctx.classify(7)
+    with pytest.raises(G2CertError):
+        frobenius_class(ctx.sextic, 7)
 
 
 def test_naive_order_agreement_sample(sextic_a, sextic_b):
     for sextic in (sextic_a, sextic_b):
-        ctx = reduction_context(sextic)
+        ctx = ReductionContext(sextic)
         for p in (7, 11, 31, 97, 103):
             try:
                 ctx.ensure_good(p)
