@@ -20,7 +20,6 @@ from typing import Callable, Mapping
 
 from .arith import legendre_symbol, primes_up_to
 from .errors import G2CertError
-from .palindromic import independence_check
 from .polyfile import PolyFile
 from .reduction import ElementOrderReport, FrobeniusClassification, ReductionContext
 from .weyl import CLASS_LABELS
@@ -116,8 +115,9 @@ BOUNDED_SUBGROUPS = tuple(e for e in MAXIMAL_SUBGROUPS if e.bounded)
 class Pair:
     """Two analysed inputs with independent splitting fields.
 
-    Construction checks the global hypotheses once: both inputs classify
-    as D6 and their square classes do not meet.  The excluded primes are
+    Construction checks the global hypotheses once, from the stored
+    analyses: both inputs classify as D6 and their quadratic subfields,
+    cut out by the square kernels other than 1, do not meet.  The excluded primes are
     those of both inputs, Steinberg primes included; on a prime excluded
     by both, the first input's reason is kept.
     """
@@ -125,11 +125,10 @@ class Pair:
     def __init__(self, a: ReductionContext, b: ReductionContext):
         a.require_d6()
         b.require_d6()
-        verdict = independence_check(a.pair, b.pair, (a.classification, b.classification))
-        if not verdict.independent:
+        shared = (a.square_kernels & b.square_kernels) - {1}
+        if shared:
             raise G2CertError(
-                "splitting fields are not independent: shared quadratic kernel(s) "
-                f"{sorted(verdict.kernels_a & verdict.kernels_b)}"
+                f"splitting fields are not independent: shared quadratic kernel(s) {sorted(shared)}"
             )
         self.a = a
         self.b = b

@@ -277,22 +277,16 @@ def square_kernels(pair: PalindromicPair) -> frozenset[int]:
     )
 
 
-def independence_check(
-    pair_a: PalindromicPair,
-    pair_b: PalindromicPair,
-    classifications: tuple[GaloisClassification, GaloisClassification] | None = None,
-) -> IndependenceVerdict:
+def independence_check(pair_a: PalindromicPair, pair_b: PalindromicPair) -> IndependenceVerdict:
     """Are the two splitting fields linearly disjoint?
 
     The quadratic subfields are cut out by the squarefree kernels of delta,
     delta_prime and their product; the two degree-12 fields are independent
-    exactly when the kernel sets do not meet.  Callers that already hold
-    both classifications pass them instead of having them recomputed.
+    exactly when the kernel sets do not meet.
     """
-    if classifications is None:
-        classifications = (classify_galois(pair_a), classify_galois(pair_b))
-    if any(c.tag != TAG_D6 for c in classifications):
-        raise G2CertError("independence test requires both pairs to classify as D6")
+    for pair in (pair_a, pair_b):
+        if classify_galois(pair).tag != TAG_D6:
+            raise G2CertError("independence test requires both pairs to classify as D6")
     ka = square_kernels(pair_a) - {1}
     kb = square_kernels(pair_b) - {1}
     return IndependenceVerdict(kernels_a=ka, kernels_b=kb, independent=not (ka & kb))
