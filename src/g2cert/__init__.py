@@ -19,11 +19,9 @@ from .errors import (
 from .poly import ModPoly, RatPoly, deflate_root_one, degree_pattern, discriminant
 from .palindromic import (
     GaloisClassification,
-    IndependenceVerdict,
     PalindromicPair,
     classify_galois,
     g2_lift_check,
-    independence_check,
     inflate_palindromic,
     palindromic_reduce,
     ramified_primes,
@@ -34,7 +32,6 @@ from .weyl import (
     CLASS_LABELS,
     WeylClassInfo,
     WeylElement,
-    class_invariants,
     enumerate_weyl,
     frobenius_lookup,
     torus_order,
@@ -42,7 +39,6 @@ from .weyl import (
 )
 from .reduction import (
     ElementOrderReport,
-    ExcludedPrimeSet,
     FrobeniusClassification,
     ReductionContext,
     element_order,
@@ -74,7 +70,6 @@ __all__ = [
     "discriminant",
     "PalindromicPair",
     "GaloisClassification",
-    "IndependenceVerdict",
     "palindromic_reduce",
     "inflate_palindromic",
     "separability_check",
@@ -82,18 +77,15 @@ __all__ = [
     "temperedness_check",
     "g2_lift_check",
     "classify_galois",
-    "independence_check",
     "CLASS_LABELS",
     "WeylElement",
     "WeylClassInfo",
     "enumerate_weyl",
     "weyl_classes",
     "frobenius_lookup",
-    "class_invariants",
     "torus_order",
     "FrobeniusClassification",
     "ElementOrderReport",
-    "ExcludedPrimeSet",
     "ReductionContext",
     "frobenius_class",
     "element_order",

@@ -132,7 +132,7 @@ class Pair:
             )
         self.a = a
         self.b = b
-        self.excluded = a.excluded.union(b.excluded)
+        self.excluded = dict(sorted({**b.excluded, **a.excluded}.items()))
 
     @classmethod
     def from_files(cls, file_a: PolyFile, file_b: PolyFile) -> "Pair":
@@ -173,7 +173,7 @@ def certify_prime(pair: Pair, p: int) -> CertificationReport:
     if p <= 5:
         return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note="p <= 5 is outside the certification range")
     if p in pair.excluded:
-        return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note=str(pair.excluded.reason(p)))
+        return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note=pair.excluded[p])
     return _certify_good_prime(pair, p)
 
 
@@ -248,7 +248,7 @@ def scan(
     chunk boundaries are fixed by the input alone, so the merged output
     is identical to a serial run.
     """
-    skip = set(pair.excluded.primes) | {2, 3, 5}
+    skip = pair.excluded.keys() | {2, 3, 5}
     all_primes = primes_up_to(limit)
     scan_primes = [p for p in all_primes if p not in skip]
     excluded_count = len(all_primes) - len(scan_primes)

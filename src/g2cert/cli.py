@@ -38,7 +38,7 @@ from .polyfile import (
     digest,
     load_polyfile,
 )
-from .reduction import ExcludedPrimeSet, ReductionContext
+from .reduction import ReductionContext
 from .weyl import CLASS_LABELS, torus_order, torus_poly_str
 
 SCHEMA = "g2cert-report-1"
@@ -91,8 +91,8 @@ def _write_json(doc: Any, path: str | None) -> None:
         out.write("\n")
 
 
-def _excluded_doc(excluded: ExcludedPrimeSet) -> list[dict]:
-    return [{"p": p, "reason": why} for p, why in excluded.reasons]
+def _excluded_doc(excluded: dict[int, str]) -> list[dict]:
+    return [{"p": p, "reason": why} for p, why in excluded.items()]
 
 
 def _exceeds(order: int, order_bound: int) -> dict[str, bool]:
@@ -163,9 +163,6 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
     targets = [args.prime] if args.prime is not None else primes_up_to(args.limit)
     records = []
     for p in targets:
-        if p in ctx.excluded:
-            records.append({"p": p, "excluded": ctx.excluded.reason(p)})
-            continue
         try:
             records.append(_frobenius_record(ctx, p, args.order_bound))
         except ExcludedPrimeError as e:
@@ -400,7 +397,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             ):
                 compare(f"{pf.name}.{field}", want[field], got)
             if tag == TAG_D6:
-                compare(f"{pf.name}.excluded_primes", want["excluded_primes"], ctx.excluded.primes)
+                compare(f"{pf.name}.excluded_primes", want["excluded_primes"], tuple(ctx.excluded))
             else:
                 mismatch(f"{pf.name}.excluded_primes", f"not computable, classification is {tag}")
         if len(analyses) == 2:

@@ -49,15 +49,12 @@ class PalindromicPair:
     q_at_minus_2: Fraction
 
 
-def _power_basis(n: int) -> list[RatPoly]:
-    # basis[k] = x^(n-k) (x^2+1)^k, the image of y^k under the lift
-    unit = RatPoly.from_coeffs([1, 0, 1])
-    out = []
-    acc = RatPoly.from_coeffs([1])
-    for k in range(n + 1):
-        out.append(acc.times_x_power(n - k))
-        acc = acc * unit
-    return out
+def _lift_terms(n: int, k: int) -> list[tuple[int, int]]:
+    """x^(n-k) (x^2+1)^k, the image of y^k under the lift, as (exponent, coefficient) pairs.
+
+    By the binomial theorem it is the sum over j of C(k, j) x^(n-k+2j).
+    """
+    return [(n - k + 2 * j, math.comb(k, j)) for j in range(k + 1)]
 
 
 def inflate_palindromic(q: RatPoly) -> RatPoly:
@@ -65,20 +62,19 @@ def inflate_palindromic(q: RatPoly) -> RatPoly:
     n = q.degree
     if n < 1 or not q.is_monic():
         raise NotMonicError("need a monic polynomial of degree >= 1")
-    basis = _power_basis(n)
-    acc = RatPoly.zero()
+    out = [Fraction(0)] * (2 * n + 1)
     for k, c in enumerate(q.coeffs):
-        if c:
-            acc = acc + basis[k] * c
-    return acc
+        for i, binom in _lift_terms(n, k):
+            out[i] += binom * c
+    return RatPoly(tuple(out))
 
 
 def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
     """Recover Q with poly = x^n Q(x + 1/x) and package the invariants.
 
     The coefficients of Q are solved top-down: the coefficient of x^(n+k)
-    in the residual is exactly q_k once the higher basis terms have been
-    subtracted.  Everything is exact.
+    in the residual is exactly q_k once the lifts of the higher powers of y
+    have been subtracted.  Everything is exact.
     """
     if poly.degree < 2 or poly.degree % 2:
         raise NotPalindromicError(f"degree {poly.degree} is not even and >= 2")
@@ -87,15 +83,15 @@ def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
     if not poly.is_palindromic():
         raise NotPalindromicError("coefficients are not palindromic")
     n = poly.degree // 2
-    basis = _power_basis(n)
-    residual = poly
+    residual = list(poly.coeffs)
     q_coeffs = [Fraction(0)] * (n + 1)
     for k in range(n, -1, -1):
         c = residual[n + k]
         q_coeffs[k] = c
         if c:
-            residual = residual - basis[k] * c
-    assert residual.is_zero(), "palindromic reduction left a nonzero residual"
+            for i, binom in _lift_terms(n, k):
+                residual[i] -= binom * c
+    assert not any(residual), "palindromic reduction left a nonzero residual"
     q = RatPoly(tuple(q_coeffs))
     at2 = q.evaluate(2)
     atm2 = q.evaluate(-2)
@@ -184,10 +180,6 @@ def g2_lift_check(q: RatPoly) -> bool:
     return a * a == c + 2 * b + 4
 
 
-def _is_square(r: Fraction) -> bool:
-    return r > 0 and squarefree_kernel(r) == 1
-
-
 def _divisors(n: int) -> list[int]:
     out = [1]
     for p, e in factor_integer(n):
@@ -224,7 +216,7 @@ class GaloisClassification:
     evidence: Mapping[str, bool]
 
 
-def classify_galois(pair: PalindromicPair, product_one: bool | None = None) -> GaloisClassification:
+def classify_galois(pair: PalindromicPair) -> GaloisClassification:
     """Classify the Galois group of the splitting field of P, for n = 3.
 
     Evidence gathered: Q irreducible, delta / delta_prime / their product
@@ -234,16 +226,21 @@ def classify_galois(pair: PalindromicPair, product_one: bool | None = None) -> G
     signed-permutation bound survives (tag WeylBC_n).  A failed algebraic
     condition is conclusive evidence of a different group (Other); absent
     temperedness nothing more can be claimed (Inconclusive).
+
+    Squareness is read off the signed squarefree kernels k and k' of delta
+    and delta_prime: delta is a square iff k = 1, delta_prime iff k' = 1,
+    and their product iff k = k' (both kernels are squarefree).
     """
     q = pair.q
     if q.degree != 3 or not q.is_monic():
         raise ValueError("classification implemented for monic cubics only")
     separable = separability_check(pair)
+    k, k_prime = _kernels(pair) if separable else (1, 1)
     evidence = {
         "q_irreducible": _cubic_irreducible(q),
-        "delta_nonsquare": separable and not _is_square(pair.delta),
-        "delta_prime_nonsquare": separable and not _is_square(pair.delta_prime),
-        "product_nonsquare": separable and not _is_square(pair.delta * pair.delta_prime),
+        "delta_nonsquare": separable and k != 1,
+        "delta_prime_nonsquare": separable and k_prime != 1,
+        "product_nonsquare": separable and k != k_prime,
         "roots_in_interval": separable and temperedness_check(pair),
     }
     algebraic = (
@@ -257,36 +254,22 @@ def classify_galois(pair: PalindromicPair, product_one: bool | None = None) -> G
     elif not evidence["roots_in_interval"]:
         tag = TAG_INCONCLUSIVE
     else:
-        if product_one is None:
-            product_one = g2_lift_check(q)
-        tag = TAG_D6 if product_one else TAG_WEYL_BC
+        tag = TAG_D6 if g2_lift_check(q) else TAG_WEYL_BC
     return GaloisClassification(tag=tag, evidence=evidence)
 
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    kernels_a: frozenset[int]
-    kernels_b: frozenset[int]
-    independent: bool
+def _kernels(pair: PalindromicPair) -> tuple[int, int]:
+    """Signed squarefree kernels of delta and delta_prime; pair must be separable."""
+    return squarefree_kernel(pair.delta), squarefree_kernel(pair.delta_prime)
 
 
 def square_kernels(pair: PalindromicPair) -> frozenset[int]:
-    """Squarefree kernels of delta, delta_prime and their product; pair must be separable."""
-    return frozenset(
-        squarefree_kernel(v) for v in (pair.delta, pair.delta_prime, pair.delta * pair.delta_prime)
-    )
+    """Squarefree kernels of delta, delta_prime and their product; pair must be separable.
 
-
-def independence_check(pair_a: PalindromicPair, pair_b: PalindromicPair) -> IndependenceVerdict:
-    """Are the two splitting fields linearly disjoint?
-
-    The quadratic subfields are cut out by the squarefree kernels of delta,
-    delta_prime and their product; the two degree-12 fields are independent
-    exactly when the kernel sets do not meet.
+    The quadratic subfields of the splitting field are cut out by these
+    three kernels.  The product's kernel is k k' / gcd(k, k')^2, since k
+    and k' are squarefree.
     """
-    for pair in (pair_a, pair_b):
-        if classify_galois(pair).tag != TAG_D6:
-            raise G2CertError("independence test requires both pairs to classify as D6")
-    ka = square_kernels(pair_a) - {1}
-    kb = square_kernels(pair_b) - {1}
-    return IndependenceVerdict(kernels_a=ka, kernels_b=kb, independent=not (ka & kb))
+    k, k_prime = _kernels(pair)
+    g = math.gcd(k, k_prime)
+    return frozenset((k, k_prime, k * k_prime // (g * g)))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import Rational, format_rational, parse_rational
-from .errors import ExcludedPrimeError, NotSeparableError
+from .arith import format_rational, parse_rational
+from .errors import NotSeparableError
 
 DegreePattern = tuple[int, ...]
 
@@ -31,10 +31,6 @@ class RatPoly:
     def from_coeffs(cls, coeffs: Iterable[Fraction | int | str]) -> "RatPoly":
         out = [Fraction(c) for c in coeffs]
         return cls(_trim(out))
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
 
     @property
     def degree(self) -> int:
@@ -84,11 +80,6 @@ class RatPoly:
         return RatPoly(_trim(out))
 
     __rmul__ = __mul__
-
-    def times_x_power(self, k: int) -> "RatPoly":
-        if self.is_zero():
-            return self
-        return RatPoly((Fraction(0),) * k + self.coeffs)
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
@@ -194,16 +185,6 @@ def deflate_root_one(f: RatPoly) -> RatPoly:
     return RatPoly(_trim(out))
 
 
-def reduce_mod_p(f: RatPoly, p: int) -> "ModPoly":
-    """Coefficientwise reduction; rejects p dividing any denominator."""
-    out = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise ExcludedPrimeError(p, "DenominatorVanishes")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return ModPoly(p, _trim(out))
-
-
 @dataclass(frozen=True)
 class ModPoly:
     p: int
@@ -226,12 +207,6 @@ class ModPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
     def derivative(self) -> "ModPoly":
         p = self.p
         return ModPoly(p, _trim([i * c % p for i, c in enumerate(self.coeffs)][1:]))
@@ -242,31 +217,12 @@ class ModPoly:
         inv = pow(self.lc, -1, self.p)
         return ModPoly(self.p, _trim([c * inv % self.p for c in self.coeffs]))
 
-    def __mul__(self, other: "ModPoly") -> "ModPoly":
-        assert self.p == other.p
-        return ModPoly(self.p, _trim(_mul(self.p, list(self.coeffs), list(other.coeffs))))
-
-    def __mod__(self, other: "ModPoly") -> "ModPoly":
-        assert self.p == other.p
-        return ModPoly(self.p, _trim(_mod(self.p, list(self.coeffs), list(other.coeffs))))
-
     def __str__(self) -> str:
         return format_poly(self.coeffs, "x") + f" (mod {self.p})"
 
 
 # ---------------------------------------------------------------------------
 # list-level kernels over F_p (ascending coefficient lists, trimmed)
-
-
-def _mul(p: int, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [c % p for c in out]
 
 
 def _divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -309,10 +265,11 @@ class _ModulusEngine:
     A canonical element is an int whose W-bit limbs hold the n coefficients,
     each < p.  W leaves enough headroom that one full product plus the
     reduction additions never overflows a limb: limb values stay below
-    (2n-1) p^2 < 2^W for n <= 8.
+    (2n-1) p^2 < 2^W for n <= 8.  A constant c in [0, p) is its own packing,
+    so callers compare an element with a constant directly.
     """
 
-    __slots__ = ("p", "n", "W", "mask", "fred")
+    __slots__ = ("p", "n", "W", "mask", "fred", "pall")
 
     def __init__(self, p: int, monic: Sequence[int]):
         n = len(monic) - 1
@@ -324,6 +281,13 @@ class _ModulusEngine:
         self.mask = (1 << self.W) - 1
         # x^n = fred (mod f)
         self.fred = self.pack([(-c) % p for c in monic[:n]])
+        # p in every limb: a + pall - b has no negative limb for canonical a, b
+        self.pall = self.pack([p] * n)
+
+    @property
+    def x(self) -> int:
+        """The element x, canonical for degree >= 2."""
+        return 1 << self.W
 
     def pack(self, coeffs: Sequence[int]) -> int:
         acc = 0
@@ -353,6 +317,14 @@ class _ModulusEngine:
                     t += (fred * c) << (W * (k - n))
         return self._canonical(t)
 
+    def sub(self, a: int, b: int) -> int:
+        return self._canonical(a + self.pall - b)
+
+    def sub_const(self, a: int, c: int) -> int:
+        """a - c for an integer c: only the constant limb changes."""
+        low = a & self.mask
+        return a + (low - c) % self.p - low
+
     def mul_x(self, a: int) -> int:
         t = a << self.W
         c = t >> (self.W * self.n)
@@ -367,7 +339,7 @@ class _ModulusEngine:
             return pow(self.fred, e, self.p)
         if e == 0:
             return 1
-        a = 1 << self.W  # the element x
+        a = self.x
         for bit in bin(e)[3:]:
             a = self.mulmod(a, a)
             if bit == "1":
@@ -378,24 +350,16 @@ class _ModulusEngine:
         """outer(inner) mod f, Horner on the packed inner value."""
         if not outer:
             return 0
-        p = self.p
-        acc = outer[-1] % p
+        acc = outer[-1] % self.p
         for c in reversed(outer[:-1]):
-            acc = self.mulmod(acc, inner)
-            l0 = acc & self.mask
-            acc += (l0 + c) % p - l0
+            acc = self.sub_const(self.mulmod(acc, inner), -c)
         return acc
 
 
-def _ddf(p: int, f: list[int]) -> tuple[DegreePattern, list[tuple[int, list[int]]]]:
-    """Distinct-degree split of a monic squarefree f over F_p.
-
-    Returns the degree multiset and the components [(d, product of all
-    irreducible factors of degree d)], both in ascending d.
-    """
+def _ddf(p: int, f: list[int]) -> DegreePattern:
+    """Degree multiset of a monic squarefree f over F_p, by distinct-degree splitting."""
     f = list(f)
     pattern: list[int] = []
-    comps: list[tuple[int, list[int]]] = []
     eng = _ModulusEngine(p, f)
     h1 = eng.unpack(eng.pow_x(p)) if len(f) > 2 else [eng.pow_x(p)]
     while h1 and not h1[-1]:
@@ -408,7 +372,6 @@ def _ddf(p: int, f: list[int]) -> tuple[DegreePattern, list[tuple[int, list[int]
             break
         if 2 * d > n:
             pattern.append(n)
-            comps.append((n, f))
             break
         if d > 1:
             hd = eng.unpack(eng.compose(hd, eng.pack(_pad(h1, eng.n))))
@@ -418,7 +381,6 @@ def _ddf(p: int, f: list[int]) -> tuple[DegreePattern, list[tuple[int, list[int]
         sub[1] = (sub[1] - 1) % p
         g = _gcd(p, f, _strip(sub))
         if len(g) > 1:
-            comps.append((d, g))
             pattern.extend([d] * ((len(g) - 1) // d))
             f = _divmod(p, f, g)[0]
             if len(f) - 1 == 0:
@@ -427,7 +389,7 @@ def _ddf(p: int, f: list[int]) -> tuple[DegreePattern, list[tuple[int, list[int]
             h1 = _mod(p, h1, f)
             hd = _mod(p, hd, f)
         d += 1
-    return tuple(sorted(pattern)), comps
+    return tuple(sorted(pattern))
 
 
 def _pad(a: list[int], n: int) -> list[int]:
@@ -451,26 +413,4 @@ def degree_pattern(f: ModPoly) -> DegreePattern:
     fp = g.derivative()
     if fp.degree < 0 or len(_gcd(f.p, list(g.coeffs), list(fp.coeffs))) != 1:
         raise NotSeparableError(f"{f} has a repeated factor")
-    pat, _ = _ddf(f.p, list(g.coeffs))
-    return pat
-
-
-def divides_cyclotomic_range(f: ModPoly, bound: int) -> int | None:
-    """Least m <= bound with f | x^m - 1, or None.
-
-    Requires f(0) != 0; a vanishing constant term makes x a factor and no
-    such m can exist.
-    """
-    if f.degree < 1:
-        raise ValueError("need degree >= 1")
-    if f.coeffs[0] == 0:
-        raise ValueError("constant term vanishes; x | f")
-    g = f.monic()
-    p, mod = g.p, list(g.coeffs)
-    xm = _mod(p, [0, 1], mod)
-    for m in range(1, bound + 1):
-        if m > 1:
-            xm = _mod(p, [0] + xm, mod)
-        if xm == [1]:
-            return m
-    return None
+    return _ddf(f.p, list(g.coeffs))

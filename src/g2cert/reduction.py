@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .arith import factor_integer, is_prime
 from .errors import (
@@ -69,35 +68,6 @@ class ElementOrderReport:
     order_divides_torus: bool
 
 
-@dataclass(frozen=True)
-class ExcludedPrimeSet:
-    """Primes where reduction is undefined or untrusted, with reasons."""
-
-    reasons: tuple[tuple[int, str], ...]
-
-    @classmethod
-    def from_mapping(cls, reasons: Mapping[int, str]) -> "ExcludedPrimeSet":
-        return cls(tuple(sorted(reasons.items())))
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.reasons)
-
-    def reason(self, p: int) -> str | None:
-        for q, why in self.reasons:
-            if q == p:
-                return why
-        return None
-
-    def __contains__(self, p: int) -> bool:
-        return any(q == p for q, _ in self.reasons)
-
-    def union(self, other: "ExcludedPrimeSet") -> "ExcludedPrimeSet":
-        merged = dict(other.reasons)
-        merged.update(dict(self.reasons))
-        return ExcludedPrimeSet.from_mapping(merged)
-
-
 def _int_model(poly: RatPoly) -> tuple[tuple[int, ...], int]:
     """(integer coefficients, d) with poly = (1/d) * sum c_i x^i."""
     den = 1
@@ -112,11 +82,11 @@ class ReductionContext:
     Construction reduces the sextic to its trace cubic, refuses an
     inseparable input, and records the Galois classification,
     temperedness, the lift identity, the square kernels, the ramified
-    primes and the excluded primes (the Steinberg prime included when
-    one is given).  Any separable sextic gets an analysis; only the
-    per-prime methods, which need the order-12 dihedral splitting field,
-    refuse other classifications.  Per-prime calls then only do modular
-    work.
+    primes and the excluded primes with their reasons, in ascending p
+    (the Steinberg prime included when one is given).  Any separable
+    sextic gets an analysis; only the per-prime methods, which need the
+    order-12 dihedral splitting field, refuse other classifications.
+    Per-prime calls then only do modular work.
     """
 
     def __init__(self, sextic: RatPoly, steinberg_prime: int | None = None):
@@ -144,13 +114,11 @@ class ReductionContext:
         for den in (self.x_den, self.y_den):
             for q in factor_integer(den).primes():
                 bad[q] = REASON_DENOMINATOR
-        for q in sorted(self.ramified):
+        for q in self.ramified:
             bad.setdefault(q, REASON_RAMIFIED)
-        self.intrinsic_reasons = bad
-        reasons = dict(bad)
         if steinberg_prime is not None:
-            reasons.setdefault(steinberg_prime, REASON_STEINBERG)
-        self.excluded = ExcludedPrimeSet.from_mapping(reasons)
+            bad.setdefault(steinberg_prime, REASON_STEINBERG)
+        self.excluded: dict[int, str] = dict(sorted(bad.items()))
 
     @classmethod
     def from_polyfile(cls, pf: PolyFile) -> "ReductionContext":
@@ -172,7 +140,7 @@ class ReductionContext:
 
     def ensure_good(self, p: int) -> None:
         self.require_d6()
-        reason = self.intrinsic_reasons.get(p)
+        reason = self.excluded.get(p)
         if reason is not None:
             raise ExcludedPrimeError(p, reason)
         if p == 2:
@@ -247,27 +215,16 @@ def _trace_power_is_two(eng: _ModulusEngine, m: int) -> bool:
         raise ValueError("m must be positive")
     if eng.n < 2:
         raise ValueError("trace ladder needs a modulus of degree >= 2")
-    p, mask = eng.p, eng.mask
-    two = 2 % p
-    y = 1 << eng.W  # the generator, canonical for degree >= 2
-    pall = eng.pack([p] * eng.n)
-
-    def sub_const(a: int, c: int) -> int:
-        l0 = a & mask
-        return a + (l0 - c) % p - l0
-
-    def sub(a: int, b: int) -> int:
-        return eng._canonical(a + pall - b)
-
     if m == 1:
         return False  # V_1 = y is never the constant 2 modulo a higher-degree cubic
-    v, w = y, sub_const(eng.mulmod(y, y), two)  # (V_1, V_2)
+    mul, sub, sub_const, y = eng.mulmod, eng.sub, eng.sub_const, eng.x
+    v, w = y, sub_const(mul(y, y), 2)  # (V_1, V_2)
     for bit in bin(m)[3:]:
         if bit == "0":
-            v, w = sub_const(eng.mulmod(v, v), two), sub(eng.mulmod(v, w), y)
+            v, w = sub_const(mul(v, v), 2), sub(mul(v, w), y)
         else:
-            v, w = sub(eng.mulmod(v, w), y), sub_const(eng.mulmod(w, w), two)
-    return v == two
+            v, w = sub(mul(v, w), y), sub_const(mul(w, w), 2)
+    return v == 2 % eng.p
 
 
 @functools.lru_cache(maxsize=8)

@@ -14,9 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import G2CertError
-from .palindromic import g2_lift_check, inflate_palindromic
-from .poly import DegreePattern, RatPoly
+from .poly import DegreePattern
 
 CLASS_LABELS = ("1a", "2a", "2b", "2c", "3a", "6a")
 
@@ -252,12 +250,6 @@ def torus_order(w: WeylElement | str, q: int) -> int:
     return c2 * q * q + c1 * q + c0
 
 
-def class_invariants(label: str) -> tuple[DegreePattern, int, int, DegreePattern]:
-    """(cycle type on y, epsilon, epsilon_prime, pattern on x) for a class."""
-    info = weyl_classes()[label]
-    return (info.cycle_type_on_y, info.epsilon, info.epsilon_prime, info.pattern_on_x)
-
-
 def torus_poly_str(label: str) -> str:
     """Factored display form of the torus order polynomial."""
     c0, c1, c2 = weyl_classes()[label].torus_poly
@@ -272,16 +264,3 @@ def torus_poly_str(label: str) -> str:
     if c0:
         parts += f" - {-c0}" if c0 < 0 else f" + {c0}"
     return parts
-
-
-def characteristic_poly_from_torus(q_poly: RatPoly) -> RatPoly:
-    """(x - 1) x^3 Q(x + 1/x): the degree-7 characteristic polynomial of a
-    torus element with multiplier eigenvalue 1.
-
-    Requires the unit-product constraint; without it the sextic part does
-    not come from the rank-2 torus.
-    """
-    if not g2_lift_check(q_poly):
-        raise G2CertError("unit-product constraint fails; not a torus characteristic polynomial")
-    sextic = inflate_palindromic(q_poly)
-    return sextic * RatPoly.from_coeffs([-1, 1])

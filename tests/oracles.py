@@ -7,6 +7,7 @@ code with the fast paths in the package, so agreement is meaningful.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,12 @@ def naive_legendre(a: int, p: int) -> int:
         return 0
     squares = {(x * x) % p for x in range(1, p)}
     return 1 if a in squares else -1
+
+
+def naive_is_square(r: Fraction) -> bool:
+    """Whether r is the square of a rational, by integer square roots."""
+    num, den = r.numerator, r.denominator
+    return num >= 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
 def naive_poly_mul(a: list[int], b: list[int], p: int) -> list[int]:

@@ -11,13 +11,12 @@ from fractions import Fraction
 import pytest
 
 from g2cert.arith import legendre_symbol, primes_up_to
-from g2cert.certify import VERDICT_CERTIFIED, scan
+from g2cert.certify import VERDICT_CERTIFIED, Pair, scan
 from g2cert.errors import ExcludedPrimeError, NotSeparableError, WitnessMismatchError
 from g2cert.palindromic import (
     TAG_D6,
     classify_galois,
     g2_lift_check,
-    independence_check,
     temperedness_check,
 )
 from g2cert.poly import ModPoly, degree_pattern
@@ -82,16 +81,17 @@ def test_a1_golden_reduction_tables(sextic_a, sextic_b):
     print(f"PASS golden reduction tables reproduced exactly in {elapsed*1000:.1f} ms")
 
 
-def test_a2_classification_and_independence(pair_a, pair_b):
-    assert classify_galois(pair_a).tag == TAG_D6
-    assert classify_galois(pair_b).tag == TAG_D6
-    assert temperedness_check(pair_a)
-    assert temperedness_check(pair_b)
-    verdict = independence_check(pair_a, pair_b)
-    assert verdict.independent
+def test_a2_classification_and_independence(ctx_a, ctx_b):
+    assert classify_galois(ctx_a.pair).tag == TAG_D6
+    assert classify_galois(ctx_b.pair).tag == TAG_D6
+    assert temperedness_check(ctx_a.pair)
+    assert temperedness_check(ctx_b.pair)
+    Pair(ctx_a, ctx_b)  # refuses inputs whose square kernels other than 1 meet
+    kernels_a, kernels_b = ctx_a.square_kernels - {1}, ctx_b.square_kernels - {1}
+    assert not kernels_a & kernels_b
     print(
         "PASS both inputs classify as D6, tempered, with independent "
-        f"square classes {sorted(verdict.kernels_a)} vs {sorted(verdict.kernels_b)}"
+        f"square classes {sorted(kernels_a)} vs {sorted(kernels_b)}"
     )
 
 

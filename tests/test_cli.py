@@ -35,6 +35,15 @@ def cubic_file(tmp_path, name, cubic, steinberg_prime=5):
     return path
 
 
+def steinberg29_file(tmp_path):
+    """frobenius2 with Steinberg prime 29, where the bundled pair certifies."""
+    doc = json.loads(serialize_polyfile(bundled_polyfile("frobenius2")))
+    doc["steinberg_prime"] = 29
+    path = tmp_path / "steinberg29.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def no_floats(text):
     # every numeric leaf must arrive as an int or a string; a bare JSON
     # float anywhere is a contract violation
@@ -147,6 +156,15 @@ def test_frobenius_range_flags_even_prime_of_good_reduction(tmp_path):
     assert by_p[2]["excluded"] == "EvenPrime"
     assert by_p[3]["excluded"] == "DenominatorVanishes"
     assert by_p[7]["exact_order"] > 0
+    # EvenPrime is a per-prime refusal, never one of the input's excluded primes
+    reduced = no_floats(run_cli("reduce", str(path)).stdout)
+    assert [e["p"] for e in reduced["excluded_primes"]] == [3, 5, 19]
+
+
+def test_frobenius_flags_steinberg_prime(tmp_path):
+    r = run_cli("frobenius", str(steinberg29_file(tmp_path)), "--prime", "29")
+    assert r.returncode == 0, r.stderr
+    assert no_floats(r.stdout)["records"] == [{"p": 29, "excluded": "SteinbergPrime"}]
 
 
 def test_frobenius_range_flags_excluded_inline():
@@ -236,12 +254,48 @@ def test_scan_output_pinned():
     assert doc["parameters"].keys() == {"limit", "excluded_primes"}
 
 
+PINNED_OUTPUTS = {
+    "reduce-frobenius2": (
+        ("reduce", "frobenius2"),
+        "ddf3fc60d2fd37ef9539319c78030332c8316a29d8024b5c39c80754c8569994",
+    ),
+    "reduce-frobenius3": (
+        ("reduce", "frobenius3"),
+        "f034a65e67d7971d8cc4b24579640a79387769d8e6fd9bbce5158112cef5f157",
+    ),
+    "frobenius2-json": (
+        ("frobenius", "frobenius2", "--limit", "2000"),
+        "297002dd82f430b87b77f71148ee2fefea259784c7508c15106807034b0336d1",
+    ),
+    "frobenius2-csv": (
+        ("frobenius", "frobenius2", "--limit", "2000", "--format", "csv"),
+        "bc6d3308fb7e50b4ac5d0095252ac80b5940169c1e437e0e04899240acded0d0",
+    ),
+    "frobenius3-json": (
+        ("frobenius", "frobenius3", "--limit", "2000"),
+        "86f5d258b3b5d6ae0731e3f89533bb99edc3713e794df1efc517491e10735269",
+    ),
+    "frobenius3-csv": (
+        ("frobenius", "frobenius3", "--limit", "2000", "--format", "csv"),
+        "3355caf08149a8c811a0334b9062ffe53bca036ca4cbd4ff82e4de965b266798",
+    ),
+    "reproduce": (
+        ("reproduce",),
+        "846c7f655bc018e70efc84f9787ca8bbafda451642b3f54ec17dde9fec493810",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, want", PINNED_OUTPUTS.values(), ids=PINNED_OUTPUTS.keys())
+def test_single_input_output_pinned(argv, want):
+    # pinned sha256 of the whole stdout
+    r = run_cli(*argv)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == want
+
+
 def test_scan_excludes_steinberg_prime_in_library_and_cli(tmp_path):
-    # frobenius2 with Steinberg prime 29, where the bundled pair certifies
-    doc = json.loads(serialize_polyfile(bundled_polyfile("frobenius2")))
-    doc["steinberg_prime"] = 29
-    path = tmp_path / "steinberg29.json"
-    path.write_text(json.dumps(doc))
+    path = steinberg29_file(tmp_path)
     records = []
     summary = scan(Pair.from_files(load_polyfile(str(path)), bundled_polyfile("frobenius3")),
                    300, record_sink=records.append)

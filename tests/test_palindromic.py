@@ -2,24 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from g2cert.arith import squarefree_kernel
+from g2cert.certify import Pair
 from g2cert.errors import NotMonicError, NotPalindromicError
 from g2cert.palindromic import (
     TAG_D6,
     _cubic_irreducible,
     classify_galois,
     g2_lift_check,
-    independence_check,
     inflate_palindromic,
     palindromic_reduce,
     ramified_primes,
     separability_check,
+    square_kernels,
     temperedness_check,
 )
 from g2cert.poly import RatPoly
-from oracles import naive_has_rational_root
+from oracles import naive_has_rational_root, naive_is_square
 
 F = Fraction
 
@@ -201,13 +203,28 @@ def test_ramified_primes_bundles(pair_a, pair_b):
     assert ramified_primes(pair_b) == {2, 3, 7, 13, 7321}
 
 
-def test_independence_bundles(pair_a, pair_b):
-    verdict = independence_check(pair_a, pair_b)
-    assert verdict.independent
-    assert verdict.kernels_a == frozenset({14129, -71, -199})
-    assert verdict.kernels_b == frozenset({95173, -26, -14642})
-    assert not verdict.kernels_a & verdict.kernels_b
+def test_independence_bundles(ctx_a, ctx_b):
+    # the kernel sets do not meet, so Pair accepts the bundled inputs
+    assert ctx_a.square_kernels == frozenset({14129, -71, -199})
+    assert ctx_b.square_kernels == frozenset({95173, -26, -14642})
+    assert not ctx_a.square_kernels & ctx_b.square_kernels
+    Pair(ctx_a, ctx_b)
 
 
-def test_independence_fails_against_self(pair_a):
-    assert not independence_check(pair_a, pair_a).independent
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=9), min_size=3, max_size=3))
+@example([F(-4), F(-4), F(-4)])  # delta_prime a square
+@example([F(4), F(-1), F(-4)])  # delta a square
+@example([F(0), F(-3), F(-4)])  # only the product a square
+@example([F(-1), F(-4), F(-3)])  # all three squares
+@settings(max_examples=200, deadline=None)
+def test_square_evidence_matches_oracle(body):
+    # squareness read off two kernels agrees with integer square roots
+    pair = palindromic_reduce(inflate_palindromic(RatPoly.from_coeffs(body + [F(1)])))
+    if not separability_check(pair):
+        return
+    d, dp = pair.delta, pair.delta_prime
+    evidence = classify_galois(pair).evidence
+    assert evidence["delta_nonsquare"] == (not naive_is_square(d))
+    assert evidence["delta_prime_nonsquare"] == (not naive_is_square(dp))
+    assert evidence["product_nonsquare"] == (not naive_is_square(d * dp))
+    assert square_kernels(pair) == {squarefree_kernel(v) for v in (d, dp, d * dp)}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2cert.errors import ExcludedPrimeError, NotSeparableError
+from g2cert.errors import NotSeparableError
 from g2cert.poly import (
     ModPoly,
     RatPoly,
@@ -12,9 +12,7 @@ from g2cert.poly import (
     deflate_root_one,
     degree_pattern,
     discriminant,
-    divides_cyclotomic_range,
     format_poly,
-    reduce_mod_p,
     resultant,
 )
 from oracles import naive_degree_pattern, naive_poly_mod, naive_poly_mul
@@ -98,20 +96,25 @@ def test_format_poly():
     assert format_poly(f.coeffs, "y") == "y^3 + 5/4*y^2 - 11/4*y - 49/16"
 
 
-def test_reduce_mod_p():
-    f = RatPoly.from_coeffs([Fraction(1, 2), 0, 1])  # x^2 + 1/2
-    g = reduce_mod_p(f, 7)
-    assert g.coeffs == (4, 0, 1)  # 1/2 = 4 mod 7
-    with pytest.raises(ExcludedPrimeError):
-        reduce_mod_p(f, 2)
-
-
-def test_modpoly_arithmetic_small():
-    f = ModPoly.from_coeffs(7, [1, 0, 1])  # x^2 + 1
-    g = ModPoly.from_coeffs(7, [3, 1])  # x + 3
-    assert (f * g).coeffs == tuple(naive_poly_mul([1, 0, 1], [3, 1], 7))
-    # f(-3) = 9 + 1 = 10 = 3 mod 7 is the remainder mod x + 3
-    assert (f % g).coeffs == (3,)
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_modulus_engine_ring_ops(data):
+    # the operations the trace ladder runs, against schoolbook arithmetic
+    p = data.draw(st.sampled_from([5, 7, 101, 997, 999983]))
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    residues = st.integers(min_value=0, max_value=p - 1)
+    f = [data.draw(residues) for _ in range(n)] + [1]
+    a = [data.draw(residues) for _ in range(n)]
+    b = [data.draw(residues) for _ in range(n)]
+    c = data.draw(st.integers(min_value=-2 * p, max_value=2 * p))
+    eng = _ModulusEngine(p, f)
+    want = naive_poly_mod(naive_poly_mul(a, b, p), f, p)
+    assert eng.unpack(eng.mulmod(eng.pack(a), eng.pack(b))) == want + [0] * (n - len(want))
+    assert eng.unpack(eng.sub(eng.pack(a), eng.pack(b))) == [(x - y) % p for x, y in zip(a, b)]
+    assert eng.unpack(eng.sub_const(eng.pack(a), c)) == [(a[0] - c) % p] + a[1:]
+    assert eng.unpack(eng.x) == [0, 1] + [0] * (n - 2)
+    # a constant is its own packing
+    assert eng.pack([a[0]] + [0] * (n - 1)) == a[0]
 
 
 @given(st.data())
@@ -175,16 +178,3 @@ def test_degree_pattern_rejects_repeated_factors():
     f = ModPoly.from_coeffs(7, [1, 2, 1])  # (x+1)^2
     with pytest.raises(NotSeparableError):
         degree_pattern(f)
-
-
-def test_divides_cyclotomic_range():
-    # x^2 + x + 1 divides x^3 - 1
-    f = ModPoly.from_coeffs(7, [1, 1, 1])
-    assert divides_cyclotomic_range(f, 10) == 3
-    # x - 2 mod 7: 2^3 = 1, so order 3
-    g = ModPoly.from_coeffs(7, [-2, 1])
-    assert divides_cyclotomic_range(g, 10) == 3
-    # x - 3 mod 7: 3 is a generator, order 6
-    h = ModPoly.from_coeffs(7, [-3, 1])
-    assert divides_cyclotomic_range(h, 5) is None
-    assert divides_cyclotomic_range(h, 6) == 6

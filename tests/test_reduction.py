@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from g2cert.reduction import (
     REASON_EVEN,
     REASON_RAMIFIED,
     REASON_STEINBERG,
-    ExcludedPrimeSet,
     ReductionContext,
     element_order,
     frobenius_class,
@@ -70,22 +70,22 @@ def test_x_pattern_against_oracle(sextic_a, sextic_b):
 
 
 def test_excluded_primes_first_bundle(ctx_a):
-    ex = ctx_a.excluded
-    assert ex.primes == (2, 3, 5, 71, 199)
-    assert ex.reason(2) == REASON_DENOMINATOR
-    assert ex.reason(3) == REASON_RAMIFIED
-    assert ex.reason(5) == REASON_STEINBERG
-    assert ex.reason(71) == REASON_RAMIFIED
-    assert ex.reason(199) == REASON_RAMIFIED
-    assert 71 in ex and 73 not in ex
+    assert ctx_a.excluded == {
+        2: REASON_DENOMINATOR,
+        3: REASON_RAMIFIED,
+        5: REASON_STEINBERG,
+        71: REASON_RAMIFIED,
+        199: REASON_RAMIFIED,
+    }
+    assert tuple(ctx_a.excluded) == (2, 3, 5, 71, 199)
 
 
 def test_excluded_primes_second_bundle(ctx_b):
     ex = ctx_b.excluded
-    assert ex.primes == (2, 3, 5, 7, 13, 7321)
-    assert ex.reason(3) == REASON_DENOMINATOR
-    assert ex.reason(2) == REASON_RAMIFIED
-    assert ex.reason(7321) == REASON_RAMIFIED
+    assert tuple(ex) == (2, 3, 5, 7, 13, 7321)
+    assert ex[3] == REASON_DENOMINATOR
+    assert ex[2] == REASON_RAMIFIED
+    assert ex[7321] == REASON_RAMIFIED
 
 
 def test_excluded_primes_rejects_composite_steinberg(sextic_a):
@@ -93,14 +93,15 @@ def test_excluded_primes_rejects_composite_steinberg(sextic_a):
         ReductionContext(sextic_a, 6)
 
 
-def test_excluded_prime_set_union():
-    a = ExcludedPrimeSet.from_mapping({2: REASON_DENOMINATOR, 7: REASON_RAMIFIED})
-    b = ExcludedPrimeSet.from_mapping({2: REASON_RAMIFIED, 5: REASON_STEINBERG})
-    u = a.union(b)
-    assert u.primes == (2, 5, 7)
-    # left operand's reason wins on overlap
-    assert u.reason(2) == REASON_DENOMINATOR
-    assert u.reason(5) == REASON_STEINBERG
+def test_excluded_prime_set_union(bundled_pair):
+    # the pair excludes what either input excludes, in ascending p
+    assert tuple(bundled_pair.excluded) == (2, 3, 5, 7, 13, 71, 199, 7321)
+    # the first input's reason wins on overlap: frobenius2 has 2 in a
+    # denominator and 3 ramified, frobenius3 the other way round
+    assert bundled_pair.excluded[2] == REASON_DENOMINATOR
+    assert bundled_pair.excluded[3] == REASON_RAMIFIED
+    assert bundled_pair.excluded[5] == REASON_STEINBERG
+    assert bundled_pair.excluded[7] == REASON_RAMIFIED
 
 
 def test_bad_primes_raise_typed_errors(sextic_a):
@@ -121,10 +122,20 @@ def test_bad_primes_raise_typed_errors(sextic_a):
     q = RatPoly.from_coeffs([F(-37, 9), F(-4, 3), F(7, 3), 1])
     ctx = ReductionContext(inflate_palindromic(q))
     assert ctx.classification.tag == "D6"
-    assert ctx.excluded.primes == (3, 5, 19)
+    assert tuple(ctx.excluded) == (3, 5, 19)
     with pytest.raises(ExcludedPrimeError) as exc_even:
         ctx.classify(2)
     assert exc_even.value.reason == REASON_EVEN
+
+
+def test_classify_refuses_every_excluded_prime(bundle_a):
+    # one exclusion policy: the Steinberg prime is refused like a ramified one
+    ctx = ReductionContext.from_polyfile(replace(bundle_a, steinberg_prime=29))
+    assert ctx.excluded[29] == REASON_STEINBERG
+    with pytest.raises(ExcludedPrimeError) as exc:
+        ctx.classify(29)
+    assert exc.value.reason == REASON_STEINBERG
+    assert ctx.classify(31).weyl_class == frobenius_class(ctx.sextic, 31).weyl_class
 
 
 def test_rejects_non_d6_inputs():

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2cert.errors import G2CertError
+from g2cert.palindromic import g2_lift_check, inflate_palindromic
 from g2cert.poly import RatPoly
 from g2cert.weyl import (
     CLASS_LABELS,
     WeylElement,
-    characteristic_poly_from_torus,
-    class_invariants,
     enumerate_weyl,
     frobenius_lookup,
     torus_order,
@@ -133,10 +131,10 @@ def test_torus_order_accepts_element():
     for w in enumerate_weyl():
         label = _label_of(w)
         assert torus_order(w, 7) == torus_order(label, 7)
-        pattern, eps, eps_prime, x_pattern = class_invariants(label)
-        assert pattern == w.cycle_type_on_y()
-        assert (eps, eps_prime) == (w.epsilon(), w.epsilon_prime())
-        assert x_pattern == w.pattern_on_x()
+        info = weyl_classes()[label]
+        assert info.cycle_type_on_y == w.cycle_type_on_y()
+        assert (info.epsilon, info.epsilon_prime) == (w.epsilon(), w.epsilon_prime())
+        assert info.pattern_on_x == w.pattern_on_x()
 
 
 def _label_of(w):
@@ -165,9 +163,10 @@ def test_conjugacy_classes_are_closed():
 
 def test_characteristic_poly_lift(pair_a, bundle_a):
     # lifting the reduced cubic rebuilds the original degree-7 input exactly
-    lifted = characteristic_poly_from_torus(pair_a.q)
+    # as (x - 1) x^3 Q(x + 1/x), since Q satisfies the unit-product constraint
+    assert g2_lift_check(pair_a.q)
+    lifted = inflate_palindromic(pair_a.q) * RatPoly.from_coeffs([-1, 1])
     assert lifted.degree == 7
     assert lifted == bundle_a.poly()
-    with pytest.raises(G2CertError):
-        # y^3 violates the unit-product constraint (0 != 4)
-        characteristic_poly_from_torus(RatPoly.from_coeffs([0, 0, 0, 1]))
+    # y^3 violates the unit-product constraint (0 != 4)
+    assert not g2_lift_check(RatPoly.from_coeffs([0, 0, 0, 1]))
