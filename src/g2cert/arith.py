@@ -11,8 +11,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.

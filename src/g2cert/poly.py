@@ -3,10 +3,21 @@
 Coefficients are stored ascending: a_0 + a_1 x + ... corresponds to the
 tuple (a_0, a_1, ...).  The zero polynomial is the empty tuple; degree is
 then -1.  RatPoly carries Fraction coefficients, ModPoly ints mod p.
+
+Over F_p only two degrees occur: the trace cubic Q and the sextic P.  Each
+has one straight-line multiply-mod kernel on plain int tuples, with a
+multiply-by-x step, and degree_pattern reads factorization patterns off
+Frobenius powers of x.  The cubic needs only r = deg gcd(x^p - x, Q).  The
+sextic computes x^p once; the Frobenius matrix M, whose columns are
+x^(ip) mod P, gives x^(p^2) = M x^p and, when no factor of degree <= 2
+turned up, x^(p^3) = M x^(p^2) (Berlekamp 1967; von zur Gathen and
+Shoup, Comput. Complexity 2, 1992).  Every gcd is taken against the full
+P, so nothing is divided out or rebuilt.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -53,17 +64,6 @@ class RatPoly:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(_trim([self[i] + other[i] for i in range(n)]))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(_trim([self[i] - other[i] for i in range(n)]))
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "RatPoly | Fraction | int") -> "RatPoly":
         if isinstance(other, (Fraction, int)):
@@ -190,10 +190,6 @@ class ModPoly:
     p: int
     coeffs: tuple[int, ...]
 
-    @classmethod
-    def from_coeffs(cls, p: int, coeffs: Iterable[int]) -> "ModPoly":
-        return cls(p, _trim([c % p for c in coeffs]))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -222,195 +218,153 @@ class ModPoly:
 
 
 # ---------------------------------------------------------------------------
-# list-level kernels over F_p (ascending coefficient lists, trimmed)
+# fixed-degree kernels over F_p
+#
+# An element of F_p[x]/(f), f monic of degree 3 or 6, is a tuple of 3 or 6
+# ints (ascending).  The kernels accept any ints and return canonical
+# residues in [0, p), so a caller may feed them unreduced sums.
 
 
-def _divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    dn = len(b) - 1
-    quo = [0] * max(0, len(rem) - dn)
-    for i in range(len(rem) - dn - 1, -1, -1):
-        c = rem[i + dn] * inv % p
-        if c:
-            quo[i] = c
-            for j, y in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * y) % p
-    rem = rem[:dn]
-    while rem and not rem[-1]:
-        rem.pop()
-    while quo and not quo[-1]:
-        quo.pop()
-    return quo, rem
+def _cubic_ring(p: int, f: Sequence[int]):
+    """(mul, mul_x) in F_p[x]/(f) for monic f = (f0, f1, f2, 1)."""
+    r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p  # x^3 = r2 x^2 + r1 x + r0
+
+    def mul(a, b):
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        t4 = a2 * b2 % p
+        t3 = (a1 * b2 + a2 * b1 + t4 * r2) % p
+        return (
+            (a0 * b0 + t3 * r0) % p,
+            (a0 * b1 + a1 * b0 + t4 * r0 + t3 * r1) % p,
+            (a0 * b2 + a1 * b1 + a2 * b0 + t4 * r1 + t3 * r2) % p,
+        )
+
+    def mul_x(a):
+        a0, a1, a2 = a
+        return a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
+
+    return mul, mul_x
 
 
-def _mod(p: int, a: list[int], b: list[int]) -> list[int]:
-    return _divmod(p, a, b)[1]
+def _sextic_ring(p: int, f: Sequence[int]):
+    """(mul, mul_x) in F_p[x]/(f) for monic f = (f0, ..., f5, 1)."""
+    r0, r1, r2, r3, r4, r5 = (-c % p for c in f[:6])  # x^6 = r5 x^5 + ... + r0
+
+    def mul(a, b):
+        a0, a1, a2, a3, a4, a5 = a
+        b0, b1, b2, b3, b4, b5 = b
+        # fold the product's x^10, ..., x^6 coefficients t4, ..., t0 down
+        t4 = a5 * b5 % p
+        t3 = (a4 * b5 + a5 * b4 + t4 * r5) % p
+        t2 = (a3 * b5 + a4 * b4 + a5 * b3 + t4 * r4 + t3 * r5) % p
+        t1 = (a2 * b5 + a3 * b4 + a4 * b3 + a5 * b2 + t4 * r3 + t3 * r4 + t2 * r5) % p
+        t0 = (a1 * b5 + a2 * b4 + a3 * b3 + a4 * b2 + a5 * b1
+              + t4 * r2 + t3 * r3 + t2 * r4 + t1 * r5) % p
+        return (
+            (a0 * b0 + t0 * r0) % p,
+            (a0 * b1 + a1 * b0 + t1 * r0 + t0 * r1) % p,
+            (a0 * b2 + a1 * b1 + a2 * b0 + t2 * r0 + t1 * r1 + t0 * r2) % p,
+            (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+             + t3 * r0 + t2 * r1 + t1 * r2 + t0 * r3) % p,
+            (a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0
+             + t4 * r0 + t3 * r1 + t2 * r2 + t1 * r3 + t0 * r4) % p,
+            (a0 * b5 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a5 * b0
+             + t4 * r1 + t3 * r2 + t2 * r3 + t1 * r4 + t0 * r5) % p,
+        )
+
+    def mul_x(a):
+        a0, a1, a2, a3, a4, t = a
+        return (
+            t * r0 % p, (a0 + t * r1) % p, (a1 + t * r2) % p,
+            (a2 + t * r3) % p, (a3 + t * r4) % p, (a4 + t * r5) % p,
+        )
+
+    return mul, mul_x
 
 
-def _gcd(p: int, a: list[int], b: list[int]) -> list[int]:
+def _pow_x(ring, n: int, e: int) -> tuple[int, ...]:
+    """x^e for e >= 1 in a ring of degree n >= 2, by square-and-multiply."""
+    mul, mul_x = ring
+    a = (0, 1) + (0,) * (n - 2)
+    for bit in bin(e)[3:]:
+        a = mul(a, a)
+        if bit == "1":
+            a = mul_x(a)
+    return a
+
+
+def _gcd_degree(p: int, a: Sequence[int], b: Sequence[int]) -> int:
+    """deg gcd(a, b) over F_p for reduced nonzero a, by Euclid."""
+    b = [c % p for c in b]
+    while b and not b[-1]:
+        b.pop()
     while b:
-        a, b = b, _mod(p, a, b)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-class _ModulusEngine:
-    """Arithmetic in F_p[x]/(f) on Kronecker-packed integers.
-
-    A canonical element is an int whose W-bit limbs hold the n coefficients,
-    each < p.  W leaves enough headroom that one full product plus the
-    reduction additions never overflows a limb: limb values stay below
-    (2n-1) p^2 < 2^W for n <= 8.  A constant c in [0, p) is its own packing,
-    so callers compare an element with a constant directly.
-    """
-
-    __slots__ = ("p", "n", "W", "mask", "fred", "pall")
-
-    def __init__(self, p: int, monic: Sequence[int]):
-        n = len(monic) - 1
-        if n < 1 or monic[-1] != 1:
-            raise ValueError("modulus must be monic of degree >= 1")
-        self.p = p
-        self.n = n
-        self.W = 2 * p.bit_length() + 6
-        self.mask = (1 << self.W) - 1
-        # x^n = fred (mod f)
-        self.fred = self.pack([(-c) % p for c in monic[:n]])
-        # p in every limb: a + pall - b has no negative limb for canonical a, b
-        self.pall = self.pack([p] * n)
-
-    @property
-    def x(self) -> int:
-        """The element x, canonical for degree >= 2."""
-        return 1 << self.W
-
-    def pack(self, coeffs: Sequence[int]) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc << self.W) | c
-        return acc
-
-    def unpack(self, t: int) -> list[int]:
-        return [(t >> (self.W * i)) & self.mask for i in range(self.n)]
-
-    def _canonical(self, t: int) -> int:
-        W, mask, p = self.W, self.mask, self.p
-        acc = 0
-        for i in range(self.n - 1, -1, -1):
-            acc = (acc << W) | ((t >> (W * i)) & mask) % p
-        return acc
-
-    def mulmod(self, a: int, b: int) -> int:
-        t = a * b
-        W, p, n, fred = self.W, self.p, self.n, self.fred
-        for k in range(2 * n - 2, n - 1, -1):
-            c = t >> (W * k)
+        rem = list(a)
+        dn = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for i in range(len(rem) - 1, dn - 1, -1):
+            c = rem[i] * inv % p
             if c:
-                t -= c << (W * k)
-                c %= p
-                if c:
-                    t += (fred * c) << (W * (k - n))
-        return self._canonical(t)
-
-    def sub(self, a: int, b: int) -> int:
-        return self._canonical(a + self.pall - b)
-
-    def sub_const(self, a: int, c: int) -> int:
-        """a - c for an integer c: only the constant limb changes."""
-        low = a & self.mask
-        return a + (low - c) % self.p - low
-
-    def mul_x(self, a: int) -> int:
-        t = a << self.W
-        c = t >> (self.W * self.n)
-        if c:
-            t -= c << (self.W * self.n)
-            t += self.fred * c
-        return self._canonical(t)
-
-    def pow_x(self, e: int) -> int:
-        """Packed x^e mod f."""
-        if self.n == 1:
-            return pow(self.fred, e, self.p)
-        if e == 0:
-            return 1
-        a = self.x
-        for bit in bin(e)[3:]:
-            a = self.mulmod(a, a)
-            if bit == "1":
-                a = self.mul_x(a)
-        return a
-
-    def compose(self, outer: Sequence[int], inner: int) -> int:
-        """outer(inner) mod f, Horner on the packed inner value."""
-        if not outer:
-            return 0
-        acc = outer[-1] % self.p
-        for c in reversed(outer[:-1]):
-            acc = self.sub_const(self.mulmod(acc, inner), -c)
-        return acc
+                for j in range(dn):
+                    rem[i - dn + j] = (rem[i - dn + j] - c * b[j]) % p
+        del rem[dn:]
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, rem
+    return len(a) - 1
 
 
-def _ddf(p: int, f: list[int]) -> DegreePattern:
-    """Degree multiset of a monic squarefree f over F_p, by distinct-degree splitting."""
-    f = list(f)
-    pattern: list[int] = []
-    eng = _ModulusEngine(p, f)
-    h1 = eng.unpack(eng.pow_x(p)) if len(f) > 2 else [eng.pow_x(p)]
-    while h1 and not h1[-1]:
-        h1.pop()
-    hd = list(h1)
-    d = 1
-    while True:
-        n = len(f) - 1
-        if n == 0:
-            break
-        if 2 * d > n:
-            pattern.append(n)
-            break
-        if d > 1:
-            hd = eng.unpack(eng.compose(hd, eng.pack(_pad(h1, eng.n))))
-            while hd and not hd[-1]:
-                hd.pop()
-        sub = _pad(list(hd), 2)
-        sub[1] = (sub[1] - 1) % p
-        g = _gcd(p, f, _strip(sub))
-        if len(g) > 1:
-            pattern.extend([d] * ((len(g) - 1) // d))
-            f = _divmod(p, f, g)[0]
-            if len(f) - 1 == 0:
-                break
-            eng = _ModulusEngine(p, f)
-            h1 = _mod(p, h1, f)
-            hd = _mod(p, hd, f)
-        d += 1
-    return tuple(sorted(pattern))
+def _minus_x(a: tuple[int, ...]) -> list[int]:
+    return [a[0], a[1] - 1, *a[2:]]
 
 
-def _pad(a: list[int], n: int) -> list[int]:
-    return a + [0] * (n - len(a)) if len(a) < n else a
+def _cubic_pattern(p: int, f: Sequence[int]) -> DegreePattern:
+    roots = _gcd_degree(p, f, _minus_x(_pow_x(_cubic_ring(p, f), 3, p)))
+    return {3: (1, 1, 1), 1: (1, 2), 0: (3,)}[roots]
 
 
-def _strip(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _sextic_pattern(p: int, f: Sequence[int]) -> DegreePattern:
+    ring = _sextic_ring(p, f)
+    mul = ring[0]
+    xp = _pow_x(ring, 6, p)
+    r1 = _gcd_degree(p, f, _minus_x(xp))
+    # Frobenius matrix: column i holds x^(ip), so a^p = M a for every a
+    cols = [(1, 0, 0, 0, 0, 0), xp]
+    for _ in range(4):
+        cols.append(mul(cols[-1], xp))
+    rows = list(zip(*cols))
+
+    def frobenius(a: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sum(map(operator.mul, row, a)) % p for row in rows)
+
+    xp2 = frobenius(xp)
+    n2 = (_gcd_degree(p, f, _minus_x(xp2)) - r1) // 2
+    m = 6 - r1 - 2 * n2
+    if m == 6:
+        # deg gcd(x^(p^3) - x, f) is 6 for (3, 3) and 0 for (6)
+        rest: DegreePattern = (3, 3) if frobenius(xp2) == (0, 1, 0, 0, 0, 0) else (6,)
+    else:
+        # every factor left has degree >= 3, so a leftover m <= 5 is one factor
+        rest = (m,) if m else ()
+    return tuple(sorted((1,) * r1 + (2,) * n2 + rest))
 
 
 def degree_pattern(f: ModPoly) -> DegreePattern:
-    """Degrees of the irreducible factors of a squarefree f, as a sorted tuple.
+    """Degrees of the irreducible factors of a squarefree cubic or sextic, sorted.
 
-    Raises NotSeparableError when gcd(f, f') is nonconstant.
+    Raises NotSeparableError for a repeated factor and ValueError for any
+    degree other than 3 or 6.
     """
-    if f.degree < 1:
-        raise ValueError("degree pattern needs degree >= 1")
-    g = f.monic()
-    fp = g.derivative()
-    if fp.degree < 0 or len(_gcd(f.p, list(g.coeffs), list(fp.coeffs))) != 1:
+    if f.degree not in (3, 6):
+        raise ValueError(f"degree patterns are computed for degrees 3 and 6, got {f.degree}")
+    p, g = f.p, f.monic()
+    coeffs = [c % p for c in g.coeffs]
+    if f.degree == 3:
+        c, b, a = coeffs[:3]  # the closed-form discriminant of the monic cubic
+        separable = (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c) % p
+    else:
+        separable = _gcd_degree(p, coeffs, g.derivative().coeffs) == 0
+    if not separable:
         raise NotSeparableError(f"{f} has a repeated factor")
-    return _ddf(f.p, list(g.coeffs))
+    return _cubic_pattern(p, coeffs) if f.degree == 3 else _sextic_pattern(p, coeffs)

@@ -13,7 +13,10 @@ Element orders are computed on the trace side: x^m = 1 for every root x
 of P mod p exactly when the trace sequence V_m (V_0 = 2, V_1 = y,
 V satisfies the x + 1/x doubling rules) equals the constant 2 in
 F_p[y]/(Q).  That turns an order computation in degree-6 extensions into
-cubic arithmetic with a logarithmic ladder.
+cubic arithmetic with a logarithmic ladder on the cubic kernel of poly.py.
+V_m(y) is the Dickson polynomial D_m(y), and D_a(D_b(y)) = D_ab(y), so the
+exact order descends from the torus order by cofactors: one long ladder
+per prime factor q of the torus order, then short ladders of length log q.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .palindromic import (
     ramified_primes,
     square_kernels,
 )
-from .poly import DegreePattern, ModPoly, RatPoly, _ModulusEngine, deflate_root_one, degree_pattern
+from .poly import DegreePattern, ModPoly, RatPoly, _cubic_ring, deflate_root_one, degree_pattern
 from .polyfile import PolyFile
 from .weyl import frobenius_lookup, torus_order
 
@@ -185,46 +188,55 @@ class ReductionContext:
         )
 
     def order_report(self, p: int, cls: FrobeniusClassification) -> ElementOrderReport:
+        """Exact order by cofactor descent from the torus order.
+
+        For each q^e exactly dividing the torus order, the q-part of the
+        order is the least q^k with V_(torus/q^e * q^k) = 2.  Since
+        D_a(D_b(y)) = D_ab(y), that takes one ladder to w = V_(torus/q^e)
+        and then k ladders of length log q, each mapping w to D_q(w).  The
+        last step of every descent reaches V_torus, so V_torus = 2, the
+        torus witness, is checked on the way.
+        """
         self.ensure_good(p)
-        eng = _ModulusEngine(p, self.cubic_mod(p))
+        mul = _cubic_ring(p, self.cubic_mod(p))[0]
         torus = cls.torus_order
-        divides = _trace_power_is_two(eng, torus)
-        if divides:
-            bound = torus
-        else:
-            # unreachable if the class data is consistent; fall back to the
-            # full multiplicative bound from the sextic factor degrees
-            bound = 1
-            for d in set(cls.x_pattern):
-                bound = bound * (p**d - 1) // math.gcd(bound, p**d - 1)
-        order = bound
-        for q in factor_integer(bound).primes():
-            while order % q == 0 and _trace_power_is_two(eng, order // q):
-                order //= q
-        return ElementOrderReport(p=p, exact_order=order, order_divides_torus=divides)
+        order = 1
+        for q, e in factor_integer(torus):
+            w = _dickson(mul, p, (0, 1, 0), torus // q**e)
+            k = 0
+            while w != (2, 0, 0):
+                if k == e:
+                    raise WitnessMismatchError(
+                        f"p={p}: V_{torus} != 2, so the element of class {cls.weyl_class} "
+                        f"does not lie in its torus of order {torus}"
+                    )
+                w = _dickson(mul, p, w, q)
+                k += 1
+            order *= q**k
+        return ElementOrderReport(p=p, exact_order=order, order_divides_torus=True)
 
 
-def _trace_power_is_two(eng: _ModulusEngine, m: int) -> bool:
-    """Whether V_m = 2 in F_p[y]/(cubic), i.e. x^m = 1 for all roots x of P.
+def _dickson(mul, p: int, s: tuple[int, int, int], m: int) -> tuple[int, int, int]:
+    """D_m(s) = V_m for V_0 = 2, V_1 = s, in F_p[y]/(cubic); m >= 1.
 
-    (x^m - 1)^2 = x^m (V_m - 2) for y = x + 1/x, so over each component
-    field the test is exact, and the ring computation checks all
-    components at once.
+    With s = y = x + 1/x, V_m = x^m + x^-m, and (x^m - 1)^2 = x^m (V_m - 2),
+    so V_m = 2 exactly when x^m = 1 for every root x of P: over each
+    component field the test is exact, and the ring checks them all at
+    once.  The ladder keeps (V_k, V_(k+1)) with V_2k = V_k^2 - 2 and
+    V_(2k+1) = V_k V_(k+1) - s.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if eng.n < 2:
-        raise ValueError("trace ladder needs a modulus of degree >= 2")
-    if m == 1:
-        return False  # V_1 = y is never the constant 2 modulo a higher-degree cubic
-    mul, sub, sub_const, y = eng.mulmod, eng.sub, eng.sub_const, eng.x
-    v, w = y, sub_const(mul(y, y), 2)  # (V_1, V_2)
+    s0, s1, s2 = s
+    v, w = s, mul(s, s)
+    w = (w[0] - 2, w[1], w[2])  # the kernel reduces its unreduced inputs
     for bit in bin(m)[3:]:
+        c0, c1, c2 = mul(v, w)
         if bit == "0":
-            v, w = sub_const(mul(v, v), 2), sub(mul(v, w), y)
+            d0, d1, d2 = mul(v, v)
+            v, w = (d0 - 2, d1, d2), (c0 - s0, c1 - s1, c2 - s2)
         else:
-            v, w = sub(mul(v, w), y), sub_const(mul(w, w), 2)
-    return v == 2 % eng.p
+            d0, d1, d2 = mul(w, w)
+            v, w = (c0 - s0, c1 - s1, c2 - s2), (d0 - 2, d1, d2)
+    return v[0] % p, v[1] % p, v[2] % p
 
 
 @functools.lru_cache(maxsize=8)

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from g2cert.poly import ModPoly
+
 
 def naive_is_prime(n: int) -> bool:
     if n < 2:
@@ -64,6 +66,42 @@ def naive_poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     return a
+
+
+def mod_poly(p: int, coeffs: list[int]):
+    """The package's ModPoly of coeffs reduced mod p, zero leading terms dropped."""
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return ModPoly(p, tuple(out))
+
+
+def naive_pow_x_mod(f: list[int], e: int, p: int) -> list[int]:
+    """x^e mod monic f by binary powering on schoolbook products."""
+    acc, base = [1], naive_poly_mod([0, 1], f, p)
+    while e:
+        if e & 1:
+            acc = naive_poly_mod(naive_poly_mul(acc, base, p), f, p)
+        base = naive_poly_mod(naive_poly_mul(base, base, p), f, p)
+        e >>= 1
+    return acc
+
+
+def naive_irreducibles(d: int, p: int, count: int) -> list[list[int]]:
+    """The first `count` monic irreducibles of degree d over F_p, ascending
+    coefficients, by trial division against every monic divisor of degree <= d/2."""
+    def monics(k):
+        for n in range(p**k):
+            yield [(n // p**i) % p for i in range(k)] + [1]
+
+    divisors = [g for k in range(1, d // 2 + 1) for g in monics(k)]
+    out = []
+    for f in monics(d):
+        if all(any(naive_poly_mod(f, g, p)) for g in divisors):
+            out.append(f)
+            if len(out) == count:
+                break
+    return out
 
 
 def reduce_rational_coeffs(coeffs: list[Fraction], p: int) -> list[int]:

@@ -19,10 +19,11 @@ from g2cert.palindromic import (
     g2_lift_check,
     temperedness_check,
 )
-from g2cert.poly import ModPoly, degree_pattern
+from g2cert.poly import degree_pattern
 from g2cert.reduction import element_order, frobenius_class
 from g2cert.weyl import CLASS_LABELS, torus_order, weyl_classes
 from oracles import (
+    mod_poly,
     naive_degree_pattern,
     naive_gcd_degree,
     naive_order_of_x,
@@ -175,7 +176,7 @@ def test_a7_oracle_equivalence(ctx_a, ctx_b):
             except ZeroDivisionError:
                 continue
             for coeffs in (cubic_mod, sextic_mod):
-                f = ModPoly.from_coeffs(p, coeffs)
+                f = mod_poly(p, coeffs)
                 try:
                     got = degree_pattern(f)
                 except NotSeparableError:

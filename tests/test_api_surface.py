@@ -24,3 +24,19 @@ def test_names_used_by_perfbench_exist():
     assert callable(ReductionContext.classify)
     assert callable(ReductionContext.order_report)
     assert callable(g2cert.cli.main)
+
+
+def test_classify_sends_one_cubic_and_one_sextic_through_the_binding(ctx_a, monkeypatch):
+    # the tracer splits this binding's spans by degree into the
+    # poly.degree_pattern.cubic/sextic stages; a classify that stopped
+    # calling it would leave both stages silently absent
+    degrees = []
+    original = g2cert.reduction.degree_pattern
+
+    def counting(f):
+        degrees.append(f.degree)
+        return original(f)
+
+    monkeypatch.setattr(g2cert.reduction, "degree_pattern", counting)
+    ctx_a.classify(101)
+    assert degrees == [3, 6]

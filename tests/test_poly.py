@@ -5,17 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2cert.errors import NotSeparableError
+from g2cert.palindromic import inflate_palindromic
 from g2cert.poly import (
-    ModPoly,
     RatPoly,
-    _ModulusEngine,
+    _cubic_ring,
+    _pow_x,
+    _sextic_ring,
     deflate_root_one,
     degree_pattern,
     discriminant,
     format_poly,
     resultant,
 )
-from oracles import naive_degree_pattern, naive_poly_mod, naive_poly_mul
+from oracles import (
+    mod_poly,
+    naive_degree_pattern,
+    naive_irreducibles,
+    naive_poly_mod,
+    naive_poly_mul,
+)
+
+# the largest prime below 10^12: products of residues exceed 2^64
+P12 = 999999999989
+KERNEL_PRIMES = [5, 7, 101, 997, 999983, P12]
 
 small_fractions = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -45,7 +57,9 @@ def test_divmod_identity(a, b):
     if b.is_zero():
         return
     q, r = a.divmod_by(b)
-    assert b * q + r == a
+    bq = b * q
+    n = max(len(bq.coeffs), len(r.coeffs), len(a.coeffs))
+    assert [bq[i] + r[i] for i in range(n)] == [a[i] for i in range(n)]
     assert r.is_zero() or r.degree < b.degree
 
 
@@ -96,43 +110,63 @@ def test_format_poly():
     assert format_poly(f.coeffs, "y") == "y^3 + 5/4*y^2 - 11/4*y - 49/16"
 
 
+def _pad(a: list[int], n: int) -> tuple[int, ...]:
+    return tuple(a) + (0,) * (n - len(a))
+
+
+RINGS = {3: _cubic_ring, 6: _sextic_ring}
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_modulus_engine_ring_ops(data):
-    # the operations the trace ladder runs, against schoolbook arithmetic
-    p = data.draw(st.sampled_from([5, 7, 101, 997, 999983]))
-    n = data.draw(st.integers(min_value=2, max_value=6))
+def test_cubic_and_sextic_mul_match_naive(data):
+    # the straight-line kernels against schoolbook multiply-then-reduce
+    p = data.draw(st.sampled_from(KERNEL_PRIMES))
+    n = data.draw(st.sampled_from([3, 6]))
     residues = st.integers(min_value=0, max_value=p - 1)
     f = [data.draw(residues) for _ in range(n)] + [1]
     a = [data.draw(residues) for _ in range(n)]
     b = [data.draw(residues) for _ in range(n)]
-    c = data.draw(st.integers(min_value=-2 * p, max_value=2 * p))
-    eng = _ModulusEngine(p, f)
-    want = naive_poly_mod(naive_poly_mul(a, b, p), f, p)
-    assert eng.unpack(eng.mulmod(eng.pack(a), eng.pack(b))) == want + [0] * (n - len(want))
-    assert eng.unpack(eng.sub(eng.pack(a), eng.pack(b))) == [(x - y) % p for x, y in zip(a, b)]
-    assert eng.unpack(eng.sub_const(eng.pack(a), c)) == [(a[0] - c) % p] + a[1:]
-    assert eng.unpack(eng.x) == [0, 1] + [0] * (n - 2)
-    # a constant is its own packing
-    assert eng.pack([a[0]] + [0] * (n - 1)) == a[0]
+    mul, mul_x = RINGS[n](p, f)
+    assert mul(tuple(a), tuple(b)) == _pad(naive_poly_mod(naive_poly_mul(a, b, p), f, p), n)
+    assert mul(tuple(a), tuple(a)) == _pad(naive_poly_mod(naive_poly_mul(a, a, p), f, p), n)
+    assert mul_x(tuple(a)) == _pad(naive_poly_mod([0] + a, f, p), n)
+    # unreduced inputs, as the trace ladder feeds them, give canonical output
+    shifted = tuple(c - 2 * p for c in a)
+    assert mul(shifted, tuple(b)) == mul(tuple(a), tuple(b))
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_modulus_engine_pow_x_matches_naive(data):
-    p = data.draw(st.sampled_from([5, 7, 101, 997]))
-    n = data.draw(st.integers(min_value=2, max_value=6))
-    body = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(n)]
-    f = body + [1]
+def test_pow_x_matches_naive(data):
+    p = data.draw(st.sampled_from(KERNEL_PRIMES))
+    n = data.draw(st.sampled_from([3, 6]))
+    f = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(n)] + [1]
     e = data.draw(st.integers(min_value=1, max_value=2000))
-    eng = _ModulusEngine(p, f)
-    got = list(eng.unpack(eng.pow_x(e)))
-    while got and not got[-1]:
-        got.pop()
-    want = naive_poly_mod([0] * e + [1], f, p)
-    if want == [0]:
-        want = []
-    assert got == want, (p, f, e)
+    got = _pow_x(RINGS[n](p, f), n, e)
+    assert got == _pad(naive_poly_mod([0] * e + [1], f, p), n), (p, f, e)
+
+
+PARTITIONS_OF_6 = [
+    (6,), (1, 5), (2, 4), (3, 3), (1, 1, 4), (1, 2, 3), (2, 2, 2),
+    (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1),
+]
+
+
+def test_sextic_pattern_every_partition_mod_7():
+    # a sextic built from distinct chosen irreducibles for each of the 11
+    # partitions of 6: (1, 5), (2, 4), (1, 1, 4), (1, 2, 3), (1, 1, 1, 3)
+    # take the single-factor shortcut, (3, 3) and (6) the x^(p^3) split
+    p = 7
+    irreducible = {d: naive_irreducibles(d, p, 6 // d) for d in range(1, 7)}
+    assert len(PARTITIONS_OF_6) == 11
+    for parts in PARTITIONS_OF_6:
+        f, used = [1], {d: 0 for d in range(1, 7)}
+        for d in parts:
+            f = naive_poly_mul(f, irreducible[d][used[d]], p)
+            used[d] += 1
+        assert len(f) == 7 and f[-1] == 1
+        assert degree_pattern(mod_poly(p, f)) == parts, parts
 
 
 @given(st.data())
@@ -142,7 +176,7 @@ def test_degree_pattern_random_small(data):
     deg = data.draw(st.sampled_from([3, 6]))
     coeffs = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(deg)]
     coeffs.append(1)
-    f = ModPoly.from_coeffs(p, coeffs)
+    f = mod_poly(p, coeffs)
     try:
         pattern = degree_pattern(f)
     except NotSeparableError:
@@ -163,7 +197,7 @@ def test_degree_pattern_all_cubics_mod_5():
     for a in range(p):
         for b in range(p):
             for c in range(p):
-                f = ModPoly.from_coeffs(p, [c, b, a, 1])
+                f = mod_poly(p, [c, b, a, 1])
                 try:
                     got = degree_pattern(f)
                 except NotSeparableError:
@@ -175,6 +209,39 @@ def test_degree_pattern_all_cubics_mod_5():
 
 
 def test_degree_pattern_rejects_repeated_factors():
-    f = ModPoly.from_coeffs(7, [1, 2, 1])  # (x+1)^2
+    p = 7
+    cubic = naive_poly_mul([1, 2, 1], [2, 1], p)  # (x+1)^2 (x+2)
     with pytest.raises(NotSeparableError):
-        degree_pattern(f)
+        degree_pattern(mod_poly(p, cubic))
+    quadratic = [3, 0, 1]  # x^2 + 3 is irreducible mod 7
+    sextic = naive_poly_mul(naive_poly_mul(quadratic, quadratic, p), [1, 3, 1], p)
+    with pytest.raises(NotSeparableError):
+        degree_pattern(mod_poly(p, sextic))
+    # only the two degrees in use have kernels
+    with pytest.raises(ValueError):
+        degree_pattern(mod_poly(p, [1, 2, 1]))
+
+
+small_cubics = st.lists(small_fractions, min_size=3, max_size=3).map(
+    lambda c: RatPoly.from_coeffs(c + [1])
+)
+
+
+def _lift_discriminant_holds(q: RatPoly) -> bool:
+    return discriminant(inflate_palindromic(q)) == discriminant(q) ** 2 * q.evaluate(2) * q.evaluate(-2)
+
+
+def test_sextic_discriminant_identity_bundles(ctx_a, ctx_b):
+    # disc(P) = disc(Q)^2 Q(2) Q(-2): a prime dividing neither disc(Q) nor
+    # Q(2)Q(-2) (nor a denominator) keeps P mod p separable, so a good prime
+    # never reaches a separability refusal
+    for ctx in (ctx_a, ctx_b):
+        assert ctx.sextic == inflate_palindromic(ctx.pair.q)
+        assert _lift_discriminant_holds(ctx.pair.q)
+        assert discriminant(ctx.sextic) == ctx.pair.delta**2 * ctx.pair.delta_prime
+
+
+@given(small_cubics)
+@settings(max_examples=100, deadline=None)
+def test_sextic_discriminant_identity(q):
+    assert _lift_discriminant_holds(q)

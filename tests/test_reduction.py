@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2cert.errors import ExcludedPrimeError, G2CertError
+from g2cert.arith import factor_integer, is_prime
+from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
 from g2cert.palindromic import inflate_palindromic
 from g2cert.poly import RatPoly
 from g2cert.reduction import (
@@ -19,6 +20,7 @@ from oracles import (
     naive_degree_pattern,
     naive_legendre,
     naive_order_of_x,
+    naive_pow_x_mod,
     reduce_rational_coeffs,
 )
 
@@ -168,3 +170,41 @@ def test_classification_is_deterministic(sextic_a):
     first = frobenius_class(sextic_a, 101)
     second = frobenius_class(sextic_a, 101)
     assert first == second
+
+
+def _good_primes_from(ctx, start: int, count: int) -> list[int]:
+    out, p = [], start
+    while len(out) < count:
+        p += 1
+        if is_prime(p) and p not in ctx.excluded:
+            out.append(p)
+    return out
+
+
+def test_cofactor_descent_near_1e12(ctx_a, ctx_b):
+    # x^m = 1 for every root of P exactly when V_m = 2, so the exact order
+    # is checked on the sextic side by plain powering of x mod P
+    classes = set()
+    for ctx in (ctx_a, ctx_b):
+        for p in _good_primes_from(ctx, 10**12, 12):
+            cls = ctx.classify(p)
+            order = ctx.order_report(p, cls).exact_order
+            classes.add(cls.weyl_class)
+            assert cls.torus_order % order == 0, p
+            sextic = reduce_rational_coeffs(list(ctx.sextic.coeffs), p)
+            assert naive_pow_x_mod(sextic, order, p) == [1], p
+            for q in factor_integer(order).primes():
+                assert naive_pow_x_mod(sextic, order // q, p) != [1], (p, q)
+    assert len(classes) >= 4
+
+
+def test_order_report_raises_off_the_torus(ctx_a):
+    # a torus order that the element's order does not divide is a witness
+    # mismatch
+    p = 101
+    cls = ctx_a.classify(p)
+    order = ctx_a.order_report(p, cls).exact_order
+    # order/q misses the element's order by one factor q, order + 1 by far
+    for wrong in (order // factor_integer(order).primes()[-1], cls.torus_order + 1):
+        with pytest.raises(WitnessMismatchError, match=f"p={p}"):
+            ctx_a.order_report(p, replace(cls, torus_order=wrong))
