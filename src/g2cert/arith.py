@@ -7,6 +7,7 @@ when it is 1).  Integers are plain Python ints.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,19 +173,24 @@ def _small_primes() -> list[int]:
     return _SMALL_PRIMES
 
 
-def squarefree_kernel(r: Fraction | int) -> int:
-    """Squarefree integer d with r = d * s^2 for some rational s.  Sign kept."""
-    r = Fraction(r)
+def prime_exponents(r: Fraction, den_primes: tuple[int, ...]) -> dict[int, int]:
+    """Prime exponents of r != 0, negative in the denominator, a product of den_primes."""
     if r == 0:
-        raise ValueError("squarefree kernel of 0 is undefined")
-    kernel = 1
-    for part in (r.numerator, r.denominator):
-        if abs(part) == 1:
-            continue
-        for p, e in factor_integer(part):
-            if e % 2:
-                kernel *= p
-    return kernel if r > 0 else -kernel
+        raise ValueError("cannot factor 0")
+    out = factor_integer(r.numerator).as_dict()
+    d = r.denominator
+    for q in den_primes:
+        while d % q == 0:
+            out[q] = out.get(q, 0) - 1
+            d //= q
+    if d != 1:
+        raise ValueError(f"the denominator of {r} has a prime outside {den_primes}")
+    return out
+
+
+def squarefree_kernel(r: Fraction, exponents: dict[int, int]) -> int:
+    """Squarefree d with r = d s^2, s rational, sign kept, from r's prime exponents."""
+    return (1 if r > 0 else -1) * math.prod(q for q, e in exponents.items() if e % 2)
 
 
 def legendre_symbol(a: int, p: int) -> int:

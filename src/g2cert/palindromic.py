@@ -8,12 +8,13 @@ settled on Q with exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arith import factor_integer, squarefree_kernel
+from .arith import factor_integer, prime_exponents, squarefree_kernel
 from .errors import G2CertError, NotMonicError, NotPalindromicError
 from .poly import RatPoly, discriminant
 
@@ -47,6 +48,21 @@ class PalindromicPair:
     delta_prime: Fraction
     q_at_2: Fraction
     q_at_minus_2: Fraction
+
+    @functools.cached_property
+    def denominator_primes(self) -> tuple[int, ...]:
+        """The primes of the least common denominator D of Q's coefficients."""
+        return factor_integer(math.lcm(*(c.denominator for c in self.q.coeffs))).primes()
+
+    @functools.cached_property
+    def exponents(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Prime exponents of delta and delta_prime, which must be nonzero.
+
+        Both are integer polynomials in Q's coefficients, so their
+        denominators divide a power of D and only the numerators are factored.
+        """
+        dens = self.denominator_primes
+        return prime_exponents(self.delta, dens), prime_exponents(self.delta_prime, dens)
 
 
 def _lift_terms(n: int, k: int) -> list[tuple[int, int]]:
@@ -114,12 +130,7 @@ def ramified_primes(pair: PalindromicPair) -> frozenset[int]:
     """Primes dividing a numerator or denominator of delta or delta_prime."""
     if not separability_check(pair):
         raise G2CertError("ramified primes undefined for inseparable pair")
-    out: set[int] = set()
-    for value in (pair.delta, pair.delta_prime):
-        for part in (value.numerator, value.denominator):
-            if abs(part) != 1:
-                out.update(factor_integer(part).primes())
-    return frozenset(out)
+    return frozenset(pair.exponents[0].keys() | pair.exponents[1].keys())
 
 
 def temperedness_check(pair: PalindromicPair) -> bool:
@@ -260,7 +271,8 @@ def classify_galois(pair: PalindromicPair) -> GaloisClassification:
 
 def _kernels(pair: PalindromicPair) -> tuple[int, int]:
     """Signed squarefree kernels of delta and delta_prime; pair must be separable."""
-    return squarefree_kernel(pair.delta), squarefree_kernel(pair.delta_prime)
+    exps, exps_prime = pair.exponents
+    return squarefree_kernel(pair.delta, exps), squarefree_kernel(pair.delta_prime, exps_prime)
 
 
 def square_kernels(pair: PalindromicPair) -> frozenset[int]:

@@ -4,19 +4,33 @@ Coefficients are stored ascending: a_0 + a_1 x + ... corresponds to the
 tuple (a_0, a_1, ...).  The zero polynomial is the empty tuple; degree is
 then -1.  RatPoly carries Fraction coefficients, ModPoly ints mod p.
 
-Over F_p only two degrees occur: the trace cubic Q and the sextic P.  Each
-has one straight-line multiply-mod kernel on plain int tuples, with a
-multiply-by-x step, and degree_pattern reads factorization patterns off
-Frobenius powers of x.  The cubic needs only r = deg gcd(x^p - x, Q).  The
-sextic computes x^p once; the Frobenius matrix M, whose columns are
-x^(ip) mod P, gives x^(p^2) = M x^p and, when no factor of degree <= 2
-turned up, x^(p^3) = M x^(p^2) (Berlekamp 1967; von zur Gathen and
-Shoup, Comput. Complexity 2, 1992).  Every gcd is taken against the full
-P, so nothing is divided out or rebuilt.
+Over F_p only the trace cubic Q and the sextic P occur, each with one
+straight-line multiply-mod kernel on int tuples.  degree_pattern reads
+factor patterns off the Frobenius matrix M, column i = x^(ip) mod f, so
+a^p = M a (Berlekamp 1967), and takes no gcd.  For squarefree f,
+F_p[x]/(f) is the product of fields F_(p^d), on which the k-th Frobenius
+power fixes a normal basis if d | k and moves all of it otherwise; so
+tr M^k = N_k = sum of d n_d over d | k (mod p): r1 = tr M, and
+r1 + 2 n2 = tr M^2 = sum of M_ij M_ji.  Counts are at most 6, so for
+p >= 7 the residues are the counts; at p = 5 a squarefree sextic has at
+most 4 roots, and 0, 2, 4, 6 have distinct residues.  At p = 3, where 3 and
+6 vanish, r1 is counted as the roots among 0, 1, -1, and 2 n2 = 6, i.e.
+(2, 2, 2), holds exactly when x^(p^2) = x.  The factors left have degree
+>= 3: a leftover m <= 5 is one factor, and m = 6 is (3, 3) when
+x^(p^3) = x, else (6).  x^(p^k) - x has derivative -1, so it is squarefree,
+the product of the monic irreducibles of degree dividing k: x^(p^L) = x
+mod f exactly when f is squarefree with all factor degrees dividing L.
+The sextic's pattern is checked that way, L the lcm of its degrees, by
+x^(p^(k+1)) = M x^(p^k): if the check holds f is squarefree, so the traces
+were read right; if f is squarefree, they were and it holds.  A failed
+check, or traces no pattern fits, proves a repeated factor.  The cubic is
+squarefree by its discriminant, and once x^p != x its r1 = tr M =
+1 + (x^p)_1 + (x^(2p))_2 is 1 or 0.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,25 +208,6 @@ class ModPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def lc(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def derivative(self) -> "ModPoly":
-        p = self.p
-        return ModPoly(p, _trim([i * c % p for i, c in enumerate(self.coeffs)][1:]))
-
-    def monic(self) -> "ModPoly":
-        if self.is_monic():
-            return self
-        inv = pow(self.lc, -1, self.p)
-        return ModPoly(self.p, _trim([c * inv % self.p for c in self.coeffs]))
-
     def __str__(self) -> str:
         return format_poly(self.coeffs, "x") + f" (mod {self.p})"
 
@@ -294,77 +289,67 @@ def _pow_x(ring, n: int, e: int) -> tuple[int, ...]:
     return a
 
 
-def _gcd_degree(p: int, a: Sequence[int], b: Sequence[int]) -> int:
-    """deg gcd(a, b) over F_p for reduced nonzero a, by Euclid."""
-    b = [c % p for c in b]
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        rem = list(a)
-        dn = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i] * inv % p
-            if c:
-                for j in range(dn):
-                    rem[i - dn + j] = (rem[i - dn + j] - c * b[j]) % p
-        del rem[dn:]
-        while rem and not rem[-1]:
-            rem.pop()
-        a, b = b, rem
-    return len(a) - 1
-
-
-def _minus_x(a: tuple[int, ...]) -> list[int]:
-    return [a[0], a[1] - 1, *a[2:]]
-
-
 def _cubic_pattern(p: int, f: Sequence[int]) -> DegreePattern:
-    roots = _gcd_degree(p, f, _minus_x(_pow_x(_cubic_ring(p, f), 3, p)))
-    return {3: (1, 1, 1), 1: (1, 2), 0: (3,)}[roots]
+    """Squarefree monic cubic: (1, 1, 1) iff x^p = x, else r1 = tr M = 1 + (x^p)_1 + (x^2p)_2."""
+    ring = _cubic_ring(p, f)
+    xp = _pow_x(ring, 3, p)
+    if xp == (0, 1, 0):
+        return (1, 1, 1)
+    return (1, 2) if (1 + xp[1] + ring[0](xp, xp)[2]) % p == 1 else (3,)
 
 
-def _sextic_pattern(p: int, f: Sequence[int]) -> DegreePattern:
+def _sextic_pattern(p: int, f: Sequence[int]) -> DegreePattern | None:
+    """Pattern of a monic sextic, or None when it has a repeated factor."""
     ring = _sextic_ring(p, f)
-    mul = ring[0]
     xp = _pow_x(ring, 6, p)
-    r1 = _gcd_degree(p, f, _minus_x(xp))
     # Frobenius matrix: column i holds x^(ip), so a^p = M a for every a
     cols = [(1, 0, 0, 0, 0, 0), xp]
     for _ in range(4):
-        cols.append(mul(cols[-1], xp))
+        cols.append(ring[0](cols[-1], xp))
     rows = list(zip(*cols))
+    powers = [(0, 1, 0, 0, 0, 0), xp]  # powers[k] = x^(p^k)
 
-    def frobenius(a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(map(operator.mul, row, a)) % p for row in rows)
+    def fixed(k: int) -> bool:  # x^(p^k) = x
+        while len(powers) <= k:
+            powers.append(tuple(sum(map(operator.mul, row, powers[-1])) % p for row in rows))
+        return powers[k] == powers[0]
 
-    xp2 = frobenius(xp)
-    n2 = (_gcd_degree(p, f, _minus_x(xp2)) - r1) // 2
-    m = 6 - r1 - 2 * n2
-    if m == 6:
-        # deg gcd(x^(p^3) - x, f) is 6 for (3, 3) and 0 for (6)
-        rest: DegreePattern = (3, 3) if frobenius(xp2) == (0, 1, 0, 0, 0, 0) else (6,)
+    if p == 3:  # 3 roots read as 0: count the roots among 0, 1, -1
+        r1 = sum(sum(c * t**i for i, c in enumerate(f)) % 3 == 0 for t in (0, 1, -1))
     else:
-        # every factor left has degree >= 3, so a leftover m <= 5 is one factor
-        rest = (m,) if m else ()
-    return tuple(sorted((1,) * r1 + (2,) * n2 + rest))
+        r1 = sum(col[i] for i, col in enumerate(cols)) % p
+    # tr M^2 = sum of M_ij M_ji = r1 + 2 n2; at p = 3 and r1 = 0, 2 n2 is 0 or 6
+    trace2 = sum(sum(map(operator.mul, row, col)) for row, col in zip(rows, cols))
+    evens = [e for e in range(0, 7 - r1, 2) if (trace2 - r1 - e) % p == 0]
+    if len(evens) == 2 and fixed(2):
+        return (2, 2, 2)
+    if not evens:
+        return None
+    m = 6 - r1 - evens[0]
+    if m in (1, 2):  # a factor of degree 1 or 2 would have been counted
+        return None
+    if m == 6 and fixed(3):
+        return (3, 3)
+    pattern = tuple(sorted((1,) * r1 + (2,) * (evens[0] // 2) + ((m,) if m else ())))
+    return pattern if fixed(math.lcm(*pattern)) else None
 
 
 def degree_pattern(f: ModPoly) -> DegreePattern:
     """Degrees of the irreducible factors of a squarefree cubic or sextic, sorted.
 
-    Raises NotSeparableError for a repeated factor and ValueError for any
-    degree other than 3 or 6.
+    Raises NotSeparableError for a repeated factor, and ValueError for any
+    degree other than 3 or 6 or for p = 2.
     """
-    if f.degree not in (3, 6):
-        raise ValueError(f"degree patterns are computed for degrees 3 and 6, got {f.degree}")
-    p, g = f.p, f.monic()
-    coeffs = [c % p for c in g.coeffs]
+    if f.degree not in (3, 6) or f.p < 3:
+        raise ValueError(f"degree patterns are computed for degrees 3 and 6 mod odd p, got {f}")
+    p, inv = f.p, pow(f.coeffs[-1], -1, f.p)
+    coeffs = [c * inv % p for c in f.coeffs]  # monic
     if f.degree == 3:
         c, b, a = coeffs[:3]  # the closed-form discriminant of the monic cubic
-        separable = (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c) % p
+        if (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c) % p:
+            return _cubic_pattern(p, coeffs)
     else:
-        separable = _gcd_degree(p, coeffs, g.derivative().coeffs) == 0
-    if not separable:
-        raise NotSeparableError(f"{f} has a repeated factor")
-    return _cubic_pattern(p, coeffs) if f.degree == 3 else _sextic_pattern(p, coeffs)
+        pattern = _sextic_pattern(p, coeffs)
+        if pattern:
+            return pattern
+    raise NotSeparableError(f"{f} has a repeated factor")

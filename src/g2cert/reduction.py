@@ -73,9 +73,7 @@ class ElementOrderReport:
 
 def _int_model(poly: RatPoly) -> tuple[tuple[int, ...], int]:
     """(integer coefficients, d) with poly = (1/d) * sum c_i x^i."""
-    den = 1
-    for c in poly.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
     return tuple(int(c * den) for c in poly.coeffs), den
 
 
@@ -113,10 +111,9 @@ class ReductionContext:
         # chi(delta) mod p = chi(num * den): den^2 * delta = num * den
         self.delta_nd = pair.delta.numerator * pair.delta.denominator
         self.delta_prime_nd = pair.delta_prime.numerator * pair.delta_prime.denominator
-        bad: dict[int, str] = {}
-        for den in (self.x_den, self.y_den):
-            for q in factor_integer(den).primes():
-                bad[q] = REASON_DENOMINATOR
+        # the lift and its inverse have integer coefficients, so x_den =
+        # y_den = D, whose primes the pair has already factored
+        bad: dict[int, str] = dict.fromkeys(pair.denominator_primes, REASON_DENOMINATOR)
         for q in self.ramified:
             bad.setdefault(q, REASON_RAMIFIED)
         if steinberg_prime is not None:

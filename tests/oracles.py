@@ -143,6 +143,11 @@ def naive_order_of_x(f: list[int], p: int, cap: int) -> int:
     raise AssertionError(f"no order found within {cap} steps")
 
 
+def naive_derivative(f: list[int], p: int) -> list[int]:
+    """Formal derivative over F_p, coefficients ascending."""
+    return [i * c % p for i, c in enumerate(f)][1:]
+
+
 def naive_gcd_degree(a: list[int], b: list[int], p: int) -> int:
     """Degree of gcd(a, b) over F_p by plain Euclid on coefficient lists."""
 
@@ -207,7 +212,8 @@ def naive_degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
     """Factorization degree pattern of a separable monic cubic or sextic.
 
     Exhaustive: counts linear factors by root sweep, quadratic and cubic
-    irreducible factors by trial division against every candidate.
+    irreducible factors by trial division against every candidate; the
+    factors of degree 4, 5 or 6 are what is left.
     """
     n = len(f) - 1
     n1 = _root_count(f, p)
@@ -227,9 +233,10 @@ def naive_degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
     for a, qb, qc in _cubic_divisors(f, p):
         if _root_count([qc, qb, a, 1], p) == 0:
             n3 += 1
+    # every factor left has degree >= 4, so it is one factor
     rest = n - n1 - 2 * n2 - 3 * n3
-    assert rest in (0, 6), (f, p, n1, n2, n3)
-    pattern = [1] * n1 + [2] * n2 + [3] * n3 + ([6] if rest else [])
+    assert rest in (0, 4, 5, 6), (f, p, n1, n2, n3)
+    pattern = [1] * n1 + [2] * n2 + [3] * n3 + ([rest] if rest else [])
     return tuple(sorted(pattern))
 
 

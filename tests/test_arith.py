@@ -10,6 +10,7 @@ from g2cert.arith import (
     factor_integer,
     is_prime,
     legendre_symbol,
+    prime_exponents,
     primes_up_to,
     squarefree_kernel,
 )
@@ -65,13 +66,22 @@ def test_prime_factorization_value():
     assert f.primes() == (2, 5)
 
 
+def _kernel(r: Fraction) -> int:
+    return squarefree_kernel(r, prime_exponents(r, factor_integer(r.denominator).primes()))
+
+
 def test_squarefree_kernel_known():
-    assert squarefree_kernel(Fraction(14129, 256)) == 14129
-    assert squarefree_kernel(Fraction(-639, 256)) == -71
-    assert squarefree_kernel(Fraction(-5218304, 531441)) == -26
-    assert squarefree_kernel(Fraction(4)) == 1
-    assert squarefree_kernel(Fraction(-4)) == -1
-    assert squarefree_kernel(Fraction(1, 2)) == 2
+    assert _kernel(Fraction(14129, 256)) == 14129
+    assert _kernel(Fraction(-639, 256)) == -71
+    assert _kernel(Fraction(-5218304, 531441)) == -26
+    assert _kernel(Fraction(4)) == 1
+    assert _kernel(Fraction(-4)) == -1
+    assert _kernel(Fraction(1, 2)) == 2
+    assert prime_exponents(Fraction(-639, 256), (2,)) == {3: 2, 71: 1, 2: -8}
+    with pytest.raises(ValueError):
+        prime_exponents(Fraction(1, 6), (2,))  # 3 is not among the denominator primes
+    with pytest.raises(ValueError):
+        prime_exponents(Fraction(0), ())
 
 
 @given(
@@ -83,7 +93,9 @@ def test_squarefree_kernel_known():
 def test_squarefree_kernel_is_square_complement(q):
     if q == 0:
         return
-    k = squarefree_kernel(q)
+    exponents = prime_exponents(q, factor_integer(q.denominator).primes())
+    assert math.prod(Fraction(p) ** e for p, e in exponents.items()) == abs(q)
+    k = squarefree_kernel(q, exponents)
     ratio = q / k
     # the ratio must be a square of a rational: both parts perfect squares
     assert ratio > 0

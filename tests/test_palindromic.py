@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from g2cert.arith import squarefree_kernel
+from g2cert.arith import factor_integer
 from g2cert.certify import Pair
 from g2cert.errors import NotMonicError, NotPalindromicError
 from g2cert.palindromic import (
@@ -227,4 +227,8 @@ def test_square_evidence_matches_oracle(body):
     assert evidence["delta_nonsquare"] == (not naive_is_square(d))
     assert evidence["delta_prime_nonsquare"] == (not naive_is_square(dp))
     assert evidence["product_nonsquare"] == (not naive_is_square(d * dp))
-    assert square_kernels(pair) == {squarefree_kernel(v) for v in (d, dp, d * dp)}
+    # the kernel of v is the one squarefree k with v / k a rational square
+    values, kernels = (d, dp, d * dp), square_kernels(pair)
+    assert all(all(e == 1 for _, e in factor_integer(k)) for k in kernels)
+    assert all(any(naive_is_square(v / k) for k in kernels) for v in values)
+    assert all(any(naive_is_square(v / k) for v in values) for k in kernels)

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from g2cert.poly import (
 from oracles import (
     mod_poly,
     naive_degree_pattern,
+    naive_derivative,
+    naive_gcd_degree,
     naive_irreducibles,
     naive_poly_mod,
     naive_poly_mul,
@@ -182,13 +186,54 @@ def test_degree_pattern_random_small(data):
     except NotSeparableError:
         return  # oracle also needs separability; nothing to compare
     assert sum(pattern) == deg
-    try:
-        want = naive_degree_pattern(coeffs, p)
-    except AssertionError:
-        # oracle only decomposes patterns with parts in {1,2,3,6}
-        assert deg == 6
-        return
-    assert pattern == want, (coeffs, p)
+    assert pattern == naive_degree_pattern(coeffs, p), (coeffs, p)
+
+
+def _irreducible_count(d: int, p: int) -> int:
+    """Monic irreducibles of degree d over F_p, by Gauss's formula (1/d) sum mu(d/e) p^e."""
+    mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}  # the Moebius function up to 6
+    return sum(mu[d // e] * p**e for e in range(1, d + 1) if d % e == 0) // d
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_degree_pattern_every_sextic_mod_3_and_5(p):
+    # every monic sextic, separable or not.  These are the primes where a
+    # count of at most 6 is not its residue: at p = 3 the traces cannot tell
+    # 0 roots from 3, nor 2 n2 = 0 from 6; at p = 5 they read N1 only up to
+    # 4, as five roots in F_5 would leave a sixth, repeated
+    found: Counter = Counter()
+    for n in range(p**6):
+        f = [n // p**i % p for i in range(6)] + [1]
+        separable = naive_gcd_degree(f, naive_derivative(f, p), p) == 0
+        try:
+            got = degree_pattern(mod_poly(p, f))
+        except NotSeparableError:
+            assert not separable, f
+            continue
+        assert separable and got == naive_degree_pattern(f, p), f
+        found[got] += 1
+    # a pattern with n_d factors of degree d fits prod C(I_d, n_d) squarefree
+    # sextics, I_d by Gauss; together they are the p^6 - p^5 squarefree ones
+    for parts in PARTITIONS_OF_6:
+        want = math.prod(math.comb(_irreducible_count(d, p), parts.count(d)) for d in set(parts))
+        assert found[parts] == want, parts
+    assert found.total() == p**6 - p**5
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_degree_pattern_refuses_a_forced_repeated_factor(data):
+    # f = g^2 h for random monic g and h; the refusal must come from the
+    # x^(p^L) = x proof (sextic) or the discriminant (cubic) at every size of p
+    p = data.draw(st.sampled_from([3] + KERNEL_PRIMES))
+    n = data.draw(st.sampled_from([3, 6]))
+    k = data.draw(st.integers(min_value=1, max_value=n // 2))
+    residues = st.integers(min_value=0, max_value=p - 1)
+    g = [data.draw(residues) for _ in range(k)] + [1]
+    h = [data.draw(residues) for _ in range(n - 2 * k)] + [1]
+    f = naive_poly_mul(naive_poly_mul(g, g, p), h, p)
+    with pytest.raises(NotSeparableError):
+        degree_pattern(mod_poly(p, f))
 
 
 def test_degree_pattern_all_cubics_mod_5():
@@ -217,9 +262,11 @@ def test_degree_pattern_rejects_repeated_factors():
     sextic = naive_poly_mul(naive_poly_mul(quadratic, quadratic, p), [1, 3, 1], p)
     with pytest.raises(NotSeparableError):
         degree_pattern(mod_poly(p, sextic))
-    # only the two degrees in use have kernels
+    # only the two degrees in use have kernels, and only odd primes
     with pytest.raises(ValueError):
         degree_pattern(mod_poly(p, [1, 2, 1]))
+    with pytest.raises(ValueError):
+        degree_pattern(mod_poly(2, [1, 1, 0, 1]))
 
 
 small_cubics = st.lists(small_fractions, min_size=3, max_size=3).map(

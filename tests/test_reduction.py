@@ -71,6 +71,28 @@ def test_x_pattern_against_oracle(sextic_a, sextic_b):
             assert cls.x_pattern == naive_degree_pattern(mod, p), (p, sextic)
 
 
+def test_classify_at_3_and_5_on_a_real_input():
+    # Q = y^3 - a y^2 + b y - c with a = -7/4, b = -11/4 and c = a^2 - 2b - 4
+    # = 73/16 (the lift identity) is D6 and tempered, and its bad primes are
+    # 2, 11 and 79, so classify reaches p = 3, where 3 = 6 = 0 hides factor
+    # counts from the Frobenius traces, and p = 5
+    a, b = F(-7, 4), F(-11, 4)
+    q = RatPoly.from_coeffs([-(a * a - 2 * b - 4), b, -a, 1])
+    ctx = ReductionContext(inflate_palindromic(q))
+    assert ctx.classification.tag == "D6" and ctx.tempered
+    assert tuple(ctx.excluded) == (2, 11, 79)
+    d, dp = ctx.pair.delta, ctx.pair.delta_prime
+    for p, label in ((3, "6a"), (5, "3a")):
+        cls = ctx.classify(p)
+        assert cls.weyl_class == label, p
+        assert cls.y_pattern == naive_degree_pattern(reduce_rational_coeffs(list(q.coeffs), p), p)
+        sextic = reduce_rational_coeffs(list(ctx.sextic.coeffs), p)
+        assert cls.x_pattern == naive_degree_pattern(sextic, p), p
+        assert cls.chi_delta == naive_legendre(d.numerator * d.denominator, p), p
+        assert cls.chi_delta_prime == naive_legendre(dp.numerator * dp.denominator, p), p
+        assert ctx.order_report(p, cls).exact_order == naive_order_of_x(sextic, p, p**3), p
+
+
 def test_excluded_primes_first_bundle(ctx_a):
     assert ctx_a.excluded == {
         2: REASON_DENOMINATOR,
