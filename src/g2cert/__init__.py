@@ -16,27 +16,18 @@ from .errors import (
     NotSeparableError,
     WitnessMismatchError,
 )
-from .poly import ModPoly, RatPoly, deflate_root_one, degree_pattern, discriminant
+from .poly import ModPoly, RatPoly, deflate_root_one, degree_pattern
 from .palindromic import (
     GaloisClassification,
     PalindromicPair,
     classify_galois,
     g2_lift_check,
-    inflate_palindromic,
     palindromic_reduce,
     ramified_primes,
     separability_check,
     temperedness_check,
 )
-from .weyl import (
-    CLASS_LABELS,
-    WeylClassInfo,
-    WeylElement,
-    enumerate_weyl,
-    frobenius_lookup,
-    torus_order,
-    weyl_classes,
-)
+from .weyl import CLASS_LABELS, WEYL_CLASSES, WeylClassInfo, torus_order
 from .reduction import (
     ElementOrderReport,
     FrobeniusClassification,
@@ -67,22 +58,17 @@ __all__ = [
     "ModPoly",
     "deflate_root_one",
     "degree_pattern",
-    "discriminant",
     "PalindromicPair",
     "GaloisClassification",
     "palindromic_reduce",
-    "inflate_palindromic",
     "separability_check",
     "ramified_primes",
     "temperedness_check",
     "g2_lift_check",
     "classify_galois",
     "CLASS_LABELS",
-    "WeylElement",
+    "WEYL_CLASSES",
     "WeylClassInfo",
-    "enumerate_weyl",
-    "weyl_classes",
-    "frobenius_lookup",
     "torus_order",
     "FrobeniusClassification",
     "ElementOrderReport",

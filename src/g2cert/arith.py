@@ -122,12 +122,6 @@ class PrimeFactorization:
     def __iter__(self):
         return iter(self.pairs)
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
 

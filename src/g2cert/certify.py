@@ -13,6 +13,7 @@ against their constant orders.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,9 +245,10 @@ def scan(
     """Certify every prime p > 5 up to limit that the pair does not exclude, ascending.
 
     The record sink, when given, sees one report per scanned prime in
-    ascending order.  jobs > 1 fans the prime ranges out over processes;
-    chunk boundaries are fixed by the input alone, so the merged output
-    is identical to a serial run.
+    ascending order.  jobs > 1 fans the prime ranges out over at most
+    jobs processes, no more than there are batches or CPUs; chunk
+    boundaries are fixed by the input alone, so the merged output is
+    identical to a serial run.
     """
     skip = pair.excluded.keys() | {2, 3, 5}
     all_primes = primes_up_to(limit)
@@ -274,7 +276,8 @@ def scan(
     if jobs > 1 and len(scan_primes) > 1000:
         chunk = max(1000, len(scan_primes) // (jobs * 8))
         batches = [scan_primes[i : i + chunk] for i in range(0, len(scan_primes), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(batches), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for reports in pool.map(_scan_chunk, [(pair, batch) for batch in batches]):
                 for report in reports:
                     consume(report)

@@ -95,9 +95,9 @@ def _excluded_doc(excluded: dict[int, str]) -> list[dict]:
     return [{"p": p, "reason": why} for p, why in excluded.items()]
 
 
-def _exceeds(order: int, order_bound: int) -> dict[str, bool]:
-    """Whether the exact order is above 3 and above the --order-bound threshold."""
-    return {str(b): order > b for b in sorted({3, order_bound})}
+def _exceeds(order: int) -> dict[str, bool]:
+    """Whether the exact order is above 3 and above 19, strictly."""
+    return {str(b): order > b for b in (3, 19)}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 # frobenius
 
 
-def _frobenius_record(ctx: ReductionContext, p: int, order_bound: int) -> dict:
+def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
     cls = ctx.classify(p)
     order = ctx.order_report(p, cls)
     return {
@@ -152,7 +152,7 @@ def _frobenius_record(ctx: ReductionContext, p: int, order_bound: int) -> dict:
         "x_pattern": list(cls.x_pattern),
         "exact_order": order.exact_order,
         "order_divides_torus": order.order_divides_torus,
-        "exceeds": _exceeds(order.exact_order, order_bound),
+        "exceeds": _exceeds(order.exact_order),
     }
 
 
@@ -164,7 +164,7 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
     records = []
     for p in targets:
         try:
-            records.append(_frobenius_record(ctx, p, args.order_bound))
+            records.append(_frobenius_record(ctx, p))
         except ExcludedPrimeError as e:
             records.append({"p": p, "excluded": e.reason})
     if args.format == "json":
@@ -245,7 +245,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             doc[f"order_evidence_{side}"] = {
                 "exact_order": order.exact_order,
                 "order_divides_torus": order.order_divides_torus,
-                "exceeds": _exceeds(order.exact_order, args.order_bound),
+                "exceeds": _exceeds(order.exact_order),
             }
     _write_json(doc, args.out)
     return 0 if report.verdict == VERDICT_CERTIFIED else 1
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prime", type=int, help="single prime")
     group.add_argument("--limit", type=int, help="all primes up to this bound")
-    p.add_argument("--order-bound", type=int, default=19)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common_out(p)
     p.set_defaults(func=cmd_frobenius)
@@ -453,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_a")
     p.add_argument("input_b")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--order-bound", type=int, default=19)
     common_out(p)
     p.set_defaults(func=cmd_certify)
 

@@ -1,7 +1,7 @@
 """Palindromic polynomials and their trace-coordinate reductions.
 
-A monic palindromic P of even degree 2n factors through y = x + 1/x:
-P(x) = x^n Q(x + 1/x) for a unique monic Q of degree n.  All structural
+A monic palindromic sextic P factors through y = x + 1/x:
+P(x) = x^3 Q(x + 1/x) for a unique monic cubic Q.  All structural
 questions (separability, ramification, Galois type, root location) are
 settled on Q with exact rational arithmetic.
 """
@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .arith import factor_integer, prime_exponents, squarefree_kernel
 from .errors import G2CertError, NotMonicError, NotPalindromicError
-from .poly import RatPoly, discriminant
+from .poly import RatPoly, cubic_discriminant
 
 TAG_D6 = "D6"
 TAG_WEYL_BC = "WeylBC_n"
@@ -65,56 +65,28 @@ class PalindromicPair:
         return prime_exponents(self.delta, dens), prime_exponents(self.delta_prime, dens)
 
 
-def _lift_terms(n: int, k: int) -> list[tuple[int, int]]:
-    """x^(n-k) (x^2+1)^k, the image of y^k under the lift, as (exponent, coefficient) pairs.
-
-    By the binomial theorem it is the sum over j of C(k, j) x^(n-k+2j).
-    """
-    return [(n - k + 2 * j, math.comb(k, j)) for j in range(k + 1)]
-
-
-def inflate_palindromic(q: RatPoly) -> RatPoly:
-    """x^n q(x + 1/x) for monic q of degree n; always monic palindromic."""
-    n = q.degree
-    if n < 1 or not q.is_monic():
-        raise NotMonicError("need a monic polynomial of degree >= 1")
-    out = [Fraction(0)] * (2 * n + 1)
-    for k, c in enumerate(q.coeffs):
-        for i, binom in _lift_terms(n, k):
-            out[i] += binom * c
-    return RatPoly(tuple(out))
-
-
 def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
-    """Recover Q with poly = x^n Q(x + 1/x) and package the invariants.
+    """Recover the cubic Q with poly = x^3 Q(x + 1/x) and package the invariants.
 
-    The coefficients of Q are solved top-down: the coefficient of x^(n+k)
-    in the residual is exactly q_k once the lifts of the higher powers of y
-    have been subtracted.  Everything is exact.
+    For Q = y^3 + q2 y^2 + q1 y + q0, x^3 Q(x + 1/x) is
+    (x^2 + 1)^3 + q2 x (x^2 + 1)^2 + q1 x^2 (x^2 + 1) + q0 x^3, whose
+    coefficients of x^5, x^4 and x^3 are q2, 3 + q1 and 2 q2 + q0; a monic
+    palindromic sextic is fixed by those three.  Everything is exact.
     """
-    if poly.degree < 2 or poly.degree % 2:
-        raise NotPalindromicError(f"degree {poly.degree} is not even and >= 2")
+    if poly.degree != 6:
+        raise NotPalindromicError(f"degree {poly.degree}: only sextics are reduced")
     if not poly.is_monic():
         raise NotMonicError("not monic")
     if not poly.is_palindromic():
         raise NotPalindromicError("coefficients are not palindromic")
-    n = poly.degree // 2
-    residual = list(poly.coeffs)
-    q_coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n, -1, -1):
-        c = residual[n + k]
-        q_coeffs[k] = c
-        if c:
-            for i, binom in _lift_terms(n, k):
-                residual[i] -= binom * c
-    assert not any(residual), "palindromic reduction left a nonzero residual"
-    q = RatPoly(tuple(q_coeffs))
+    p3, p4, p5, one = poly.coeffs[3:]
+    q = RatPoly((p3 - 2 * p5, p4 - 3, p5, one))
     at2 = q.evaluate(2)
     atm2 = q.evaluate(-2)
     return PalindromicPair(
         poly=poly,
         q=q,
-        delta=discriminant(q),
+        delta=cubic_discriminant(*q.coeffs[:3]),
         delta_prime=at2 * atm2,
         q_at_2=at2,
         q_at_minus_2=atm2,
@@ -122,7 +94,7 @@ def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
 
 
 def separability_check(pair: PalindromicPair) -> bool:
-    """True iff P has 2n distinct roots, none at +-1: delta and delta_prime nonzero."""
+    """True iff P has six distinct roots, none at +-1: delta and delta_prime nonzero."""
     return pair.delta != 0 and pair.delta_prime != 0
 
 

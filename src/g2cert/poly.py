@@ -61,15 +61,6 @@ class RatPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -79,22 +70,6 @@ class RatPoly:
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
-    def __mul__(self, other: "RatPoly | Fraction | int") -> "RatPoly":
-        if isinstance(other, (Fraction, int)):
-            if not other:
-                return RatPoly(())
-            return RatPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(_trim(out))
-
-    __rmul__ = __mul__
-
     def evaluate(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -103,21 +78,6 @@ class RatPoly:
 
     def derivative(self) -> "RatPoly":
         return RatPoly(_trim([i * c for i, c in enumerate(self.coeffs)][1:]))
-
-    def divmod_by(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead = other.lc
-        quo = [Fraction(0)] * max(0, len(rem) - dn)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            c = rem[i + dn] / lead
-            if c:
-                quo[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return RatPoly(_trim(quo)), RatPoly(_trim(rem[:dn]))
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -156,35 +116,6 @@ def format_poly(coeffs: Sequence, var: str) -> str:
     return text
 
 
-def resultant(f: RatPoly, g: RatPoly) -> Fraction:
-    """Resultant of two nonzero polynomials, by the Euclidean recurrence."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    m, n = f.degree, g.degree
-    if n == 0:
-        return g.coeffs[0] ** m
-    if m == 0:
-        return f.coeffs[0] ** n
-    _, r = f.divmod_by(g)
-    if r.is_zero():
-        return Fraction(0)
-    sign = -1 if (m * n) % 2 else 1
-    return sign * g.lc ** (m - r.degree) * resultant(g, r)
-
-
-def discriminant(f: RatPoly) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), n = deg f >= 1."""
-    n = f.degree
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    fp = f.derivative()
-    if fp.is_zero():
-        return Fraction(0)
-    r = resultant(f, fp)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * r / f.lc
-
-
 def deflate_root_one(f: RatPoly) -> RatPoly:
     """Exact synthetic division by (x - 1); requires f(1) = 0."""
     if f.degree < 1:
@@ -197,6 +128,11 @@ def deflate_root_one(f: RatPoly) -> RatPoly:
     if acc + f.coeffs[0] != 0:
         raise ValueError("1 is not a root, remainder {}".format(acc + f.coeffs[0]))
     return RatPoly(_trim(out))
+
+
+def cubic_discriminant(c, b, a):
+    """Discriminant of the monic cubic y^3 + a y^2 + b y + c, in the ring of its coefficients."""
+    return 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
 
 
 @dataclass(frozen=True)
@@ -345,8 +281,7 @@ def degree_pattern(f: ModPoly) -> DegreePattern:
     p, inv = f.p, pow(f.coeffs[-1], -1, f.p)
     coeffs = [c * inv % p for c in f.coeffs]  # monic
     if f.degree == 3:
-        c, b, a = coeffs[:3]  # the closed-form discriminant of the monic cubic
-        if (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c) % p:
+        if cubic_discriminant(*coeffs[:3]) % p:
             return _cubic_pattern(p, coeffs)
     else:
         pattern = _sextic_pattern(p, coeffs)

@@ -43,7 +43,7 @@ from .palindromic import (
 )
 from .poly import DegreePattern, ModPoly, RatPoly, _cubic_ring, deflate_root_one, degree_pattern
 from .polyfile import PolyFile
-from .weyl import frobenius_lookup, torus_order
+from .weyl import FROBENIUS_LOOKUP, torus_order
 
 REASON_DENOMINATOR = "DenominatorVanishes"
 REASON_RAMIFIED = "RamifiedDiscriminant"
@@ -162,7 +162,7 @@ class ReductionContext:
         y_pattern = degree_pattern(ModPoly(p, tuple(self.cubic_mod(p))))
         chi_dp = -1 if pow(self.delta_prime_nd % p, half, p) == p - 1 else 1
         chi_d = -1 if pow(self.delta_nd % p, half, p) == p - 1 else 1
-        info = frobenius_lookup()[(y_pattern, chi_dp)]
+        info = FROBENIUS_LOOKUP[(y_pattern, chi_dp)]
         if chi_d != info.epsilon:
             raise WitnessMismatchError(
                 f"p={p}: chi(delta) = {chi_d} but class {info.label} "

@@ -1,18 +1,23 @@
 """Independent reference implementations used to validate the package.
 
 Everything here is written the slow, obvious way on purpose: trial
-division, root sweeps, multiply-until-identity loops.  None of it shares
-code with the fast paths in the package, so agreement is meaningful.
+division, root sweeps, multiply-until-identity loops, the Euclidean
+resultant, and the Weyl group of G2 enumerated element by element.  None
+of it shares code with the fast paths in the package, so agreement is
+meaningful.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from g2cert.poly import ModPoly
+from g2cert.poly import ModPoly, RatPoly
 
 
 def naive_is_prime(n: int) -> bool:
@@ -279,3 +284,258 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return abs(a)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q: schoolbook products, long division and the Euclidean
+# resultant, on RatPoly used only as a container of Fraction coefficients
+
+
+def _rat_trim(coeffs: list[Fraction]) -> RatPoly:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return RatPoly(tuple(coeffs))
+
+
+def rat_mul(a: RatPoly, b: RatPoly) -> RatPoly:
+    if not a.coeffs or not b.coeffs:
+        return RatPoly(())
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] += ai * bj
+    return _rat_trim(out)
+
+
+def rat_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """(quotient, remainder) of a by nonzero b, remainder of degree < deg b."""
+    if not b.coeffs:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dn = len(b.coeffs) - 1
+    quo = [Fraction(0)] * max(0, len(rem) - dn)
+    for i in range(len(rem) - dn - 1, -1, -1):
+        c = rem[i + dn] / b.coeffs[-1]
+        quo[i] = c
+        for j, bj in enumerate(b.coeffs):
+            rem[i + j] -= c * bj
+    return _rat_trim(quo), _rat_trim(rem[:dn])
+
+
+def resultant(f: RatPoly, g: RatPoly) -> Fraction:
+    """Resultant of two nonzero polynomials, by the Euclidean recurrence."""
+    if not f.coeffs or not g.coeffs:
+        raise ValueError("resultant of the zero polynomial")
+    m, n = len(f.coeffs) - 1, len(g.coeffs) - 1
+    if n == 0:
+        return g.coeffs[0] ** m
+    if m == 0:
+        return f.coeffs[0] ** n
+    r = rat_divmod(f, g)[1]
+    if not r.coeffs:
+        return Fraction(0)
+    sign = -1 if (m * n) % 2 else 1
+    return sign * g.coeffs[-1] ** (m - len(r.coeffs) + 1) * resultant(g, r)
+
+
+def discriminant(f: RatPoly) -> Fraction:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), n = deg f >= 1."""
+    n = len(f.coeffs) - 1
+    if n < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    df = _rat_trim([i * c for i, c in enumerate(f.coeffs)][1:])
+    if not df.coeffs:
+        return Fraction(0)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * resultant(f, df) / f.coeffs[-1]
+
+
+def rat_evaluate(f: RatPoly, x: Fraction | int) -> Fraction:
+    return sum((c * Fraction(x) ** i for i, c in enumerate(f.coeffs)), Fraction(0))
+
+
+def inflate_palindromic(q: RatPoly) -> RatPoly:
+    """x^n q(x + 1/x) for monic q of degree n >= 1, monic palindromic of degree 2n.
+
+    y^k lifts to x^(n-k) (x^2 + 1)^k, the sum over j of C(k, j) x^(n-k+2j).
+    """
+    n = len(q.coeffs) - 1
+    assert n >= 1 and q.coeffs[-1] == 1, q
+    out = [Fraction(0)] * (2 * n + 1)
+    for k, c in enumerate(q.coeffs):
+        for j in range(k + 1):
+            out[n - k + 2 * j] += math.comb(k, j) * c
+    return RatPoly(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# the Weyl group of G2 as signed permutations of three coordinates
+#
+# Elements are pairs (sigma, s) with sigma in S3 and s = +-1, acting on the
+# plane a + b + c = 0 by e_i -> s e_{sigma(i)}.  The long element (id, -1)
+# is central, so the conjugacy classes are the S3-classes tagged by s.
+
+
+@dataclass(frozen=True)
+class WeylElement:
+    """(sigma, s): perm holds the images of (0, 1, 2), sign is s."""
+
+    perm: tuple[int, int, int]
+    sign: int
+
+    @classmethod
+    def identity(cls) -> "WeylElement":
+        return cls((0, 1, 2), 1)
+
+    def compose(self, other: "WeylElement") -> "WeylElement":
+        """self after other."""
+        return WeylElement(
+            tuple(self.perm[other.perm[i]] for i in range(3)),
+            self.sign * other.sign,
+        )
+
+    def inverse(self) -> "WeylElement":
+        inv = [0, 0, 0]
+        for i, j in enumerate(self.perm):
+            inv[j] = i
+        return WeylElement(tuple(inv), self.sign)
+
+    def order(self) -> int:
+        acc = self
+        for k in range(1, 13):
+            if acc == WeylElement.identity():
+                return k
+            acc = acc.compose(self)
+        raise AssertionError("order must divide 12")
+
+    def cycle_type_on_y(self) -> tuple[int, ...]:
+        seen = [False] * 3
+        out = []
+        for i in range(3):
+            if not seen[i]:
+                length, j = 0, i
+                while not seen[j]:
+                    seen[j] = True
+                    j = self.perm[j]
+                    length += 1
+                out.append(length)
+        return tuple(sorted(out))
+
+    def pattern_on_x(self) -> tuple[int, ...]:
+        """Cycle type on the six symbols +-e_i under e_i -> s e_{sigma(i)}."""
+        symbols = [(i, eps) for i in range(3) for eps in (1, -1)]
+        image = {(i, eps): (self.perm[i], eps * self.sign) for i, eps in symbols}
+        seen: set = set()
+        out = []
+        for start in symbols:
+            if start not in seen:
+                length, cur = 0, start
+                while cur not in seen:
+                    seen.add(cur)
+                    cur = image[cur]
+                    length += 1
+                out.append(length)
+        return tuple(sorted(out))
+
+    def epsilon(self) -> int:
+        """Sign of sigma: the character cut out by disc(Q)."""
+        sign = 1
+        for i, j in itertools.combinations(range(3), 2):
+            if self.perm[i] > self.perm[j]:
+                sign = -sign
+        return sign
+
+    def epsilon_prime(self) -> int:
+        """Action sign on the product of (x_i - 1/x_i) over i.
+
+        Each factor maps to (x_{sigma(i)}^s - x_{sigma(i)}^{-s}), picking up
+        a factor s; reordering the commuting factors costs nothing.
+        """
+        return self.sign**3
+
+    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Action on the plane in the basis u1 = e0 - e1, u2 = e1 - e2."""
+
+        def diff_coords(a: int, b: int) -> tuple[int, int]:
+            # coordinates of e_a - e_b in (u1, u2)
+            table = {(0, 1): (1, 0), (1, 2): (0, 1), (0, 2): (1, 1)}
+            if (a, b) in table:
+                return table[(a, b)]
+            x, y = table[(b, a)]
+            return (-x, -y)
+
+        s = self.sign
+        c1 = diff_coords(self.perm[0], self.perm[1])
+        c2 = diff_coords(self.perm[1], self.perm[2])
+        return ((s * c1[0], s * c2[0]), (s * c1[1], s * c2[1]))
+
+    def torus_poly(self) -> tuple[int, int, int]:
+        """char(q I - M) ascending: (det, -trace, 1)."""
+        (a, b), (c, d) = self.matrix()
+        return (a * d - b * c, -(a + d), 1)
+
+
+def enumerate_weyl() -> tuple[WeylElement, ...]:
+    """All 12 elements, deterministic order."""
+    return tuple(
+        WeylElement(perm, sign)
+        for perm in itertools.permutations(range(3))
+        for sign in (1, -1)
+    )
+
+
+def _label_for(w: WeylElement) -> str:
+    ctype = w.cycle_type_on_y()
+    if ctype == (1, 1, 1):
+        return "1a" if w.sign == 1 else "2c"
+    if ctype == (1, 2):
+        return "2a" if w.sign == 1 else "2b"
+    return "3a" if w.sign == 1 else "6a"
+
+
+@dataclass(frozen=True)
+class DerivedClass:
+    """A conjugacy class with every invariant computed from the model."""
+
+    label: str
+    size: int
+    element_order: int
+    pattern_on_y: tuple[int, ...]
+    epsilon_prime: int
+    epsilon: int
+    pattern_on_x: tuple[int, ...]
+    torus_poly: tuple[int, int, int]
+    members: tuple[WeylElement, ...]
+
+
+@functools.cache
+def derive_weyl_classes() -> dict[str, DerivedClass]:
+    """The conjugacy classes keyed by label, in label order 1a, 2a, 2b, 2c, 3a, 6a.
+
+    Each element is closed under conjugation; the label rule must be
+    constant on every orbit, and every member of a class must agree on
+    every invariant.
+    """
+    elements = enumerate_weyl()
+    classes: dict[str, DerivedClass] = {}
+    for w in elements:
+        label = _label_for(w)
+        if label in classes:
+            continue
+        orbit = sorted({g.compose(w).compose(g.inverse()) for g in elements},
+                       key=lambda e: (e.perm, -e.sign))
+        if {_label_for(m) for m in orbit} != {label}:
+            raise AssertionError("conjugation does not preserve the label rule")
+        invariants = {
+            (m.order(), m.cycle_type_on_y(), m.epsilon_prime(), m.epsilon(),
+             m.pattern_on_x(), m.torus_poly())
+            for m in orbit
+        }
+        if len(invariants) != 1:
+            raise AssertionError(f"class {label} members disagree on invariants")
+        order, ytype, epsp, eps, xpat, tpoly = invariants.pop()
+        classes[label] = DerivedClass(label, len(orbit), order, ytype, epsp, eps, xpat, tpoly,
+                                      tuple(orbit))
+    if sum(c.size for c in classes.values()) != 12:
+        raise AssertionError("class sizes do not sum to 12")
+    return dict(sorted(classes.items()))

@@ -62,8 +62,9 @@ def test_factor_known_values():
 
 def test_prime_factorization_value():
     f = PrimeFactorization(((2, 3), (5, 1)))
-    assert f.value() == 40
+    assert math.prod(p**e for p, e in f) == 40
     assert f.primes() == (2, 5)
+    assert f.as_dict() == {2: 3, 5: 1}
 
 
 def _kernel(r: Fraction) -> int:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2cert import certify
 from g2cert.certify import (
     BOUNDED_SUBGROUPS,
     MAXIMAL_SUBGROUPS,
@@ -169,6 +170,34 @@ def test_scan_deterministic_and_parallel_equal(bundled_pair):
     s3 = scan(bundled_pair, 3000, record_sink=r3.append, jobs=2)
     assert r1 == r2 == r3
     assert s1 == s2 == s3
+
+
+def test_scan_pool_size_is_clamped(bundled_pair, monkeypatch):
+    # a serial stand-in records the pool size scan asks for, so no real
+    # pool is started: below 20000 the pair scans 2254 primes in three
+    # batches of at most 1000
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(certify, "ProcessPoolExecutor", SerialPool)
+    for jobs, cpus, want in ((2, 64, 2), (10**5, 64, 3), (10**5, None, 1)):
+        monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
+        records = []
+        summary = scan(bundled_pair, 20000, record_sink=records.append, jobs=jobs)
+        assert asked[-1] == want, (jobs, cpus)
+        assert len(records) == summary.scanned == 2254
 
 
 def test_scan_certified_orders_present(bundled_pair):

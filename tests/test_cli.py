@@ -6,10 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from g2cert import cli
 from g2cert.certify import Pair, scan
-from g2cert.palindromic import inflate_palindromic
 from g2cert.poly import RatPoly
 from g2cert.polyfile import bundled_polyfile, load_polyfile, serialize_polyfile
+from oracles import inflate_palindromic, rat_mul
 
 
 def run_cli(*args, **kw):
@@ -23,7 +24,7 @@ def run_cli(*args, **kw):
 
 def cubic_file(tmp_path, name, cubic, steinberg_prime=5):
     """A degree-7 input file (x - 1) x^3 Q(x + 1/x) for the cubic Q, ascending coefficients."""
-    septic = inflate_palindromic(RatPoly.from_coeffs(cubic)) * RatPoly.from_coeffs([-1, 1])
+    septic = rat_mul(inflate_palindromic(RatPoly.from_coeffs(cubic)), RatPoly.from_coeffs([-1, 1]))
     doc = {
         "name": name,
         "steinberg_prime": steinberg_prime,
@@ -116,28 +117,12 @@ def test_frobenius_single_prime():
     assert rec["exceeds"] == {"3": True, "19": True}
 
 
-def test_frobenius_order_bound_changes_evidence_only():
-    base = run_cli("frobenius", "frobenius2", "--prime", "7")
-    wide = run_cli("frobenius", "frobenius2", "--prime", "7", "--order-bound", "30")
-    rec_base = no_floats(base.stdout)["records"][0]
-    rec_wide = no_floats(wide.stdout)["records"][0]
-    assert rec_wide["exceeds"] == {"3": True, "30": False}
-    rec_base.pop("exceeds")
-    rec_wide.pop("exceeds")
-    assert rec_base == rec_wide
-
-
 def test_frobenius_exceeds_boundary():
-    # the exact order at 7 is 24: "exceeds" is a strict comparison
-    for bound, flag in ((23, True), (24, False), (25, False)):
-        r = run_cli("frobenius", "frobenius2", "--prime", "7", "--order-bound", str(bound))
-        rec = no_floats(r.stdout)["records"][0]
-        assert rec["exact_order"] == 24
-        assert rec["exceeds"] == {"3": True, str(bound): flag}
-    r = run_cli("certify", "frobenius2", "frobenius3", "--prime", "29", "--order-bound", "871")
-    evidence = no_floats(r.stdout)["order_evidence_a"]
-    assert evidence["exact_order"] == 871
-    assert evidence["exceeds"] == {"3": True, "871": False}
+    # "exceeds" compares strictly against exactly the thresholds 3 and 19
+    assert cli._exceeds(3) == {"3": False, "19": False}
+    assert cli._exceeds(4) == {"3": True, "19": False}
+    assert cli._exceeds(19) == {"3": True, "19": False}
+    assert cli._exceeds(20) == {"3": True, "19": True}
 
 
 def test_frobenius_non_prime_is_a_usage_error():
@@ -359,8 +344,10 @@ def test_reproduce_corrupted_input_exit_one(tmp_path):
 def test_usage_errors_exit_two(tmp_path):
     assert run_cli("frobenius", "frobenius2").returncode == 2  # no prime/limit
     assert run_cli("scan", "frobenius2", "frobenius3").returncode == 2  # no limit
-    assert run_cli("scan", "frobenius2", "frobenius3", "--limit", "100",
-                   "--order-bound", "19").returncode == 2  # option removed
+    for argv in (("scan", "frobenius2", "frobenius3", "--limit", "100"),
+                 ("frobenius", "frobenius2", "--prime", "7"),
+                 ("certify", "frobenius2", "frobenius3", "--prime", "29")):
+        assert run_cli(*argv, "--order-bound", "19").returncode == 2  # option removed
     assert run_cli("nonsense").returncode == 2
     assert run_cli("reduce", str(tmp_path / "missing.json")).returncode == 2
     garbled = tmp_path / "garbled.json"

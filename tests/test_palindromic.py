@@ -13,7 +13,6 @@ from g2cert.palindromic import (
     _cubic_irreducible,
     classify_galois,
     g2_lift_check,
-    inflate_palindromic,
     palindromic_reduce,
     ramified_primes,
     separability_check,
@@ -21,7 +20,13 @@ from g2cert.palindromic import (
     temperedness_check,
 )
 from g2cert.poly import RatPoly
-from oracles import naive_has_rational_root, naive_is_square
+from oracles import (
+    discriminant,
+    inflate_palindromic,
+    naive_has_rational_root,
+    naive_is_square,
+    rat_mul,
+)
 
 F = Fraction
 
@@ -52,18 +57,25 @@ def test_inflate_reduce_roundtrip_explicit():
     assert back.q == q
 
 
-@given(
-    st.lists(
-        st.fractions(min_value=F(-9), max_value=F(9), max_denominator=8),
-        min_size=1,
-        max_size=4,
-    )
-)
+random_cubics = st.lists(
+    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=8),
+    min_size=3,
+    max_size=3,
+).map(lambda body: RatPoly.from_coeffs(body + [F(1)]))
+
+
+@given(random_cubics)
 @settings(max_examples=200, deadline=None)
-def test_inflate_reduce_roundtrip(body):
-    q = RatPoly.from_coeffs(body + [F(1)])
+def test_inflate_reduce_roundtrip(q):
     back = palindromic_reduce(inflate_palindromic(q))
     assert back.q == q
+
+
+@given(random_cubics)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_discriminant_matches_generic(q):
+    # the closed-form cubic discriminant against the oracle's Euclidean resultant
+    assert palindromic_reduce(inflate_palindromic(q)).delta == discriminant(q)
 
 
 def test_reduce_rejects_bad_inputs():
@@ -74,6 +86,9 @@ def test_reduce_rejects_bad_inputs():
     with pytest.raises(NotPalindromicError):
         # odd degree cannot be handled
         palindromic_reduce(RatPoly.from_coeffs([1, 1, 1, 1, 1, 1]))
+    with pytest.raises(NotPalindromicError):
+        # only sextics are reduced
+        palindromic_reduce(RatPoly.from_coeffs([1, 1, 1, 1, 1]))
 
 
 def test_separability():
@@ -81,11 +96,12 @@ def test_separability():
         inflate_palindromic(RatPoly.from_coeffs([F(-1), F(2), F(3), F(1)]))
     )
     assert separability_check(good)
-    # (x^2 - 3x + 1)^2 is monic palindromic with a repeated root pair, so
-    # its reduction is (y - 3)^2 and the discriminant vanishes
+    # (x^2 - 3x + 1)^2 (x^2 + x + 1) is monic palindromic with a repeated
+    # root pair, so its reduction is (y - 3)^2 (y + 1) and the discriminant
+    # vanishes
     f = RatPoly.from_coeffs([1, -3, 1])
-    pair = palindromic_reduce(f * f)
-    assert pair.q.coeffs == (F(9), F(-6), F(1))
+    pair = palindromic_reduce(rat_mul(rat_mul(f, f), RatPoly.from_coeffs([1, 1, 1])))
+    assert pair.q.coeffs == (F(9), F(3), F(-5), F(1))
     assert not separability_check(pair)
 
 

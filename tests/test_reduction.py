@@ -5,7 +5,6 @@ import pytest
 
 from g2cert.arith import factor_integer, is_prime
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
-from g2cert.palindromic import inflate_palindromic
 from g2cert.poly import RatPoly
 from g2cert.reduction import (
     REASON_DENOMINATOR,
@@ -17,6 +16,7 @@ from g2cert.reduction import (
     frobenius_class,
 )
 from oracles import (
+    inflate_palindromic,
     naive_degree_pattern,
     naive_legendre,
     naive_order_of_x,

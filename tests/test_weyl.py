@@ -1,20 +1,20 @@
-import itertools
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2cert.palindromic import g2_lift_check, inflate_palindromic
+from g2cert.palindromic import g2_lift_check
 from g2cert.poly import RatPoly
 from g2cert.weyl import (
     CLASS_LABELS,
-    WeylElement,
-    enumerate_weyl,
-    frobenius_lookup,
+    FROBENIUS_LOOKUP,
+    WEYL_CLASSES,
+    WeylClassInfo,
     torus_order,
     torus_poly_str,
-    weyl_classes,
 )
+from oracles import WeylElement, derive_weyl_classes, enumerate_weyl, inflate_palindromic, rat_mul
 
 elements = st.sampled_from(enumerate_weyl())
 
@@ -59,11 +59,16 @@ def test_epsilon_characters_multiplicative(a, b):
 
 
 def test_class_table():
-    classes = weyl_classes()
-    assert tuple(classes) == CLASS_LABELS
-    assert tuple(c.size for c in classes.values()) == (1, 3, 3, 1, 2, 2)
-    assert tuple(c.element_order for c in classes.values()) == (1, 2, 2, 2, 3, 6)
-    assert sum(c.size for c in classes.values()) == 12
+    # the shipped table is the one the group model derives, column by column
+    derived = derive_weyl_classes()
+    assert tuple(derived) == tuple(WEYL_CLASSES) == CLASS_LABELS
+    for label, shipped in WEYL_CLASSES.items():
+        for field in dataclasses.fields(WeylClassInfo):
+            assert getattr(shipped, field.name) == getattr(derived[label], field.name), (
+                label, field.name)
+    assert tuple(c.size for c in derived.values()) == (1, 3, 3, 1, 2, 2)
+    assert tuple(c.element_order for c in derived.values()) == (1, 2, 2, 2, 3, 6)
+    assert sum(c.size for c in derived.values()) == 12
 
 
 def test_torus_polynomials_symbolic():
@@ -76,7 +81,7 @@ def test_torus_polynomials_symbolic():
         "3a": (1, 1, 1),
         "6a": (1, -1, 1),
     }
-    for cls in weyl_classes().values():
+    for cls in WEYL_CLASSES.values():
         assert cls.torus_poly == expected[cls.label], cls.label
     assert torus_poly_str("1a") == "(q - 1)^2"
     assert torus_poly_str("6a") == "q^2 - q + 1"
@@ -101,17 +106,16 @@ def test_x_pattern_and_y_pattern_by_class():
         "3a": ((3,), (3, 3)),
         "6a": ((3,), (6,)),
     }
-    for cls in weyl_classes().values():
-        assert (cls.cycle_type_on_y, cls.pattern_on_x) == want[cls.label], cls.label
+    for cls in WEYL_CLASSES.values():
+        assert (cls.pattern_on_y, cls.pattern_on_x) == want[cls.label], cls.label
 
 
 def test_frobenius_lookup_is_a_bijection():
-    table = frobenius_lookup()
-    assert len(table) == 6
-    assert {info.label for info in table.values()} == set(CLASS_LABELS)
+    assert len(FROBENIUS_LOOKUP) == 6
+    assert {info.label for info in FROBENIUS_LOOKUP.values()} == set(CLASS_LABELS)
     # the key really determines the class: epsilon' with the y-pattern
-    for (pattern, eps_prime), info in table.items():
-        assert info.cycle_type_on_y == pattern
+    for (pattern, eps_prime), info in FROBENIUS_LOOKUP.items():
+        assert info.pattern_on_y == pattern
         assert info.epsilon_prime == eps_prime
 
 
@@ -127,24 +131,14 @@ def test_torus_order_rejects_small_q():
         torus_order("1a", 1)
 
 
-def test_torus_order_accepts_element():
+def test_torus_order_of_each_element():
+    # every element, looked up by its two witnesses, gets its own
+    # characteristic polynomial at q
     for w in enumerate_weyl():
-        label = _label_of(w)
-        assert torus_order(w, 7) == torus_order(label, 7)
-        info = weyl_classes()[label]
-        assert info.cycle_type_on_y == w.cycle_type_on_y()
-        assert (info.epsilon, info.epsilon_prime) == (w.epsilon(), w.epsilon_prime())
-        assert info.pattern_on_x == w.pattern_on_x()
-
-
-def _label_of(w):
-    for cls in weyl_classes().values():
-        if (
-            w.cycle_type_on_y() == cls.cycle_type_on_y
-            and w.epsilon_prime() == cls.epsilon_prime
-        ):
-            return cls.label
-    raise AssertionError
+        info = FROBENIUS_LOOKUP[(w.cycle_type_on_y(), w.epsilon_prime())]
+        c0, c1, c2 = w.torus_poly()
+        assert torus_order(info.label, 7) == c2 * 49 + c1 * 7 + c0
+        assert (info.epsilon, info.pattern_on_x) == (w.epsilon(), w.pattern_on_x())
 
 
 def test_conjugacy_classes_are_closed():
@@ -165,7 +159,7 @@ def test_characteristic_poly_lift(pair_a, bundle_a):
     # lifting the reduced cubic rebuilds the original degree-7 input exactly
     # as (x - 1) x^3 Q(x + 1/x), since Q satisfies the unit-product constraint
     assert g2_lift_check(pair_a.q)
-    lifted = inflate_palindromic(pair_a.q) * RatPoly.from_coeffs([-1, 1])
+    lifted = rat_mul(inflate_palindromic(pair_a.q), RatPoly.from_coeffs([-1, 1]))
     assert lifted.degree == 7
     assert lifted == bundle_a.poly()
     # y^3 violates the unit-product constraint (0 != 4)
