@@ -29,14 +29,13 @@ from .palindromic import (
 )
 from .weyl import CLASS_LABELS, WEYL_CLASSES, WeylClassInfo, torus_order
 from .reduction import (
-    ElementOrderReport,
     FrobeniusClassification,
     ReductionContext,
     element_order,
     frobenius_class,
 )
 from .certify import (
-    MAXIMAL_SUBGROUPS,
+    BOUNDED_SUBGROUPS,
     VERDICT_CERTIFIED,
     CertificationReport,
     Pair,
@@ -71,11 +70,10 @@ __all__ = [
     "WeylClassInfo",
     "torus_order",
     "FrobeniusClassification",
-    "ElementOrderReport",
     "ReductionContext",
     "frobenius_class",
     "element_order",
-    "MAXIMAL_SUBGROUPS",
+    "BOUNDED_SUBGROUPS",
     "VERDICT_CERTIFIED",
     "CertificationReport",
     "Pair",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -80,6 +79,9 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
+_SMALL_PRIMES = primes_up_to(_TRIAL_BOUND)
+
+
 def _brent_rho(n: int) -> int:
     # Brent's cycle variant with batched gcds; deterministic parameter
     # sequence so factorizations are reproducible.
@@ -113,33 +115,17 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Factorization of a positive integer: ((p1, e1), ...), p strictly increasing."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-
-def factor_integer(n: int) -> PrimeFactorization:
-    """Complete factorization of |n|, certified by Miller-Rabin.
+def factor_integer(n: int) -> dict[int, int]:
+    """Complete factorization of |n| as {prime: exponent}, primes ascending.
 
     Trial division by small primes first, then Pollard-Brent rho on what
-    remains.  Every recorded prime passes is_prime.
+    remains.  Every recorded prime passes is_prime (Miller-Rabin).
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -154,24 +140,14 @@ def factor_integer(n: int) -> PrimeFactorization:
         d = _brent_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return PrimeFactorization(tuple(sorted(counts.items())))
-
-
-_SMALL_PRIMES: list[int] | None = None
-
-
-def _small_primes() -> list[int]:
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        _SMALL_PRIMES = primes_up_to(_TRIAL_BOUND)
-    return _SMALL_PRIMES
+    return dict(sorted(counts.items()))
 
 
 def prime_exponents(r: Fraction, den_primes: tuple[int, ...]) -> dict[int, int]:
     """Prime exponents of r != 0, negative in the denominator, a product of den_primes."""
     if r == 0:
         raise ValueError("cannot factor 0")
-    out = factor_integer(r.numerator).as_dict()
+    out = factor_integer(r.numerator)
     d = r.denominator
     for q in den_primes:
         while d % q == 0:

@@ -8,7 +8,12 @@ need no per-prime work: an element of odd order > 3 dividing p^2+p+1
 fits in none of them except the SL_3 normalizer, and its partner with
 order dividing p^2-p+1 fits only in the SU_3 normalizer, so the pair
 jointly escapes all of them.  The bounded ones are checked explicitly
-against their constant orders.
+against their constant orders, the one table below.
+
+tests/test_certify.py checks both steps exhaustively: the unbounded
+families against their standard orders over every prime up to 2*10^5,
+that the orders in the two classes are at least 7, and that among the
+bounded rows only L2(13) can ever contain both elements.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .arith import legendre_symbol, primes_up_to
+from .arith import is_prime, legendre_symbol, primes_up_to
 from .errors import G2CertError
 from .polyfile import PolyFile
-from .reduction import ElementOrderReport, FrobeniusClassification, ReductionContext
+from .reduction import FrobeniusClassification, ReductionContext
 from .weyl import CLASS_LABELS
 
 VERDICT_CERTIFIED = "Certified"
@@ -42,75 +47,15 @@ VERDICTS = (
 PREDICTED_PATTERN_DENSITY = Fraction(1, 18)
 
 
-def cyclotomic_value(k: int, p: int) -> int:
-    """Phi_k(p) for the k that occur in torus and subgroup orders here."""
-    if k == 1:
-        return p - 1
-    if k == 2:
-        return p + 1
-    if k == 3:
-        return p * p + p + 1
-    if k == 6:
-        return p * p - p + 1
-    raise ValueError(f"unsupported cyclotomic index {k}")
-
-
-@dataclass(frozen=True)
-class MaximalSubgroupEntry:
-    """One row of the maximal-subgroup list for G_2(p), p > 3.
-
-    Bounded rows carry their constant group order.  Unbounded reductive
-    rows carry the prime-to-p part of their order as a product of
-    cyclotomic values Phi_k(p)^e; the various index-2 extensions only
-    contribute powers of 2, which never matter for the odd element
-    orders this table is checked against.
-    """
-
-    item: int
-    label: str
-    bounded: bool
-    order_value: int | None = None
-    cyclotomic_orders: tuple[tuple[int, int], ...] | None = None
-    condition: str = "always"
-
-    def applicable(self, p: int) -> bool:
-        if self.condition == "always":
-            return True
-        if self.condition == "p>5":
-            return p > 5
-        if self.condition == "chi13":
-            return legendre_symbol(13, p) == 1
-        if self.condition == "chi5":
-            return legendre_symbol(5, p) == 1
-        if self.condition == "p=11":
-            return p == 11
-        raise ValueError(f"unknown condition {self.condition}")
-
-    def order_prime_to_p(self, p: int) -> int | None:
-        if self.bounded:
-            return self.order_value
-        if self.cyclotomic_orders is None:
-            return None
-        out = 1
-        for k, e in self.cyclotomic_orders:
-            out *= cyclotomic_value(k, p) ** e
-        return out
-
-
-MAXIMAL_SUBGROUPS: tuple[MaximalSubgroupEntry, ...] = (
-    MaximalSubgroupEntry(1, "maximal parabolic", bounded=False),
-    MaximalSubgroupEntry(2, "SL3(p).2", bounded=False, cyclotomic_orders=((1, 2), (3, 1))),
-    MaximalSubgroupEntry(2, "SU3(p).2", bounded=False, cyclotomic_orders=((1, 1), (2, 1), (6, 1))),
-    MaximalSubgroupEntry(3, "SO4+(p)", bounded=False, cyclotomic_orders=((1, 2), (2, 2))),
-    MaximalSubgroupEntry(4, "PGL2(p)", bounded=False, cyclotomic_orders=((1, 2), (2, 1)), condition="p>5"),
-    MaximalSubgroupEntry(5, "2^3.L3(2)", bounded=True, order_value=2**6 * 3 * 7),
-    MaximalSubgroupEntry(6, "L2(13)", bounded=True, order_value=2**2 * 3 * 7 * 13, condition="chi13"),
-    MaximalSubgroupEntry(7, "G2(2)", bounded=True, order_value=2**6 * 3**3 * 7),
-    MaximalSubgroupEntry(8, "L2(8)", bounded=True, order_value=2**3 * 3**2 * 7, condition="chi5"),
-    MaximalSubgroupEntry(9, "J1", bounded=True, order_value=2**3 * 3 * 5 * 7 * 11 * 19, condition="p=11"),
+# The bounded maximal subgroups of G_2(p) for the p > 5 certified here:
+# (label, order, whether the subgroup occurs at p).
+BOUNDED_SUBGROUPS: tuple[tuple[str, int, Callable[[int], bool]], ...] = (
+    ("2^3.L3(2)", 2**6 * 3 * 7, lambda p: True),
+    ("L2(13)", 2**2 * 3 * 7 * 13, lambda p: legendre_symbol(13, p) == 1),
+    ("G2(2)", 2**6 * 3**3 * 7, lambda p: True),
+    ("L2(8)", 2**3 * 3**2 * 7, lambda p: legendre_symbol(5, p) == 1),
+    ("J1", 2**3 * 3 * 5 * 7 * 11 * 19, lambda p: p == 11),
 )
-
-BOUNDED_SUBGROUPS = tuple(e for e in MAXIMAL_SUBGROUPS if e.bounded)
 
 
 class Pair:
@@ -146,8 +91,8 @@ class CertificationReport:
     verdict: str
     evidence_a: FrobeniusClassification | None = None
     evidence_b: FrobeniusClassification | None = None
-    order_report_a: ElementOrderReport | None = None
-    order_report_b: ElementOrderReport | None = None
+    order_a: int | None = None
+    order_b: int | None = None
     excluded_subgroups: tuple[tuple[str, str], ...] = ()
     note: str = ""
 
@@ -159,18 +104,12 @@ class CertificationReport:
     def class_b(self) -> str | None:
         return None if self.evidence_b is None else self.evidence_b.weyl_class
 
-    @property
-    def order_a(self) -> int | None:
-        return None if self.order_report_a is None else self.order_report_a.exact_order
-
-    @property
-    def order_b(self) -> int | None:
-        return None if self.order_report_b is None else self.order_report_b.exact_order
-
 
 def certify_prime(pair: Pair, p: int) -> CertificationReport:
     """Full evidence chain for one prime; never raises for a merely
     unsuitable prime, only for broken witnesses or a p that is not prime."""
+    if not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
     if p <= 5:
         return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note="p <= 5 is outside the certification range")
     if p in pair.excluded:
@@ -183,10 +122,9 @@ def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
     cls_b = pair.b.classify(p)
     if {cls_a.weyl_class, cls_b.weyl_class} != {"3a", "6a"}:
         return CertificationReport(p=p, verdict=VERDICT_NOT_COXETER, evidence_a=cls_a, evidence_b=cls_b)
-    rep_a = pair.a.order_report(p, cls_a)
-    rep_b = pair.b.order_report(p, cls_b)
-    common = dict(p=p, evidence_a=cls_a, evidence_b=cls_b, order_report_a=rep_a, order_report_b=rep_b)
-    order_a, order_b = rep_a.exact_order, rep_b.exact_order
+    order_a = pair.a.order_report(p, cls_a)
+    order_b = pair.b.order_report(p, cls_b)
+    common = dict(p=p, evidence_a=cls_a, evidence_b=cls_b, order_a=order_a, order_b=order_b)
     if cls_a.weyl_class == "3a":
         order_u, order_t = order_a, order_b
     else:
@@ -195,20 +133,14 @@ def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
         return CertificationReport(verdict=VERDICT_ORDER_TOO_SMALL, **common)
     checks: list[tuple[str, str]] = []
     blocked = False
-    for entry in BOUNDED_SUBGROUPS:
-        if not entry.applicable(p):
+    for label, m, applies in BOUNDED_SUBGROUPS:
+        if not applies(p):
             continue
-        m = entry.order_value
-        assert m is not None
         if m % order_u == 0 and m % order_t == 0:
             blocked = True
-            checks.append(
-                (entry.label, f"not excluded: both element orders divide |M| = {m}")
-            )
+            checks.append((label, f"not excluded: both element orders divide |M| = {m}"))
         else:
-            checks.append(
-                (entry.label, f"excluded: orders ({order_u}, {order_t}) do not both divide {m}")
-            )
+            checks.append((label, f"excluded: orders ({order_u}, {order_t}) do not both divide {m}"))
     verdict = VERDICT_BOUNDED_NOT_EXCLUDED if blocked else VERDICT_CERTIFIED
     return CertificationReport(verdict=verdict, excluded_subgroups=tuple(checks), **common)
 

@@ -100,6 +100,13 @@ def _exceeds(order: int) -> dict[str, bool]:
     return {str(b): order > b for b in (3, 19)}
 
 
+def _order_doc(order: int) -> dict:
+    """The order evidence of one element, as frobenius and certify print it."""
+    # always true: order_report raises WitnessMismatchError unless V_torus = 2,
+    # so every order it returns divides the torus order
+    return {"exact_order": order, "order_divides_torus": True, "exceeds": _exceeds(order)}
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -141,7 +148,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
     cls = ctx.classify(p)
-    order = ctx.order_report(p, cls)
     return {
         "p": p,
         "y_pattern": list(cls.y_pattern),
@@ -150,9 +156,7 @@ def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
         "weyl_class": cls.weyl_class,
         "torus_order": cls.torus_order,
         "x_pattern": list(cls.x_pattern),
-        "exact_order": order.exact_order,
-        "order_divides_torus": order.order_divides_torus,
-        "exceeds": _exceeds(order.exact_order),
+        **_order_doc(ctx.order_report(p, cls)),
     }
 
 
@@ -235,18 +239,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if report.note:
         doc["note"] = report.note
     for side, ev, order in (
-        ("a", report.evidence_a, report.order_report_a),
-        ("b", report.evidence_b, report.order_report_b),
+        ("a", report.evidence_a, report.order_a),
+        ("b", report.evidence_b, report.order_b),
     ):
         if ev is not None:
             doc[f"x_pattern_{side}"] = list(ev.x_pattern)
             doc[f"torus_order_{side}"] = ev.torus_order
         if order is not None:
-            doc[f"order_evidence_{side}"] = {
-                "exact_order": order.exact_order,
-                "order_divides_torus": order.order_divides_torus,
-                "exceeds": _exceeds(order.exact_order),
-            }
+            doc[f"order_evidence_{side}"] = _order_doc(order)
     _write_json(doc, args.out)
     return 0 if report.verdict == VERDICT_CERTIFIED else 1
 

@@ -52,7 +52,7 @@ class PalindromicPair:
     @functools.cached_property
     def denominator_primes(self) -> tuple[int, ...]:
         """The primes of the least common denominator D of Q's coefficients."""
-        return factor_integer(math.lcm(*(c.denominator for c in self.q.coeffs))).primes()
+        return tuple(factor_integer(math.lcm(*(c.denominator for c in self.q.coeffs))))
 
     @functools.cached_property
     def exponents(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -165,7 +165,7 @@ def g2_lift_check(q: RatPoly) -> bool:
 
 def _divisors(n: int) -> list[int]:
     out = [1]
-    for p, e in factor_integer(n):
+    for p, e in factor_integer(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return out
 

@@ -55,20 +55,12 @@ REASON_EVEN = "EvenPrime"
 class FrobeniusClassification:
     """Verdict of the class lookup at p, with the full witness chain."""
 
-    p: int
     y_pattern: DegreePattern
     chi_delta_prime: int
     chi_delta: int
     weyl_class: str
     torus_order: int
     x_pattern: DegreePattern
-
-
-@dataclass(frozen=True)
-class ElementOrderReport:
-    p: int
-    exact_order: int
-    order_divides_torus: bool
 
 
 def _int_model(poly: RatPoly) -> tuple[tuple[int, ...], int]:
@@ -175,7 +167,6 @@ class ReductionContext:
                 f"requires {info.pattern_on_x}"
             )
         return FrobeniusClassification(
-            p=p,
             y_pattern=y_pattern,
             chi_delta_prime=chi_dp,
             chi_delta=chi_d,
@@ -184,7 +175,7 @@ class ReductionContext:
             x_pattern=x_pattern,
         )
 
-    def order_report(self, p: int, cls: FrobeniusClassification) -> ElementOrderReport:
+    def order_report(self, p: int, cls: FrobeniusClassification) -> int:
         """Exact order by cofactor descent from the torus order.
 
         For each q^e exactly dividing the torus order, the q-part of the
@@ -198,7 +189,7 @@ class ReductionContext:
         mul = _cubic_ring(p, self.cubic_mod(p))[0]
         torus = cls.torus_order
         order = 1
-        for q, e in factor_integer(torus):
+        for q, e in factor_integer(torus).items():
             w = _dickson(mul, p, (0, 1, 0), torus // q**e)
             k = 0
             while w != (2, 0, 0):
@@ -210,7 +201,7 @@ class ReductionContext:
                 w = _dickson(mul, p, w, q)
                 k += 1
             order *= q**k
-        return ElementOrderReport(p=p, exact_order=order, order_divides_torus=True)
+        return order
 
 
 def _dickson(mul, p: int, s: tuple[int, int, int], m: int) -> tuple[int, int, int]:
@@ -248,6 +239,6 @@ def frobenius_class(sextic: RatPoly, p: int) -> FrobeniusClassification:
     return _context(sextic).classify(p)
 
 
-def element_order(sextic: RatPoly, p: int, cls: FrobeniusClassification) -> ElementOrderReport:
+def element_order(sextic: RatPoly, p: int, cls: FrobeniusClassification) -> int:
     """Exact order of the reduced element at p, descending from Phi_w(p)."""
     return _context(sextic).order_report(p, cls)

@@ -58,8 +58,7 @@ def witness_sweep(ctx_a, ctx_b):
             except WitnessMismatchError:
                 mismatches += 1
                 continue
-            report = ctx.order_report(p, cls)
-            rows.append((p, cls, report.exact_order))
+            rows.append((p, cls, ctx.order_report(p, cls)))
         assert len(rows) == WITNESS_PRIME_COUNT
         out[key] = (rows, mismatches)
     return out
@@ -203,7 +202,7 @@ def test_a7_oracle_equivalence(ctx_a, ctx_b):
             except (ExcludedPrimeError, ValueError):
                 continue
             cls = frobenius_class(sextic, p)
-            got = element_order(sextic, p, cls).exact_order
+            got = element_order(sextic, p, cls)
             mod = reduce_rational_coeffs(list(sextic.coeffs), p)
             want = naive_order_of_x(mod, p, (p + 1) ** 2 + 1)
             assert got == want, (p, got, want)
@@ -243,7 +242,7 @@ def test_a9_certification_soundness_replay(bundled_pair, sextic_a, sextic_b):
         ):
             cls = frobenius_class(sextic, r.p)
             assert cls.weyl_class == cls_label
-            fresh = element_order(sextic, r.p, cls).exact_order
+            fresh = element_order(sextic, r.p, cls)
             assert fresh == order
             assert order > 3
         ord_u = r.order_a if r.class_a == "3a" else r.order_b

@@ -36,11 +36,10 @@ PUBLIC_API = {
     "WeylClassInfo",
     "torus_order",
     "FrobeniusClassification",
-    "ElementOrderReport",
     "ReductionContext",
     "frobenius_class",
     "element_order",
-    "MAXIMAL_SUBGROUPS",
+    "BOUNDED_SUBGROUPS",
     "VERDICT_CERTIFIED",
     "CertificationReport",
     "Pair",

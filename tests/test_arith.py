@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2cert.arith import (
-    PrimeFactorization,
     factor_integer,
     is_prime,
     legendre_symbol,
@@ -44,31 +43,31 @@ def test_is_prime_large_values():
 def test_factor_integer_roundtrip(n):
     fac = factor_integer(n)
     product = 1
-    for p, e in fac:
+    for p, e in fac.items():
         assert is_prime(p)
         assert e >= 1
         product *= p**e
     assert product == n
-    assert fac.primes() == tuple(sorted(fac.primes()))
+    assert list(fac) == sorted(fac)
 
 
 def test_factor_known_values():
-    assert factor_integer(14129).as_dict() == {71: 1, 199: 1}
-    assert factor_integer(95173).as_dict() == {13: 1, 7321: 1}
-    assert factor_integer(2**14 * 13 * 7321).as_dict() == {2: 14, 13: 1, 7321: 1}
-    assert factor_integer(-639).as_dict() == {3: 2, 71: 1}
-    assert factor_integer(175560).as_dict() == {2: 3, 3: 1, 5: 1, 7: 1, 11: 1, 19: 1}
+    assert factor_integer(14129) == {71: 1, 199: 1}
+    assert factor_integer(95173) == {13: 1, 7321: 1}
+    assert factor_integer(2**14 * 13 * 7321) == {2: 14, 13: 1, 7321: 1}
+    assert factor_integer(-639) == {3: 2, 71: 1}
+    assert factor_integer(175560) == {2: 3, 3: 1, 5: 1, 7: 1, 11: 1, 19: 1}
 
 
 def test_prime_factorization_value():
-    f = PrimeFactorization(((2, 3), (5, 1)))
-    assert math.prod(p**e for p, e in f) == 40
-    assert f.primes() == (2, 5)
-    assert f.as_dict() == {2: 3, 5: 1}
+    # a plain dict, primes ascending even when rho finds the larger factor first
+    f = factor_integer(1000003 * 999983 * 40)
+    assert math.prod(p**e for p, e in f.items()) == 1000003 * 999983 * 40
+    assert list(f.items()) == [(2, 3), (5, 1), (999983, 1), (1000003, 1)]
 
 
 def _kernel(r: Fraction) -> int:
-    return squarefree_kernel(r, prime_exponents(r, factor_integer(r.denominator).primes()))
+    return squarefree_kernel(r, prime_exponents(r, tuple(factor_integer(r.denominator))))
 
 
 def test_squarefree_kernel_known():
@@ -94,7 +93,7 @@ def test_squarefree_kernel_known():
 def test_squarefree_kernel_is_square_complement(q):
     if q == 0:
         return
-    exponents = prime_exponents(q, factor_integer(q.denominator).primes())
+    exponents = prime_exponents(q, tuple(factor_integer(q.denominator)))
     assert math.prod(Fraction(p) ** e for p, e in exponents.items()) == abs(q)
     k = squarefree_kernel(q, exponents)
     ratio = q / k
@@ -104,7 +103,7 @@ def test_squarefree_kernel_is_square_complement(q):
         r = math.isqrt(part)
         assert r * r == part
     # and k itself squarefree
-    for p, e in factor_integer(k):
+    for e in factor_integer(k).values():
         assert e == 1
 
 

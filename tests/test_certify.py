@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from g2cert import certify
+from g2cert.arith import primes_up_to
 from g2cert.certify import (
     BOUNDED_SUBGROUPS,
-    MAXIMAL_SUBGROUPS,
     VERDICT_BOUNDED_NOT_EXCLUDED,
     VERDICT_CERTIFIED,
     VERDICT_EXCLUDED,
@@ -13,33 +14,26 @@ from g2cert.certify import (
     VERDICT_ORDER_TOO_SMALL,
     Pair,
     certify_prime,
-    cyclotomic_value,
     scan,
 )
 from g2cert.errors import G2CertError
-from g2cert.reduction import ElementOrderReport, ReductionContext
+from g2cert.poly import RatPoly
+from g2cert.reduction import ReductionContext
+from g2cert.weyl import WEYL_CLASSES
+from oracles import inflate_palindromic, naive_irreducibles, naive_order_of_x
 
-
-def test_cyclotomic_values():
-    assert cyclotomic_value(1, 11) == 10
-    assert cyclotomic_value(2, 11) == 12
-    assert cyclotomic_value(3, 11) == 133
-    assert cyclotomic_value(6, 11) == 111
-    with pytest.raises(ValueError):
-        cyclotomic_value(4, 11)
+# the primes the certificate's proofs are checked over
+PROOF_PRIMES = [p for p in primes_up_to(2 * 10**5) if p >= 7]
 
 
 def test_subgroup_table_shape():
-    items = [entry.item for entry in MAXIMAL_SUBGROUPS]
-    assert sorted(set(items)) == [1, 2, 3, 4, 5, 6, 7, 8, 9]
-    bounded_orders = {entry.label: entry.order_value for entry in BOUNDED_SUBGROUPS}
-    assert bounded_orders == {
-        "2^3.L3(2)": 1344,
-        "L2(13)": 1092,
-        "G2(2)": 12096,
-        "L2(8)": 504,
-        "J1": 175560,
-    }
+    assert [(label, m) for label, m, _ in BOUNDED_SUBGROUPS] == [
+        ("2^3.L3(2)", 1344),
+        ("L2(13)", 1092),
+        ("G2(2)", 12096),
+        ("L2(8)", 504),
+        ("J1", 175560),
+    ]
     # factorizations behind the Lagrange constants
     assert 1344 == 2**6 * 3 * 7
     assert 1092 == 2**2 * 3 * 7 * 13
@@ -49,27 +43,83 @@ def test_subgroup_table_shape():
 
 
 def test_subgroup_applicability():
-    by_label = {e.label: e for e in MAXIMAL_SUBGROUPS}
-    assert by_label["PGL2(p)"].applicable(7)
-    assert not by_label["PGL2(p)"].applicable(5)
+    applies = {label: cond for label, _, cond in BOUNDED_SUBGROUPS}
     # L2(13) needs 13 to be a square mod p: true at 29, false at 7
-    assert by_label["L2(13)"].applicable(29)
-    assert not by_label["L2(13)"].applicable(7)
+    assert applies["L2(13)"](29)
+    assert not applies["L2(13)"](7)
     # L2(8) needs 5 to be a square mod p: true at 11, false at 7
-    assert by_label["L2(8)"].applicable(11)
-    assert not by_label["L2(8)"].applicable(7)
-    assert by_label["J1"].applicable(11)
-    assert not by_label["J1"].applicable(29)
-    assert by_label["G2(2)"].applicable(29)
+    assert applies["L2(8)"](11)
+    assert not applies["L2(8)"](7)
+    assert applies["J1"](11)
+    assert not applies["J1"](29)
+    assert applies["G2(2)"](29)
 
 
-def test_unbounded_orders_prime_to_p():
-    by_label = {e.label: e for e in MAXIMAL_SUBGROUPS}
-    # SL3(p).2 carries (p-1)^2 (p^2+p+1) away from p
-    assert by_label["SL3(p).2"].order_prime_to_p(7) == 36 * 57
-    assert by_label["SU3(p).2"].order_prime_to_p(7) == 6 * 8 * 43
-    assert by_label["SO4+(p)"].order_prime_to_p(7) == 36 * 64
-    assert by_label["PGL2(p)"].order_prime_to_p(7) == 36 * 8
+def test_unbounded_families_hold_at_most_one_element():
+    # The prime-to-p orders of the unbounded maximal subgroups, up to powers
+    # of 2, as products of Phi_1 = p - 1, Phi_2 = p + 1, Phi_3 = p^2 + p + 1
+    # and Phi_6 = p^2 - p + 1: the maximal parabolic (Levi GL2(p)), SL3(p).2
+    # (|SL3(p)| = p^3 (p^2 - 1)(p^3 - 1)), SU3(p).2, SO4+(p) and PGL2(p)
+    # (order p (p^2 - 1)).  The element of class 3a has odd order u > 3
+    # dividing Phi_3(p); if gcd(Phi_3(p), |M|) <= 3 then u does not divide
+    # |M|.  Likewise for the class-6a element, its order and Phi_6(p).
+    families = {  # exponents of (Phi_1, Phi_2, Phi_3, Phi_6)
+        "maximal parabolic": (2, 1, 0, 0),
+        "SL3(p).2": (2, 1, 1, 0),
+        "SU3(p).2": (1, 2, 0, 1),
+        "SO4+(p)": (2, 2, 0, 0),
+        "PGL2(p)": (1, 1, 0, 0),
+    }
+    # with the five bounded rows they are the ten maximal subgroup classes
+    assert len(families) + len(BOUNDED_SUBGROUPS) == 10
+    assert not families.keys() & {label for label, _, _ in BOUNDED_SUBGROUPS}
+    for p in PROOF_PRIMES:
+        phi = (p - 1, p + 1, p * p + p + 1, p * p - p + 1)
+        for label, exponents in families.items():
+            m = math.prod(f**e for f, e in zip(phi, exponents))
+            if label != "SL3(p).2":
+                assert math.gcd(phi[2], m) <= 3, (label, p)
+            if label != "SU3(p).2":
+                assert math.gcd(phi[3], m) <= 3, (label, p)
+
+
+def test_orders_in_classes_3a_and_6a_are_at_least_7():
+    # Q is irreducible mod p exactly in classes 3a and 6a.  An element of
+    # order n <= 6 has y = x + 1/x in F_p (n = 1, 2, 3, 4, 6: y is one of
+    # 2, -2, -1, 0, 1) or in F_p^2 (n = 5: y^2 + y - 1 = 0), never a root
+    # of an irreducible cubic, so OrderTooSmall is unreachable at a good
+    # prime.  Checked over every monic irreducible cubic mod small p.
+    assert {c.label for c in WEYL_CLASSES.values() if c.pattern_on_y == (3,)} == {"3a", "6a"}
+    for p in (7, 11, 13):
+        cubics = naive_irreducibles(3, p, p**3)
+        assert len(cubics) == (p**3 - p) // 3, p
+        for q in cubics:
+            sextic = inflate_palindromic(RatPoly.from_coeffs(q))
+            mod = [int(c) % p for c in sextic.coeffs]
+            with pytest.raises(AssertionError, match="within 6 steps"):
+                naive_order_of_x(mod, p, 6)
+
+
+def test_only_l2_13_can_block():
+    # u | Phi_3(p) and t | Phi_6(p) are odd, coprime (gcd(Phi_3, Phi_6)
+    # divides 2p) and not divisible by 9 (Phi_3(p), Phi_6(p) = 3 mod 9
+    # when 3 divides them)
+    for p in PROOF_PRIMES:
+        f3, f6 = p * p + p + 1, p * p - p + 1
+        assert math.gcd(f3, f6) == 1 and f3 % 9 and f6 % 9, p
+    blocking = {}
+    for label, m, applies in BOUNDED_SUBGROUPS:
+        divisors = [d for d in range(5, m + 1, 2) if m % d == 0 and d % 9]
+        pairs = [(u, t) for u in divisors for t in divisors if math.gcd(u, t) == 1]
+        if label == "J1":
+            # J1 occurs only at p = 11, where Phi_3 = 133 = 7 * 19 and
+            # Phi_6 = 111 = 3 * 37, and 37 does not divide |J1|
+            assert [p for p in PROOF_PRIMES[:200] if applies(p)] == [11]
+            pairs = [(u, t) for u, t in pairs if 133 % u == 0 and 111 % t == 0]
+        if pairs:
+            blocking[label] = pairs
+    assert list(blocking) == ["L2(13)"]
+    assert (7, 13) in blocking["L2(13)"]
 
 
 def test_certified_at_29(bundled_pair):
@@ -77,9 +127,6 @@ def test_certified_at_29(bundled_pair):
     assert report.verdict == VERDICT_CERTIFIED
     assert (report.class_a, report.class_b) == ("3a", "6a")
     assert (report.order_a, report.order_b) == (871, 813)
-    # the report carries both order descents, so no caller has to redo them
-    assert report.order_report_a.order_divides_torus
-    assert report.order_report_b.order_divides_torus
     labels = [label for label, why in report.excluded_subgroups]
     assert labels == ["2^3.L3(2)", "L2(13)", "G2(2)", "L2(8)"]
     for label, why in report.excluded_subgroups:
@@ -116,7 +163,7 @@ def test_small_primes_excluded_even_when_not_in_set(sextic_a, sextic_b):
 
 def test_order_too_small_branch(bundled_pair, monkeypatch):
     def tiny_order(self, p, cls):
-        return ElementOrderReport(p=p, exact_order=3, order_divides_torus=True)
+        return 3
 
     monkeypatch.setattr(ReductionContext, "order_report", tiny_order)
     report = certify_prime(bundled_pair, 29)
@@ -129,7 +176,7 @@ def test_bounded_not_excluded_branch(bundled_pair, monkeypatch):
     fake = {29: iter([7, 21])}
 
     def fake_order(self, p, cls):
-        return ElementOrderReport(p=p, exact_order=next(fake[p]), order_divides_torus=True)
+        return next(fake[p])
 
     monkeypatch.setattr(ReductionContext, "order_report", fake_order)
     report = certify_prime(bundled_pair, 29)

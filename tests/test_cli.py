@@ -348,6 +348,12 @@ def test_usage_errors_exit_two(tmp_path):
                  ("frobenius", "frobenius2", "--prime", "7"),
                  ("certify", "frobenius2", "frobenius3", "--prime", "29")):
         assert run_cli(*argv, "--order-bound", "19").returncode == 2  # option removed
+    # a --prime that is not prime is refused before the p <= 5 gate
+    for p in ("0", "1", "4", "-7", "9"):
+        r = run_cli("certify", "frobenius2", "frobenius3", "--prime", p)
+        assert (r.returncode, r.stdout) == (2, ""), p
+        assert f"need an odd prime, got {p}" in r.stderr, p
+    assert run_cli("frobenius", "frobenius2", "--prime", "4").returncode == 2
     assert run_cli("nonsense").returncode == 2
     assert run_cli("reduce", str(tmp_path / "missing.json")).returncode == 2
     garbled = tmp_path / "garbled.json"
