@@ -134,8 +134,8 @@ def temperedness_check(pair: PalindromicPair) -> bool:
     involved.
     """
     q = pair.q
-    if q.degree != 3:
-        raise ValueError("temperedness test implemented for cubics only")
+    if q.degree != 3 or not q.is_monic():
+        raise ValueError("temperedness test implemented for monic cubics only")
     qp = q.derivative()
     return (
         pair.delta > 0
@@ -163,34 +163,63 @@ def g2_lift_check(q: RatPoly) -> bool:
     return a * a == c + 2 * b + 4
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factor_integer(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return out
-
-
 def _cubic_irreducible(q: RatPoly) -> bool:
     """Whether the monic cubic q has no rational root, i.e. is irreducible over Q.
 
     Let D be the lcm of the coefficient denominators.  Then
-    F(z) = D^3 q(z / D) = z^3 + D q2 z^2 + D^2 q1 z + D^3 q0 is monic with
-    integer coefficients, and y is a root of q exactly when z = D y is a
-    root of F.  By Gauss's lemma a rational root r/s of F in lowest terms
-    has s | 1 (s^3 F(r/s) = 0 gives s | r^3), so it is an integer, and it
-    divides the constant term F(0).  So q has a rational root iff F has an
-    integer root dividing F(0), which is what is searched, in integer
-    arithmetic only.
+    F(z) = D^3 q(z / D) = z^3 + c2 z^2 + c1 z + c0 is monic with integer
+    coefficients, and y is a root of q exactly when z = D y is a root of F.
+    By Gauss's lemma a rational root r/s of F in lowest terms has s | 1
+    (s^3 F(r/s) = 0 gives s | r^3), so it is an integer; and by Cauchy's
+    bound |z| < B = 1 + max(|c2|, |c1|, |c0|) (for |z| > 1,
+    |z|^3 <= M (|z|^2 + |z| + 1) < M |z|^3 / (|z| - 1) with M that max).
+    So q has a rational root iff F has an integer root in [-B, B], which is
+    searched by exact bisection on the stretches where F is monotone.
+
+    F' = 3z^2 + 2 c2 z + c1.  If d = c2^2 - 3 c1 <= 0, F' >= 0 vanishes at
+    most once and F increases on all of [-B, B].  Otherwise F' has the
+    zeros z1 = (-c2 - sqrt(d)) / 3 < z2 = (-c2 + sqrt(d)) / 3, and F
+    increases up to z1, decreases on [z1, z2] and increases from z2 on.
+    With s = isqrt(d), s <= sqrt(d) < s + 1, so z1 lies in
+    ((-c2 - s - 1) / 3, (-c2 - s) / 3] and z2 in [(s - c2) / 3, (s - c2 + 1) / 3).
+    Each bracket (a / 3, (a + 1) / 3] or [a / 3, (a + 1) / 3), a an
+    integer, lies in [k, k + 1] for k = floor(a / 3), since 3k >= a - 2.
+    So k1 <= z1 <= k1 + 1 and k2 <= z2 <= k2 + 1, and F is monotone on
+    [-B, k1], on [k1 + 1, k2] and on [k2 + 1, B], which hold every integer
+    of [-B, B].  Everything is integer arithmetic.
     """
     den = math.lcm(*(c.denominator for c in q.coeffs))
     c2, c1, c0 = int(q[2] * den), int(q[1] * den**2), int(q[0] * den**3)
-    if c0 == 0:
+
+    def value(z: int) -> int:
+        return ((z + c2) * z + c1) * z + c0
+
+    def has_root(a: int, b: int) -> bool:  # F monotone on [a, b]
+        if a > b:
+            return False
+        fa, fb = value(a), value(b)
+        if fa == 0 or fb == 0:
+            return True
+        if (fa > 0) == (fb > 0):
+            return False
+        while b - a > 1:  # F(a), F(b) nonzero of opposite signs
+            mid = (a + b) // 2
+            fm = value(mid)
+            if fm == 0:
+                return True
+            if (fm > 0) == (fa > 0):
+                a, fa = mid, fm
+            else:
+                b = mid
         return False
-    for d in _divisors(abs(c0)):
-        for z in (d, -d):
-            if ((z + c2) * z + c1) * z + c0 == 0:
-                return False
-    return True
+
+    bound = 1 + max(abs(c2), abs(c1), abs(c0))
+    d = c2 * c2 - 3 * c1
+    if d <= 0:
+        return not has_root(-bound, bound)
+    s = math.isqrt(d)
+    k1, k2 = (-c2 - s - 1) // 3, (s - c2) // 3
+    return not (has_root(-bound, k1) or has_root(k1 + 1, k2) or has_root(k2 + 1, bound))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ Coefficients are stored ascending: a_0 + a_1 x + ... corresponds to the
 tuple (a_0, a_1, ...).  The zero polynomial is the empty tuple; degree is
 then -1.  RatPoly carries Fraction coefficients, ModPoly ints mod p.
 
-Over F_p only the trace cubic Q and the sextic P occur, each with one
-straight-line multiply-mod kernel on int tuples.  degree_pattern reads
-factor patterns off the Frobenius matrix M, column i = x^(ip) mod f, so
-a^p = M a (Berlekamp 1967), and takes no gcd.  For squarefree f,
+Over F_p only the trace cubic Q and the sextic P occur, each with a
+straight-line product on int tuples and an x^e ladder that squares (6
+and 21 coefficient products) and steps by x on local ints, with no call
+and no tuple per step.  degree_pattern reads factor patterns off the
+Frobenius matrix M, column i = x^(ip) mod f, so a^p = M a (Berlekamp
+1967), and takes no gcd; column 0 is e_0, so the reads use columns 1 to 5
+only, unpacked into locals.  For squarefree f,
 F_p[x]/(f) is the product of fields F_(p^d), on which the k-th Frobenius
 power fixes a normal basis if d | k and moves all of it otherwise; so
 tr M^k = N_k = sum of d n_d over d | k (mod p): r1 = tr M, and
@@ -31,7 +34,6 @@ squarefree by its discriminant, and once x^p != x its r1 = tr M =
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -151,13 +153,15 @@ class ModPoly:
 # ---------------------------------------------------------------------------
 # fixed-degree kernels over F_p
 #
-# An element of F_p[x]/(f), f monic of degree 3 or 6, is a tuple of 3 or 6
-# ints (ascending).  The kernels accept any ints and return canonical
-# residues in [0, p), so a caller may feed them unreduced sums.
+# An element of F_p[x]/(f), f monic of degree 3 or 6, is 3 or 6 ints
+# (ascending).  The kernels accept any ints and return canonical residues in
+# [0, p), so a caller may feed them unreduced sums.  The x^e ladders keep the
+# element a in local ints and overwrite it from the top coefficient down: the
+# x^k coefficient of a^2 reads only a_0, ..., a_k, and that of x a only a_(k-1).
 
 
 def _cubic_ring(p: int, f: Sequence[int]):
-    """(mul, mul_x) in F_p[x]/(f) for monic f = (f0, f1, f2, 1)."""
+    """Multiplication in F_p[x]/(f) for monic f = (f0, f1, f2, 1)."""
     r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p  # x^3 = r2 x^2 + r1 x + r0
 
     def mul(a, b):
@@ -171,15 +175,28 @@ def _cubic_ring(p: int, f: Sequence[int]):
             (a0 * b2 + a1 * b1 + a2 * b0 + t4 * r1 + t3 * r2) % p,
         )
 
-    def mul_x(a):
-        a0, a1, a2 = a
-        return a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
+    return mul
 
-    return mul, mul_x
+
+def _cubic_pow_x(p: int, f: Sequence[int], e: int) -> tuple[int, int, int]:
+    """x^e in F_p[x]/(f) for monic f = (f0, f1, f2, 1) and e >= 1, by square-and-multiply."""
+    r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p
+    a0, a1, a2 = 0, 1, 0
+    for bit in bin(e)[3:]:
+        # square (6 products), folding the x^4 and x^3 coefficients t4, t3 down
+        d0 = a0 + a0
+        t4 = a2 * a2 % p
+        t3 = ((a1 + a1) * a2 + t4 * r2) % p
+        a2 = (d0 * a2 + a1 * a1 + t4 * r1 + t3 * r2) % p
+        a1 = (d0 * a1 + t4 * r0 + t3 * r1) % p
+        a0 = (a0 * a0 + t3 * r0) % p
+        if bit == "1":
+            a0, a1, a2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
+    return a0, a1, a2
 
 
 def _sextic_ring(p: int, f: Sequence[int]):
-    """(mul, mul_x) in F_p[x]/(f) for monic f = (f0, ..., f5, 1)."""
+    """Multiplication in F_p[x]/(f) for monic f = (f0, ..., f5, 1)."""
     r0, r1, r2, r3, r4, r5 = (-c % p for c in f[:6])  # x^6 = r5 x^5 + ... + r0
 
     def mul(a, b):
@@ -204,69 +221,99 @@ def _sextic_ring(p: int, f: Sequence[int]):
              + t4 * r1 + t3 * r2 + t2 * r3 + t1 * r4 + t0 * r5) % p,
         )
 
-    def mul_x(a):
-        a0, a1, a2, a3, a4, t = a
-        return (
-            t * r0 % p, (a0 + t * r1) % p, (a1 + t * r2) % p,
-            (a2 + t * r3) % p, (a3 + t * r4) % p, (a4 + t * r5) % p,
-        )
-
-    return mul, mul_x
+    return mul
 
 
-def _pow_x(ring, n: int, e: int) -> tuple[int, ...]:
-    """x^e for e >= 1 in a ring of degree n >= 2, by square-and-multiply."""
-    mul, mul_x = ring
-    a = (0, 1) + (0,) * (n - 2)
+def _sextic_pow_x(p: int, f: Sequence[int], e: int) -> tuple[int, ...]:
+    """x^e in F_p[x]/(f) for monic f = (f0, ..., f5, 1) and e >= 1, by square-and-multiply."""
+    r0, r1, r2, r3, r4, r5 = (-c % p for c in f[:6])
+    a0, a1, a2, a3, a4, a5 = 0, 1, 0, 0, 0, 0
     for bit in bin(e)[3:]:
-        a = mul(a, a)
+        # square (21 products), folding the x^10, ..., x^6 coefficients t4, ..., t0 down
+        d0 = a0 + a0
+        d1 = a1 + a1
+        d2 = a2 + a2
+        d3 = a3 + a3
+        t4 = a5 * a5 % p
+        t3 = ((a4 + a4) * a5 + t4 * r5) % p
+        t2 = (d3 * a5 + a4 * a4 + t4 * r4 + t3 * r5) % p
+        t1 = (d2 * a5 + d3 * a4 + t4 * r3 + t3 * r4 + t2 * r5) % p
+        t0 = (d1 * a5 + d2 * a4 + a3 * a3 + t4 * r2 + t3 * r3 + t2 * r4 + t1 * r5) % p
+        a5 = (d0 * a5 + d1 * a4 + d2 * a3 + t4 * r1 + t3 * r2 + t2 * r3 + t1 * r4 + t0 * r5) % p
+        a4 = (d0 * a4 + d1 * a3 + a2 * a2 + t4 * r0 + t3 * r1 + t2 * r2 + t1 * r3 + t0 * r4) % p
+        a3 = (d0 * a3 + d1 * a2 + t3 * r0 + t2 * r1 + t1 * r2 + t0 * r3) % p
+        a2 = (d0 * a2 + a1 * a1 + t2 * r0 + t1 * r1 + t0 * r2) % p
+        a1 = (d0 * a1 + t1 * r0 + t0 * r1) % p
+        a0 = (a0 * a0 + t0 * r0) % p
         if bit == "1":
-            a = mul_x(a)
-    return a
+            t = a5
+            a5 = (a4 + t * r5) % p
+            a4 = (a3 + t * r4) % p
+            a3 = (a2 + t * r3) % p
+            a2 = (a1 + t * r2) % p
+            a1 = (a0 + t * r1) % p
+            a0 = t * r0 % p
+    return a0, a1, a2, a3, a4, a5
 
 
 def _cubic_pattern(p: int, f: Sequence[int]) -> DegreePattern:
     """Squarefree monic cubic: (1, 1, 1) iff x^p = x, else r1 = tr M = 1 + (x^p)_1 + (x^2p)_2."""
-    ring = _cubic_ring(p, f)
-    xp = _pow_x(ring, 3, p)
+    xp = _cubic_pow_x(p, f, p)
     if xp == (0, 1, 0):
         return (1, 1, 1)
-    return (1, 2) if (1 + xp[1] + ring[0](xp, xp)[2]) % p == 1 else (3,)
+    return (1, 2) if (1 + xp[1] + _cubic_ring(p, f)(xp, xp)[2]) % p == 1 else (3,)
 
 
 def _sextic_pattern(p: int, f: Sequence[int]) -> DegreePattern | None:
     """Pattern of a monic sextic, or None when it has a repeated factor."""
-    ring = _sextic_ring(p, f)
-    xp = _pow_x(ring, 6, p)
-    # Frobenius matrix: column i holds x^(ip), so a^p = M a for every a
-    cols = [(1, 0, 0, 0, 0, 0), xp]
-    for _ in range(4):
-        cols.append(ring[0](cols[-1], xp))
-    rows = list(zip(*cols))
+    mul = _sextic_ring(p, f)
+    # Frobenius matrix: column j holds x^(jp), so a^p = M a for every a.
+    # Column 0 is e_0, so the reads below need only m_ij = M_ij for j >= 1,
+    # coefficient i of x^(jp).
+    xp = _sextic_pow_x(p, f, p)
+    x2p = mul(xp, xp)
+    x3p = mul(x2p, xp)
+    x4p = mul(x3p, xp)
+    m01, m11, m21, m31, m41, m51 = xp
+    m02, m12, m22, m32, m42, m52 = x2p
+    m03, m13, m23, m33, m43, m53 = x3p
+    m04, m14, m24, m34, m44, m54 = x4p
+    m05, m15, m25, m35, m45, m55 = mul(x4p, xp)
     powers = [(0, 1, 0, 0, 0, 0), xp]  # powers[k] = x^(p^k)
 
     def fixed(k: int) -> bool:  # x^(p^k) = x
-        while len(powers) <= k:
-            powers.append(tuple(sum(map(operator.mul, row, powers[-1])) % p for row in rows))
+        while len(powers) <= k:  # x^(p^(k+1)) = M x^(p^k)
+            v0, v1, v2, v3, v4, v5 = powers[-1]
+            powers.append((
+                (v0 + v1 * m01 + v2 * m02 + v3 * m03 + v4 * m04 + v5 * m05) % p,
+                (v1 * m11 + v2 * m12 + v3 * m13 + v4 * m14 + v5 * m15) % p,
+                (v1 * m21 + v2 * m22 + v3 * m23 + v4 * m24 + v5 * m25) % p,
+                (v1 * m31 + v2 * m32 + v3 * m33 + v4 * m34 + v5 * m35) % p,
+                (v1 * m41 + v2 * m42 + v3 * m43 + v4 * m44 + v5 * m45) % p,
+                (v1 * m51 + v2 * m52 + v3 * m53 + v4 * m54 + v5 * m55) % p,
+            ))
         return powers[k] == powers[0]
 
     if p == 3:  # 3 roots read as 0: count the roots among 0, 1, -1
         r1 = sum(sum(c * t**i for i, c in enumerate(f)) % 3 == 0 for t in (0, 1, -1))
     else:
-        r1 = sum(col[i] for i, col in enumerate(cols)) % p
-    # tr M^2 = sum of M_ij M_ji = r1 + 2 n2; at p = 3 and r1 = 0, 2 n2 is 0 or 6
-    trace2 = sum(sum(map(operator.mul, row, col)) for row, col in zip(rows, cols))
+        r1 = (1 + m11 + m22 + m33 + m44 + m55) % p
+    # tr M^2 = sum of M_ij M_ji = 1 + the sum over i, j >= 1 = r1 + 2 n2; at
+    # p = 3 and r1 = 0, 2 n2 is 0 or 6
+    trace2 = (1 + m11 * m11 + m22 * m22 + m33 * m33 + m44 * m44 + m55 * m55
+              + 2 * (m12 * m21 + m13 * m31 + m14 * m41 + m15 * m51 + m23 * m32
+                     + m24 * m42 + m25 * m52 + m34 * m43 + m35 * m53 + m45 * m54))
     evens = [e for e in range(0, 7 - r1, 2) if (trace2 - r1 - e) % p == 0]
     if len(evens) == 2 and fixed(2):
         return (2, 2, 2)
     if not evens:
         return None
-    m = 6 - r1 - evens[0]
-    if m in (1, 2):  # a factor of degree 1 or 2 would have been counted
+    rest = 6 - r1 - evens[0]
+    if rest in (1, 2):  # a factor of degree 1 or 2 would have been counted
         return None
-    if m == 6 and fixed(3):
+    if rest == 6 and fixed(3):
         return (3, 3)
-    pattern = tuple(sorted((1,) * r1 + (2,) * (evens[0] // 2) + ((m,) if m else ())))
+    pattern = tuple(sorted((1,) * r1 + (2,) * (evens[0] // 2) + ((rest,) if rest else ())))
     return pattern if fixed(math.lcm(*pattern)) else None
 
 

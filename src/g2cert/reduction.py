@@ -41,7 +41,7 @@ from .palindromic import (
     ramified_primes,
     square_kernels,
 )
-from .poly import DegreePattern, ModPoly, RatPoly, _cubic_ring, deflate_root_one, degree_pattern
+from .poly import DegreePattern, ModPoly, RatPoly, deflate_root_one, degree_pattern
 from .polyfile import PolyFile
 from .weyl import FROBENIUS_LOOKUP, torus_order
 
@@ -186,11 +186,11 @@ class ReductionContext:
         torus witness, is checked on the way.
         """
         self.ensure_good(p)
-        mul = _cubic_ring(p, self.cubic_mod(p))[0]
+        f = self.cubic_mod(p)
         torus = cls.torus_order
         order = 1
         for q, e in factor_integer(torus).items():
-            w = _dickson(mul, p, (0, 1, 0), torus // q**e)
+            w = _dickson(p, f, (0, 1, 0), torus // q**e)
             k = 0
             while w != (2, 0, 0):
                 if k == e:
@@ -198,33 +198,55 @@ class ReductionContext:
                         f"p={p}: V_{torus} != 2, so the element of class {cls.weyl_class} "
                         f"does not lie in its torus of order {torus}"
                     )
-                w = _dickson(mul, p, w, q)
+                w = _dickson(p, f, w, q)
                 k += 1
             order *= q**k
         return order
 
 
-def _dickson(mul, p: int, s: tuple[int, int, int], m: int) -> tuple[int, int, int]:
-    """D_m(s) = V_m for V_0 = 2, V_1 = s, in F_p[y]/(cubic); m >= 1.
+def _dickson(p: int, f: list[int], s: tuple[int, int, int], m: int) -> tuple[int, int, int]:
+    """D_m(s) = V_m for V_0 = 2, V_1 = s, in F_p[y]/(f), f monic cubic; m >= 1.
 
     With s = y = x + 1/x, V_m = x^m + x^-m, and (x^m - 1)^2 = x^m (V_m - 2),
     so V_m = 2 exactly when x^m = 1 for every root x of P: over each
     component field the test is exact, and the ring checks them all at
-    once.  The ladder keeps (V_k, V_(k+1)) with V_2k = V_k^2 - 2 and
-    V_(2k+1) = V_k V_(k+1) - s.
+    once.  The ladder keeps (V_k, V_(k+1)) in the locals v0, v1, v2, w0, w1,
+    w2, with V_2k = V_k^2 - 2 and V_(2k+1) = V_k V_(k+1) - s, by the cubic
+    kernel's product and square written out (poly.py); a square overwrites
+    its value from the top coefficient down.
     """
-    s0, s1, s2 = s
-    v, w = s, mul(s, s)
-    w = (w[0] - 2, w[1], w[2])  # the kernel reduces its unreduced inputs
+    r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p  # y^3 = r2 y^2 + r1 y + r0
+    v0, v1, v2 = s0, s1, s2 = s[0] % p, s[1] % p, s[2] % p
+    d0 = s0 + s0
+    t4 = s2 * s2 % p
+    t3 = ((s1 + s1) * s2 + t4 * r2) % p
+    w0 = (s0 * s0 + t3 * r0 - 2) % p
+    w1 = (d0 * s1 + t4 * r0 + t3 * r1) % p
+    w2 = (d0 * s2 + s1 * s1 + t4 * r1 + t3 * r2) % p
     for bit in bin(m)[3:]:
-        c0, c1, c2 = mul(v, w)
-        if bit == "0":
-            d0, d1, d2 = mul(v, v)
-            v, w = (d0 - 2, d1, d2), (c0 - s0, c1 - s1, c2 - s2)
-        else:
-            d0, d1, d2 = mul(w, w)
-            v, w = (c0 - s0, c1 - s1, c2 - s2), (d0 - 2, d1, d2)
-    return v[0] % p, v[1] % p, v[2] % p
+        # c = V_k V_(k+1) - s
+        t4 = v2 * w2 % p
+        t3 = (v1 * w2 + v2 * w1 + t4 * r2) % p
+        c0 = (v0 * w0 + t3 * r0 - s0) % p
+        c1 = (v0 * w1 + v1 * w0 + t4 * r0 + t3 * r1 - s1) % p
+        c2 = (v0 * w2 + v1 * w1 + v2 * w0 + t4 * r1 + t3 * r2 - s2) % p
+        if bit == "0":  # (V_2k, V_(2k+1)) = (V_k^2 - 2, c)
+            d0 = v0 + v0
+            t4 = v2 * v2 % p
+            t3 = ((v1 + v1) * v2 + t4 * r2) % p
+            v2 = (d0 * v2 + v1 * v1 + t4 * r1 + t3 * r2) % p
+            v1 = (d0 * v1 + t4 * r0 + t3 * r1) % p
+            v0 = (v0 * v0 + t3 * r0 - 2) % p
+            w0, w1, w2 = c0, c1, c2
+        else:  # (V_(2k+1), V_(2k+2)) = (c, V_(k+1)^2 - 2)
+            d0 = w0 + w0
+            t4 = w2 * w2 % p
+            t3 = ((w1 + w1) * w2 + t4 * r2) % p
+            w2 = (d0 * w2 + w1 * w1 + t4 * r1 + t3 * r2) % p
+            w1 = (d0 * w1 + t4 * r0 + t3 * r1) % p
+            w0 = (w0 * w0 + t3 * r0 - 2) % p
+            v0, v1, v2 = c0, c1, c2
+    return v0, v1, v2
 
 
 @functools.lru_cache(maxsize=8)

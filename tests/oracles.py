@@ -19,6 +19,10 @@ import numpy as np
 
 from g2cert.poly import ModPoly, RatPoly
 
+# primes the F_p kernels are checked at, up to the largest prime below
+# 10^12, where products of residues exceed 2^64
+KERNEL_PRIMES = [5, 7, 101, 997, 999983, 999999999989]
+
 
 def naive_is_prime(n: int) -> bool:
     if n < 2:

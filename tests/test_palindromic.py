@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from g2cert.certify import Pair
 from g2cert.errors import NotMonicError, NotPalindromicError
 from g2cert.palindromic import (
     TAG_D6,
+    PalindromicPair,
     _cubic_irreducible,
     classify_galois,
     g2_lift_check,
@@ -25,6 +27,7 @@ from oracles import (
     inflate_palindromic,
     naive_has_rational_root,
     naive_is_square,
+    rat_evaluate,
     rat_mul,
 )
 
@@ -105,6 +108,36 @@ def test_separability():
     assert not separability_check(pair)
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        RatPoly.from_coeffs([-1, 3, 0, -1]),  # -(y^3 - 3y + 1): roots in (-2, 2), Q(-2) > 0
+        RatPoly.from_coeffs([2, -6, 0, 2]),  # 2 (y^3 - 3y + 1)
+        RatPoly.from_coeffs([-16, 0, 0, 2]),  # 2 (y^3 - 8): Q(2) = 0, so no sign test is run
+        RatPoly.from_coeffs([-1, 0, 1]),  # a monic quadratic
+        RatPoly.from_coeffs([1, 0, -3, 0, 1]),  # a monic quartic
+    ],
+)
+def test_hand_built_pairs_outside_monic_cubics_are_refused(q):
+    # palindromic_reduce only builds monic cubics, so these refusals are
+    # reached by a hand-built pair; the sign test would misread the first Q
+    at2, atm2 = rat_evaluate(q, 2), rat_evaluate(q, -2)
+    pair = PalindromicPair(
+        poly=RatPoly.from_coeffs([1, 0, 0, 0, 0, 0, 1]),  # not read by the checks
+        q=q,
+        delta=discriminant(q),
+        delta_prime=at2 * atm2,
+        q_at_2=at2,
+        q_at_minus_2=atm2,
+    )
+    with pytest.raises(ValueError):
+        classify_galois(pair)
+    with pytest.raises(ValueError):
+        temperedness_check(pair)
+    with pytest.raises(ValueError):
+        g2_lift_check(pair.q)
+
+
 def test_temperedness_true_for_bundles(pair_a, pair_b):
     assert temperedness_check(pair_a)
     assert temperedness_check(pair_b)
@@ -171,15 +204,25 @@ def _root_test_cubics() -> list[tuple[RatPoly, bool]]:
     return out
 
 
+def _small_cubics():
+    # every monic cubic with coefficients in {-7, ..., 7} / den: roots at,
+    # beside and between the critical points, double and triple roots, and
+    # a monotone F among them; a critical point's bracket one off, or a
+    # search bound below the largest coefficient, misses some of these roots
+    for den in (1, 2):
+        for c in itertools.product(range(-7, 8), repeat=3):
+            yield RatPoly.from_coeffs([F(k, den) for k in c] + [1]), None
+
+
 def test_cubic_root_test_matches_oracle():
     irreducible = 0
-    for q, built_reducible in _root_test_cubics():
+    for q, built_reducible in itertools.chain(_root_test_cubics(), _small_cubics()):
         has_root = naive_has_rational_root(list(q.coeffs))
         if built_reducible:
             assert has_root, q
         assert _cubic_irreducible(q) == (not has_root), q
         irreducible += not has_root
-    assert 0 < irreducible < 121
+    assert 0 < irreducible < 121 + 2 * 15**3
 
 
 def test_cubic_root_test_matches_sympy():

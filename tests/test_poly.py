@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from g2cert.errors import NotSeparableError
 from g2cert.poly import (
     RatPoly,
+    _cubic_pow_x,
     _cubic_ring,
-    _pow_x,
+    _sextic_pow_x,
     _sextic_ring,
     cubic_discriminant,
     deflate_root_one,
@@ -18,6 +19,7 @@ from g2cert.poly import (
     format_poly,
 )
 from oracles import (
+    KERNEL_PRIMES,
     discriminant,
     inflate_palindromic,
     mod_poly,
@@ -32,10 +34,6 @@ from oracles import (
     rat_mul,
     resultant,
 )
-
-# the largest prime below 10^12: products of residues exceed 2^64
-P12 = 999999999989
-KERNEL_PRIMES = [5, 7, 101, 997, 999983, P12]
 
 small_fractions = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -126,23 +124,23 @@ def _pad(a: list[int], n: int) -> tuple[int, ...]:
 
 
 RINGS = {3: _cubic_ring, 6: _sextic_ring}
+POW_X = {3: _cubic_pow_x, 6: _sextic_pow_x}
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_cubic_and_sextic_mul_match_naive(data):
-    # the straight-line kernels against schoolbook multiply-then-reduce
+    # the straight-line products against schoolbook multiply-then-reduce
     p = data.draw(st.sampled_from(KERNEL_PRIMES))
     n = data.draw(st.sampled_from([3, 6]))
     residues = st.integers(min_value=0, max_value=p - 1)
     f = [data.draw(residues) for _ in range(n)] + [1]
     a = [data.draw(residues) for _ in range(n)]
     b = [data.draw(residues) for _ in range(n)]
-    mul, mul_x = RINGS[n](p, f)
+    mul = RINGS[n](p, f)
     assert mul(tuple(a), tuple(b)) == _pad(naive_poly_mod(naive_poly_mul(a, b, p), f, p), n)
     assert mul(tuple(a), tuple(a)) == _pad(naive_poly_mod(naive_poly_mul(a, a, p), f, p), n)
-    assert mul_x(tuple(a)) == _pad(naive_poly_mod([0] + a, f, p), n)
-    # unreduced inputs, as the trace ladder feeds them, give canonical output
+    # unreduced inputs give canonical output
     shifted = tuple(c - 2 * p for c in a)
     assert mul(shifted, tuple(b)) == mul(tuple(a), tuple(b))
 
@@ -150,12 +148,24 @@ def test_cubic_and_sextic_mul_match_naive(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_pow_x_matches_naive(data):
+    # each ladder step squares, and steps by x on a 1 bit, in place
     p = data.draw(st.sampled_from(KERNEL_PRIMES))
     n = data.draw(st.sampled_from([3, 6]))
     f = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(n)] + [1]
     e = data.draw(st.integers(min_value=1, max_value=2000))
-    got = _pow_x(RINGS[n](p, f), n, e)
+    got = POW_X[n](p, f, e)
     assert got == _pad(naive_poly_mod([0] * e + [1], f, p), n), (p, f, e)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pow_x_ladders_at_p_and_its_neighbours(p):
+    # every monic cubic and sextic mod 3 and 5, at the exponents the
+    # patterns use (e = p) and the ones on either side of it
+    for n in (3, 6):
+        for k in range(p**n):
+            f = [k // p**i % p for i in range(n)] + [1]
+            for e in (p - 1, p, p + 1):
+                assert POW_X[n](p, f, e) == _pad(naive_poly_mod([0] * e + [1], f, p), n), (f, e)
 
 
 PARTITIONS_OF_6 = [

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2cert.arith import factor_integer, is_prime
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
@@ -12,14 +14,18 @@ from g2cert.reduction import (
     REASON_RAMIFIED,
     REASON_STEINBERG,
     ReductionContext,
+    _dickson,
     element_order,
     frobenius_class,
 )
 from oracles import (
+    KERNEL_PRIMES,
     inflate_palindromic,
     naive_degree_pattern,
     naive_legendre,
     naive_order_of_x,
+    naive_poly_mod,
+    naive_poly_mul,
     naive_pow_x_mod,
     reduce_rational_coeffs,
 )
@@ -228,3 +234,21 @@ def test_order_report_raises_off_the_torus(ctx_a):
     for wrong in (order // max(factor_integer(order)), cls.torus_order + 1):
         with pytest.raises(WitnessMismatchError, match=f"p={p}"):
             ctx_a.order_report(p, replace(cls, torus_order=wrong))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dickson_matches_the_three_term_recurrence(data):
+    # V_0 = 2, V_1 = s, V_(k+1) = s V_k - V_(k-1) in F_p[y]/(f), one
+    # schoolbook product at a time, against the doubling ladder
+    p = data.draw(st.sampled_from(KERNEL_PRIMES))
+    residues = st.integers(min_value=0, max_value=p - 1)
+    f = [data.draw(residues) for _ in range(3)] + [1]
+    s = data.draw(st.one_of(st.just([0, 1, 0]), st.lists(residues, min_size=3, max_size=3)))
+    m = data.draw(st.integers(min_value=1, max_value=500))
+    previous, current = [2, 0, 0], s
+    for _ in range(m - 1):
+        step = naive_poly_mod(naive_poly_mul(s, current, p), f, p)
+        step += [0] * (3 - len(step))
+        previous, current = current, [(a - b) % p for a, b in zip(step, previous)]
+    assert _dickson(p, f, tuple(s), m) == tuple(current), (p, f, s, m)
