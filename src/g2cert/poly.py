@@ -4,29 +4,45 @@ Coefficients are stored ascending: a_0 + a_1 x + ... corresponds to the
 tuple (a_0, a_1, ...).  The zero polynomial is the empty tuple; degree is
 then -1.  RatPoly carries Fraction coefficients, ModPoly ints mod p.
 
-Over F_p only the trace cubic Q and the sextic P occur, each with a
+Over F_p only the trace cubic Q and the palindromic sextic
+P = x^3 Q(x + 1/x) occur, and both run on one cubic kernel: a
 straight-line product on int tuples and an x^e ladder that squares (6
-and 21 coefficient products) and steps by x on local ints, with no call
-and no tuple per step.  degree_pattern reads factor patterns off the
-Frobenius matrix M, column i = x^(ip) mod f, so a^p = M a (Berlekamp
-1967), and takes no gcd; column 0 is e_0, so the reads use columns 1 to 5
-only, unpacked into locals.  For squarefree f,
-F_p[x]/(f) is the product of fields F_(p^d), on which the k-th Frobenius
-power fixes a normal basis if d | k and moves all of it otherwise; so
-tr M^k = N_k = sum of d n_d over d | k (mod p): r1 = tr M, and
-r1 + 2 n2 = tr M^2 = sum of M_ij M_ji.  Counts are at most 6, so for
-p >= 7 the residues are the counts; at p = 5 a squarefree sextic has at
-most 4 roots, and 0, 2, 4, 6 have distinct residues.  At p = 3, where 3 and
-6 vanish, r1 is counted as the roots among 0, 1, -1, and 2 n2 = 6, i.e.
-(2, 2, 2), holds exactly when x^(p^2) = x.  The factors left have degree
->= 3: a leftover m <= 5 is one factor, and m = 6 is (3, 3) when
-x^(p^3) = x, else (6).  x^(p^k) - x has derivative -1, so it is squarefree,
-the product of the monic irreducibles of degree dividing k: x^(p^L) = x
-mod f exactly when f is squarefree with all factor degrees dividing L.
-The sextic's pattern is checked that way, L the lcm of its degrees, by
-x^(p^(k+1)) = M x^(p^k): if the check holds f is squarefree, so the traces
-were read right; if f is squarefree, they were and it holds.  A failed
-check, or traces no pattern fits, proves a repeated factor.  The cubic is
+coefficient products) and steps on local ints, with no call and no tuple
+per step.  degree_pattern reads factor patterns off the matrix M of the
+Frobenius a -> a^p of F_p[x]/(f) (Berlekamp 1967) and takes no gcd.  For
+squarefree f, F_p[x]/(f) is the product of fields F_(p^d), on which the
+k-th Frobenius power fixes a normal basis if d | k and moves all of it
+otherwise; so tr M^k = N_k = sum of d n_d over d | k (mod p): r1 = tr M,
+and r1 + 2 n2 = tr M^2 = sum of M_ij M_ji.
+
+P is worked in a tower.  y -> x + 1/x (x is a unit, P(0) = 1) maps
+R[x]/(x^2 - yx + 1), R = F_p[y]/(Q), onto F_p[x]/(P), and both have
+dimension 6, so the map is an isomorphism.  With z = x - 1/x, z^2 = y^2 - 4
+and 2x = y + z, so in characteristic p x^p = (y^p + z^p)/2 = (V + zU)/2 =
+(V - yU)/2 + U x, where V = y^p and U = (y^2 - 4)^((p-1)/2) come from two
+cubic ladders.  Frobenius acts on R by phi, whose matrix M_Q has columns
+1, V, V^2.  Write x^p = A + B x; then phi(r + s x) = phi(r) + phi(s) A +
+phi(s) B x, so in the basis 1, y, y^2, x, xy, xy^2, M = [[M_Q, M_A M_Q],
+[0, N]] with N = M_B M_Q, whose columns are B, BV, BV^2.  Traces do not
+depend on the basis, so tr M^k = tr M_Q^k + tr N^k.
+
+Counts are at most 6, so for p >= 7 the residues are the counts.  The
+roots of a squarefree palindromic P pair off as t, 1/t with t != +-1:
+P(0) = 1, and P(t) = t^6 P(1/t) gives 2 P'(+-1) = +-6 P(+-1), so a root at
+1 or -1 is repeated.  At p = 5 that leaves the roots 2 and 3 = 1/2, and
+0, 2, 4, 6 have distinct residues; at p = 3 it leaves none, so r1 = tr M
+= 0 is read right although 3 vanishes, and 2 n2 = 6, i.e. (2, 2, 2), holds
+exactly when x^(p^2) = x.  The factors left have degree >= 3: a leftover
+m <= 5 is one factor, and m = 6 is (3, 3) when x^(p^3) = x, else (6).
+x^(p^k) - x has derivative -1, so it is squarefree, the product of the
+monic irreducibles of degree dividing k: x^(p^L) = x mod f exactly when
+f is squarefree with all factor degrees dividing L.  The sextic's pattern
+is checked that way, L the lcm of its degrees, in the tower: with
+x^(p^k) = A_k + B_k x, A_(k+1) = phi(A_k) + phi(B_k) A and B_(k+1) =
+phi(B_k) B, and the check is (A_L, B_L) = (0, 1).  Through the
+isomorphism, if the check holds P is squarefree, so the traces were read
+right; if P is squarefree, they were and it holds.  A failed check, or
+traces no pattern fits, proves a repeated factor.  The cubic is
 squarefree by its discriminant, and once x^p != x its r1 = tr M =
 1 + (x^p)_1 + (x^(2p))_2 is 1 or 0.
 """
@@ -151,13 +167,13 @@ class ModPoly:
 
 
 # ---------------------------------------------------------------------------
-# fixed-degree kernels over F_p
+# the cubic kernel over F_p
 #
-# An element of F_p[x]/(f), f monic of degree 3 or 6, is 3 or 6 ints
-# (ascending).  The kernels accept any ints and return canonical residues in
-# [0, p), so a caller may feed them unreduced sums.  The x^e ladders keep the
-# element a in local ints and overwrite it from the top coefficient down: the
-# x^k coefficient of a^2 reads only a_0, ..., a_k, and that of x a only a_(k-1).
+# An element of F_p[x]/(f), f monic cubic, is 3 ints (ascending).  The
+# kernels accept any ints and return canonical residues in [0, p), so a
+# caller may feed them unreduced sums.  The x^e ladder keeps the element a
+# in local ints and overwrites it from the top coefficient down: the x^k
+# coefficient of a^2 reads only a_0, ..., a_k.
 
 
 def _cubic_ring(p: int, f: Sequence[int]):
@@ -178,10 +194,14 @@ def _cubic_ring(p: int, f: Sequence[int]):
     return mul
 
 
-def _cubic_pow_x(p: int, f: Sequence[int], e: int) -> tuple[int, int, int]:
-    """x^e in F_p[x]/(f) for monic f = (f0, f1, f2, 1) and e >= 1, by square-and-multiply."""
+def _cubic_pow_x(p: int, f: Sequence[int], e: int, disc: bool = False) -> tuple[int, int, int]:
+    """x^e, or (x^2 - 4)^e when disc, in F_p[x]/(f) for monic f = (f0, f1, f2, 1) and e >= 1.
+
+    Square-and-multiply; the multiply step is a step by x, or for disc two
+    steps by x minus 4 times the element.
+    """
     r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p
-    a0, a1, a2 = 0, 1, 0
+    a0, a1, a2 = (-4 % p, 0, 1) if disc else (0, 1, 0)
     for bit in bin(e)[3:]:
         # square (6 products), folding the x^4 and x^3 coefficients t4, t3 down
         d0 = a0 + a0
@@ -191,69 +211,13 @@ def _cubic_pow_x(p: int, f: Sequence[int], e: int) -> tuple[int, int, int]:
         a1 = (d0 * a1 + t4 * r0 + t3 * r1) % p
         a0 = (a0 * a0 + t3 * r0) % p
         if bit == "1":
-            a0, a1, a2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
+            if disc:  # x a = (a2 r0, a0 + a2 r1, b2), then x (x a) - 4 a
+                b2 = (a1 + a2 * r2) % p
+                a0, a1, a2 = ((b2 * r0 - 4 * a0) % p, (a2 * r0 + b2 * r1 - 4 * a1) % p,
+                              (a0 + a2 * r1 + b2 * r2 - 4 * a2) % p)
+            else:
+                a0, a1, a2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
     return a0, a1, a2
-
-
-def _sextic_ring(p: int, f: Sequence[int]):
-    """Multiplication in F_p[x]/(f) for monic f = (f0, ..., f5, 1)."""
-    r0, r1, r2, r3, r4, r5 = (-c % p for c in f[:6])  # x^6 = r5 x^5 + ... + r0
-
-    def mul(a, b):
-        a0, a1, a2, a3, a4, a5 = a
-        b0, b1, b2, b3, b4, b5 = b
-        # fold the product's x^10, ..., x^6 coefficients t4, ..., t0 down
-        t4 = a5 * b5 % p
-        t3 = (a4 * b5 + a5 * b4 + t4 * r5) % p
-        t2 = (a3 * b5 + a4 * b4 + a5 * b3 + t4 * r4 + t3 * r5) % p
-        t1 = (a2 * b5 + a3 * b4 + a4 * b3 + a5 * b2 + t4 * r3 + t3 * r4 + t2 * r5) % p
-        t0 = (a1 * b5 + a2 * b4 + a3 * b3 + a4 * b2 + a5 * b1
-              + t4 * r2 + t3 * r3 + t2 * r4 + t1 * r5) % p
-        return (
-            (a0 * b0 + t0 * r0) % p,
-            (a0 * b1 + a1 * b0 + t1 * r0 + t0 * r1) % p,
-            (a0 * b2 + a1 * b1 + a2 * b0 + t2 * r0 + t1 * r1 + t0 * r2) % p,
-            (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-             + t3 * r0 + t2 * r1 + t1 * r2 + t0 * r3) % p,
-            (a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0
-             + t4 * r0 + t3 * r1 + t2 * r2 + t1 * r3 + t0 * r4) % p,
-            (a0 * b5 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a5 * b0
-             + t4 * r1 + t3 * r2 + t2 * r3 + t1 * r4 + t0 * r5) % p,
-        )
-
-    return mul
-
-
-def _sextic_pow_x(p: int, f: Sequence[int], e: int) -> tuple[int, ...]:
-    """x^e in F_p[x]/(f) for monic f = (f0, ..., f5, 1) and e >= 1, by square-and-multiply."""
-    r0, r1, r2, r3, r4, r5 = (-c % p for c in f[:6])
-    a0, a1, a2, a3, a4, a5 = 0, 1, 0, 0, 0, 0
-    for bit in bin(e)[3:]:
-        # square (21 products), folding the x^10, ..., x^6 coefficients t4, ..., t0 down
-        d0 = a0 + a0
-        d1 = a1 + a1
-        d2 = a2 + a2
-        d3 = a3 + a3
-        t4 = a5 * a5 % p
-        t3 = ((a4 + a4) * a5 + t4 * r5) % p
-        t2 = (d3 * a5 + a4 * a4 + t4 * r4 + t3 * r5) % p
-        t1 = (d2 * a5 + d3 * a4 + t4 * r3 + t3 * r4 + t2 * r5) % p
-        t0 = (d1 * a5 + d2 * a4 + a3 * a3 + t4 * r2 + t3 * r3 + t2 * r4 + t1 * r5) % p
-        a5 = (d0 * a5 + d1 * a4 + d2 * a3 + t4 * r1 + t3 * r2 + t2 * r3 + t1 * r4 + t0 * r5) % p
-        a4 = (d0 * a4 + d1 * a3 + a2 * a2 + t4 * r0 + t3 * r1 + t2 * r2 + t1 * r3 + t0 * r4) % p
-        a3 = (d0 * a3 + d1 * a2 + t3 * r0 + t2 * r1 + t1 * r2 + t0 * r3) % p
-        a2 = (d0 * a2 + a1 * a1 + t2 * r0 + t1 * r1 + t0 * r2) % p
-        a1 = (d0 * a1 + t1 * r0 + t0 * r1) % p
-        a0 = (a0 * a0 + t0 * r0) % p
-        if bit == "1":
-            t = a5
-            a5 = (a4 + t * r5) % p
-            a4 = (a3 + t * r4) % p
-            a3 = (a2 + t * r3) % p
-            a2 = (a1 + t * r2) % p
-            a1 = (a0 + t * r1) % p
-            a0 = t * r0 % p
-    return a0, a1, a2, a3, a4, a5
 
 
 def _cubic_pattern(p: int, f: Sequence[int]) -> DegreePattern:
@@ -265,44 +229,35 @@ def _cubic_pattern(p: int, f: Sequence[int]) -> DegreePattern:
 
 
 def _sextic_pattern(p: int, f: Sequence[int]) -> DegreePattern | None:
-    """Pattern of a monic sextic, or None when it has a repeated factor."""
-    mul = _sextic_ring(p, f)
-    # Frobenius matrix: column j holds x^(jp), so a^p = M a for every a.
-    # Column 0 is e_0, so the reads below need only m_ij = M_ij for j >= 1,
-    # coefficient i of x^(jp).
-    xp = _sextic_pow_x(p, f, p)
-    x2p = mul(xp, xp)
-    x3p = mul(x2p, xp)
-    x4p = mul(x3p, xp)
-    m01, m11, m21, m31, m41, m51 = xp
-    m02, m12, m22, m32, m42, m52 = x2p
-    m03, m13, m23, m33, m43, m53 = x3p
-    m04, m14, m24, m34, m44, m54 = x4p
-    m05, m15, m25, m35, m45, m55 = mul(x4p, xp)
-    powers = [(0, 1, 0, 0, 0, 0), xp]  # powers[k] = x^(p^k)
+    """Pattern of a monic palindromic sextic, or None when it has a repeated factor."""
+    q = (f[3] - 2 * f[5], f[4] - 3, f[5], 1)  # P = x^3 Q(x + 1/x)
+    mul = _cubic_ring(p, q)
+    # in R = F_p[y]/(Q): V = y^p and V^2 give phi; x^p = A + B x with B = U
+    v = v0, v1, v2 = _cubic_pow_x(p, q, p)
+    w = w0, w1, w2 = mul(v, v)
+    b = b0, b1, b2 = _cubic_pow_x(p, q, (p - 1) // 2, disc=True)
+    h = (p + 1) // 2  # 1/2; y B = (-q0 b2, b0 - q1 b2, b1 - q2 b2)
+    a = ((v0 + q[0] * b2) * h % p, (v1 - b0 + q[1] * b2) * h % p, (v2 - b1 + q[2] * b2) * h % p)
+    c0, c1, c2 = mul(b, v)  # N has columns B, B V, B V^2
+    d0, d1, d2 = mul(b, w)
+    powers = [((0, 0, 0), (1, 0, 0)), (a, b)]  # powers[k] = (A_k, B_k), x^(p^k) = A_k + B_k x
 
     def fixed(k: int) -> bool:  # x^(p^k) = x
-        while len(powers) <= k:  # x^(p^(k+1)) = M x^(p^k)
-            v0, v1, v2, v3, v4, v5 = powers[-1]
+        while len(powers) <= k:  # x^(p^(k+1)) = phi(A_k) + phi(B_k) (A + B x)
+            (s0, s1, s2), (t0, t1, t2) = powers[-1]
+            g = (t0 + t1 * v0 + t2 * w0, t1 * v1 + t2 * w1, t1 * v2 + t2 * w2)
+            e0, e1, e2 = mul(g, a)
             powers.append((
-                (v0 + v1 * m01 + v2 * m02 + v3 * m03 + v4 * m04 + v5 * m05) % p,
-                (v1 * m11 + v2 * m12 + v3 * m13 + v4 * m14 + v5 * m15) % p,
-                (v1 * m21 + v2 * m22 + v3 * m23 + v4 * m24 + v5 * m25) % p,
-                (v1 * m31 + v2 * m32 + v3 * m33 + v4 * m34 + v5 * m35) % p,
-                (v1 * m41 + v2 * m42 + v3 * m43 + v4 * m44 + v5 * m45) % p,
-                (v1 * m51 + v2 * m52 + v3 * m53 + v4 * m54 + v5 * m55) % p,
+                ((s0 + s1 * v0 + s2 * w0 + e0) % p, (s1 * v1 + s2 * w1 + e1) % p,
+                 (s1 * v2 + s2 * w2 + e2) % p),
+                mul(g, b),
             ))
         return powers[k] == powers[0]
 
-    if p == 3:  # 3 roots read as 0: count the roots among 0, 1, -1
-        r1 = sum(sum(c * t**i for i, c in enumerate(f)) % 3 == 0 for t in (0, 1, -1))
-    else:
-        r1 = (1 + m11 + m22 + m33 + m44 + m55) % p
-    # tr M^2 = sum of M_ij M_ji = 1 + the sum over i, j >= 1 = r1 + 2 n2; at
-    # p = 3 and r1 = 0, 2 n2 is 0 or 6
-    trace2 = (1 + m11 * m11 + m22 * m22 + m33 * m33 + m44 * m44 + m55 * m55
-              + 2 * (m12 * m21 + m13 * m31 + m14 * m41 + m15 * m51 + m23 * m32
-                     + m24 * m42 + m25 * m52 + m34 * m43 + m35 * m53 + m45 * m54))
+    # tr M^k = tr M_Q^k + tr N^k; tr M^2 = r1 + 2 n2
+    r1 = (1 + v1 + w2 + b0 + c1 + d2) % p
+    trace2 = (1 + v1 * v1 + w2 * w2 + 2 * v2 * w1
+              + b0 * b0 + c1 * c1 + d2 * d2 + 2 * (b1 * c0 + b2 * d0 + c2 * d1))
     evens = [e for e in range(0, 7 - r1, 2) if (trace2 - r1 - e) % p == 0]
     if len(evens) == 2 and fixed(2):
         return (2, 2, 2)
@@ -318,20 +273,26 @@ def _sextic_pattern(p: int, f: Sequence[int]) -> DegreePattern | None:
 
 
 def degree_pattern(f: ModPoly) -> DegreePattern:
-    """Degrees of the irreducible factors of a squarefree cubic or sextic, sorted.
+    """Degrees of the irreducible factors of a squarefree monic cubic, or of a
+    squarefree monic palindromic sextic, mod an odd p, sorted.
 
-    Raises NotSeparableError for a repeated factor, and ValueError for any
-    degree other than 3 or 6 or for p = 2.
+    Raises NotSeparableError for a repeated factor, and ValueError that
+    names the reason for any other input: a degree other than 3 or 6, an
+    even p, a leading coefficient other than 1, or a sextic that is not
+    palindromic.
     """
-    if f.degree not in (3, 6) or f.p < 3:
+    p, c = f.p, f.coeffs
+    if f.degree not in (3, 6) or p < 3 or p % 2 == 0:
         raise ValueError(f"degree patterns are computed for degrees 3 and 6 mod odd p, got {f}")
-    p, inv = f.p, pow(f.coeffs[-1], -1, f.p)
-    coeffs = [c * inv % p for c in f.coeffs]  # monic
+    if (c[-1] - 1) % p:
+        raise ValueError(f"degree patterns need a monic polynomial, got {f}")
     if f.degree == 3:
-        if cubic_discriminant(*coeffs[:3]) % p:
-            return _cubic_pattern(p, coeffs)
+        if cubic_discriminant(*c[:3]) % p:
+            return _cubic_pattern(p, c)
     else:
-        pattern = _sextic_pattern(p, coeffs)
+        if (c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p:
+            raise ValueError(f"sextic degree patterns need a palindromic sextic, got {f}")
+        pattern = _sextic_pattern(p, c)
         if pattern:
             return pattern
     raise NotSeparableError(f"{f} has a repeated factor")

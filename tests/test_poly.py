@@ -1,5 +1,3 @@
-import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,8 +9,6 @@ from g2cert.poly import (
     RatPoly,
     _cubic_pow_x,
     _cubic_ring,
-    _sextic_pow_x,
-    _sextic_ring,
     cubic_discriminant,
     deflate_root_one,
     degree_pattern,
@@ -26,9 +22,9 @@ from oracles import (
     naive_degree_pattern,
     naive_derivative,
     naive_gcd_degree,
-    naive_irreducibles,
     naive_poly_mod,
     naive_poly_mul,
+    naive_pow_x_mod,
     rat_divmod,
     rat_evaluate,
     rat_mul,
@@ -123,23 +119,32 @@ def _pad(a: list[int], n: int) -> tuple[int, ...]:
     return tuple(a) + (0,) * (n - len(a))
 
 
-RINGS = {3: _cubic_ring, 6: _sextic_ring}
-POW_X = {3: _cubic_pow_x, 6: _sextic_pow_x}
+def _naive_disc_power(f: list[int], e: int, p: int) -> tuple[int, ...]:
+    """(x^2 - 4)^e mod monic cubic f by e schoolbook products."""
+    acc = [1]
+    for _ in range(e):
+        acc = naive_poly_mod(naive_poly_mul(acc, [-4 % p, 0, 1], p), f, p)
+    return _pad(acc, 3)
+
+
+def _palindromic_mod(q: list[int], p: int) -> list[int]:
+    """x^3 Q(x + 1/x) mod p for a monic cubic Q, by the oracle's lift."""
+    lift = inflate_palindromic(RatPoly.from_coeffs(q))
+    return [int(c) % p for c in lift.coeffs]
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_cubic_and_sextic_mul_match_naive(data):
-    # the straight-line products against schoolbook multiply-then-reduce
+def test_cubic_mul_matches_naive(data):
+    # the straight-line product against schoolbook multiply-then-reduce
     p = data.draw(st.sampled_from(KERNEL_PRIMES))
-    n = data.draw(st.sampled_from([3, 6]))
     residues = st.integers(min_value=0, max_value=p - 1)
-    f = [data.draw(residues) for _ in range(n)] + [1]
-    a = [data.draw(residues) for _ in range(n)]
-    b = [data.draw(residues) for _ in range(n)]
-    mul = RINGS[n](p, f)
-    assert mul(tuple(a), tuple(b)) == _pad(naive_poly_mod(naive_poly_mul(a, b, p), f, p), n)
-    assert mul(tuple(a), tuple(a)) == _pad(naive_poly_mod(naive_poly_mul(a, a, p), f, p), n)
+    f = [data.draw(residues) for _ in range(3)] + [1]
+    a = [data.draw(residues) for _ in range(3)]
+    b = [data.draw(residues) for _ in range(3)]
+    mul = _cubic_ring(p, f)
+    assert mul(tuple(a), tuple(b)) == _pad(naive_poly_mod(naive_poly_mul(a, b, p), f, p), 3)
+    assert mul(tuple(a), tuple(a)) == _pad(naive_poly_mod(naive_poly_mul(a, a, p), f, p), 3)
     # unreduced inputs give canonical output
     shifted = tuple(c - 2 * p for c in a)
     assert mul(shifted, tuple(b)) == mul(tuple(a), tuple(b))
@@ -148,107 +153,130 @@ def test_cubic_and_sextic_mul_match_naive(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_pow_x_matches_naive(data):
-    # each ladder step squares, and steps by x on a 1 bit, in place
+    # each ladder step squares, and on a 1 bit steps by x, or by x^2 - 4
     p = data.draw(st.sampled_from(KERNEL_PRIMES))
-    n = data.draw(st.sampled_from([3, 6]))
-    f = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(n)] + [1]
+    f = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(3)] + [1]
     e = data.draw(st.integers(min_value=1, max_value=2000))
-    got = POW_X[n](p, f, e)
-    assert got == _pad(naive_poly_mod([0] * e + [1], f, p), n), (p, f, e)
+    assert _cubic_pow_x(p, f, e) == _pad(naive_poly_mod([0] * e + [1], f, p), 3), (p, f, e)
+    assert _cubic_pow_x(p, f, e, disc=True) == _naive_disc_power(f, e, p), (p, f, e)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_pow_x_ladders_at_p_and_its_neighbours(p):
-    # every monic cubic and sextic mod 3 and 5, at the exponents the
-    # patterns use (e = p) and the ones on either side of it
-    for n in (3, 6):
-        for k in range(p**n):
-            f = [k // p**i % p for i in range(n)] + [1]
-            for e in (p - 1, p, p + 1):
-                assert POW_X[n](p, f, e) == _pad(naive_poly_mod([0] * e + [1], f, p), n), (f, e)
-
-
-PARTITIONS_OF_6 = [
-    (6,), (1, 5), (2, 4), (3, 3), (1, 1, 4), (1, 2, 3), (2, 2, 2),
-    (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1),
-]
-
-
-def test_sextic_pattern_every_partition_mod_7():
-    # a sextic built from distinct chosen irreducibles for each of the 11
-    # partitions of 6: (1, 5), (2, 4), (1, 1, 4), (1, 2, 3), (1, 1, 1, 3)
-    # take the single-factor shortcut, (3, 3) and (6) the x^(p^3) split
-    p = 7
-    irreducible = {d: naive_irreducibles(d, p, 6 // d) for d in range(1, 7)}
-    assert len(PARTITIONS_OF_6) == 11
-    for parts in PARTITIONS_OF_6:
-        f, used = [1], {d: 0 for d in range(1, 7)}
-        for d in parts:
-            f = naive_poly_mul(f, irreducible[d][used[d]], p)
-            used[d] += 1
-        assert len(f) == 7 and f[-1] == 1
-        assert degree_pattern(mod_poly(p, f)) == parts, parts
+    # every monic cubic mod 3 and 5, at the exponents the patterns use
+    # (x^p, and (x^2 - 4)^((p-1)/2)) and the ones on either side of them
+    half = (p - 1) // 2
+    for k in range(p**3):
+        f = [k // p**i % p for i in range(3)] + [1]
+        for e in (p - 1, p, p + 1):
+            assert _cubic_pow_x(p, f, e) == _pad(naive_poly_mod([0] * e + [1], f, p), 3), (f, e)
+        for e in (half, half + 1):
+            assert _cubic_pow_x(p, f, e, disc=True) == _naive_disc_power(f, e, p), (f, e)
 
 
 @given(st.data())
-@settings(max_examples=120, deadline=None)
-def test_degree_pattern_random_small(data):
-    p = data.draw(st.sampled_from([3, 5, 7, 11]))
-    deg = data.draw(st.sampled_from([3, 6]))
-    coeffs = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(deg)]
-    coeffs.append(1)
-    f = mod_poly(p, coeffs)
-    try:
-        pattern = degree_pattern(f)
-    except NotSeparableError:
-        return  # oracle also needs separability; nothing to compare
-    assert sum(pattern) == deg
-    assert pattern == naive_degree_pattern(coeffs, p), (coeffs, p)
+@settings(max_examples=100, deadline=None)
+def test_tower_frobenius_is_x_to_the_p(data):
+    # in R[x]/(x^2 - yx + 1), R = F_p[y]/(Q), x^p = (V - yU)/2 + U x with
+    # V = y^p and U = (y^2 - 4)^((p-1)/2); mapped back to F_p[x]/(P) by
+    # y -> x + 1/x it is x^p mod P
+    p = data.draw(st.sampled_from(KERNEL_PRIMES))
+    q = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(3)] + [1]
+    sextic = _palindromic_mod(q, p)
+    v = _cubic_pow_x(p, q, p)
+    u = _cubic_pow_x(p, q, (p - 1) // 2, disc=True)
+    yu = _pad(naive_poly_mod(naive_poly_mul([0, 1], list(u), p), q, p), 3)
+    a = [(vi - yi) * pow(2, -1, p) % p for vi, yi in zip(v, yu)]
+    # 1/x = -(f1 + f2 x + ... + x^5), as P = 1 + x (f1 + f2 x + ... + x^5)
+    y = [-c % p for c in sextic[1:]]
+    y[1] = (y[1] + 1) % p
+
+    def at_y(r):  # r(x + 1/x) mod P, by Horner
+        acc = [0]
+        for c in reversed(r):
+            acc = naive_poly_mod(naive_poly_mul(acc, y, p), sextic, p)
+            acc[0] = (acc[0] + c) % p
+        return _pad(acc, 6)
+
+    ux = _pad(naive_poly_mod(naive_poly_mul(list(at_y(u)), [0, 1], p), sextic, p), 6)
+    got = tuple((s + t) % p for s, t in zip(at_y(a), ux))
+    assert got == _pad(naive_pow_x_mod(sextic, p, p), 6), (p, q)
 
 
-def _irreducible_count(d: int, p: int) -> int:
-    """Monic irreducibles of degree d over F_p, by Gauss's formula (1/d) sum mu(d/e) p^e."""
-    mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}  # the Moebius function up to 6
-    return sum(mu[d // e] * p**e for e in range(1, d + 1) if d % e == 0) // d
+# a squarefree palindromic sextic has its roots in pairs x, 1/x with x != +-1
+# (a root at 1 or -1 is repeated), so an even number of linear factors: of
+# the 11 partitions of 6, (1, 5), (1, 2, 3) and (1, 1, 1, 3) cannot occur
+REACHABLE_PATTERNS = {
+    (6,), (2, 4), (3, 3), (1, 1, 4), (2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1),
+}
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_degree_pattern_every_sextic_mod_3_and_5(p):
-    # every monic sextic, separable or not.  These are the primes where a
-    # count of at most 6 is not its residue: at p = 3 the traces cannot tell
-    # 0 roots from 3, nor 2 n2 = 0 from 6; at p = 5 they read N1 only up to
-    # 4, as five roots in F_5 would leave a sixth, repeated
-    found: Counter = Counter()
-    for n in range(p**6):
-        f = [n // p**i % p for i in range(6)] + [1]
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_degree_pattern_every_palindromic_sextic(p):
+    # every monic palindromic sextic P = x^3 Q(x + 1/x), one for each monic
+    # cubic Q, separable or not.  3 and 5 are the primes where a count of at
+    # most 6 is not its residue: at p = 3 the traces cannot tell 0 roots from
+    # 3, nor 2 n2 = 0 from 6, and at p = 5 they read N1 only up to 4; at
+    # p = 11 every reachable pattern occurs
+    found = set()
+    for k in range(p**3):
+        q = [k // p**i % p for i in range(3)] + [1]
+        f = _palindromic_mod(q, p)
         separable = naive_gcd_degree(f, naive_derivative(f, p), p) == 0
+        # disc(P) = disc(Q)^2 Q(2) Q(-2)
+        witness = discriminant(RatPoly.from_coeffs(q)) * rat_evaluate(
+            RatPoly.from_coeffs(q), 2) * rat_evaluate(RatPoly.from_coeffs(q), -2)
+        assert separable == (witness % p != 0), q
         try:
             got = degree_pattern(mod_poly(p, f))
         except NotSeparableError:
             assert not separable, f
             continue
         assert separable and got == naive_degree_pattern(f, p), f
-        found[got] += 1
-    # a pattern with n_d factors of degree d fits prod C(I_d, n_d) squarefree
-    # sextics, I_d by Gauss; together they are the p^6 - p^5 squarefree ones
-    for parts in PARTITIONS_OF_6:
-        want = math.prod(math.comb(_irreducible_count(d, p), parts.count(d)) for d in set(parts))
-        assert found[parts] == want, parts
-    assert found.total() == p**6 - p**5
+        found.add(got)
+    assert found <= REACHABLE_PATTERNS
+    assert p < 11 or found == REACHABLE_PATTERNS
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_degree_pattern_random_small(data):
+    # primes above the exhaustive ones, where the oracle's sweeps stay cheap
+    p = data.draw(st.sampled_from([13, 17, 19, 23, 29, 31]))
+    q = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(3)] + [1]
+    coeffs = q if data.draw(st.booleans()) else _palindromic_mod(q, p)
+    try:
+        pattern = degree_pattern(mod_poly(p, coeffs))
+    except NotSeparableError:
+        assert naive_gcd_degree(coeffs, naive_derivative(coeffs, p), p) > 0, (coeffs, p)
+        return
+    assert sum(pattern) == len(coeffs) - 1
+    assert pattern == naive_degree_pattern(coeffs, p), (coeffs, p)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_degree_pattern_refuses_a_forced_repeated_factor(data):
-    # f = g^2 h for random monic g and h; the refusal must come from the
-    # x^(p^L) = x proof (sextic) or the discriminant (cubic) at every size of p
+    # a cubic (x + a)^2 (x + b), and palindromic sextics with a square factor:
+    # (x^2 + ax + 1)^2 (x^2 + bx + 1), (g g*)^2 (x^2 + bx + 1) with g = x - r
+    # and g* its monic reciprocal, and (x -+ 1)^2 times a palindromic
+    # quartic.  The refusal must come from the x^(p^L) = x proof (sextic)
+    # or the discriminant (cubic) at every size of p
     p = data.draw(st.sampled_from([3] + KERNEL_PRIMES))
-    n = data.draw(st.sampled_from([3, 6]))
-    k = data.draw(st.integers(min_value=1, max_value=n // 2))
     residues = st.integers(min_value=0, max_value=p - 1)
-    g = [data.draw(residues) for _ in range(k)] + [1]
-    h = [data.draw(residues) for _ in range(n - 2 * k)] + [1]
-    f = naive_poly_mul(naive_poly_mul(g, g, p), h, p)
+    a, b = data.draw(residues), data.draw(residues)
+    kind = data.draw(st.sampled_from(["cubic", "square", "reciprocal pair", "unit root"]))
+    if kind == "cubic":
+        f = naive_poly_mul(naive_poly_mul([a, 1], [a, 1], p), [b, 1], p)
+    elif kind == "square":
+        f = naive_poly_mul(naive_poly_mul([1, a, 1], [1, a, 1], p), [1, b, 1], p)
+    elif kind == "reciprocal pair":
+        r = data.draw(st.integers(min_value=1, max_value=p - 1))
+        pair = naive_poly_mul([-r, 1], [-pow(r, -1, p), 1], p)  # (x - r)(x - 1/r)
+        f = naive_poly_mul(naive_poly_mul(pair, pair, p), [1, b, 1], p)
+    else:
+        s = data.draw(st.sampled_from([1, -1]))
+        f = naive_poly_mul([1, -2 * s, 1], [1, a, b, a, 1], p)
     with pytest.raises(NotSeparableError):
         degree_pattern(mod_poly(p, f))
 
@@ -275,15 +303,26 @@ def test_degree_pattern_rejects_repeated_factors():
     cubic = naive_poly_mul([1, 2, 1], [2, 1], p)  # (x+1)^2 (x+2)
     with pytest.raises(NotSeparableError):
         degree_pattern(mod_poly(p, cubic))
-    quadratic = [3, 0, 1]  # x^2 + 3 is irreducible mod 7
-    sextic = naive_poly_mul(naive_poly_mul(quadratic, quadratic, p), [1, 3, 1], p)
+    quadratic = [1, 3, 1]  # x^2 + 3x + 1 is irreducible mod 7
+    sextic = naive_poly_mul(naive_poly_mul(quadratic, quadratic, p), [1, 1, 1], p)
     with pytest.raises(NotSeparableError):
         degree_pattern(mod_poly(p, sextic))
-    # only the two degrees in use have kernels, and only odd primes
-    with pytest.raises(ValueError):
-        degree_pattern(mod_poly(p, [1, 2, 1]))
-    with pytest.raises(ValueError):
-        degree_pattern(mod_poly(2, [1, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("p, coeffs, reason", [
+    (7, [1, 2, 1], "degrees 3 and 6"),  # only the two degrees in use have kernels
+    (2, [1, 1, 0, 1], "odd p"),
+    (4, [1, 1, 0, 1], "odd p"),
+    (7, [1, 2, 3, 4], "monic"),
+    (7, [2, 1, 3, 5, 3, 1, 2], "monic"),
+    (7, [2, 2, 3, 4, 3, 2, 1], "palindromic"),  # each of the three mirror pairs differs
+    (7, [1, 2, 3, 4, 3, 6, 1], "palindromic"),
+    (7, [1, 2, 3, 4, 5, 2, 1], "palindromic"),
+])
+def test_degree_pattern_refuses_inputs_outside_its_contract(p, coeffs, reason):
+    # a monic cubic or a monic palindromic sextic mod an odd p, and nothing else
+    with pytest.raises(ValueError, match=reason):
+        degree_pattern(mod_poly(p, coeffs))
 
 
 small_cubics = st.lists(small_fractions, min_size=3, max_size=3).map(
