@@ -118,8 +118,9 @@ def certify_prime(pair: Pair, p: int) -> CertificationReport:
 
 
 def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
-    cls_a = pair.a.classify(p)
-    cls_b = pair.b.classify(p)
+    # p is an odd prime above 5 outside pair.excluded, and Pair checked D6
+    cls_a = pair.a.classify(p, checked=True)
+    cls_b = pair.b.classify(p, checked=True)
     if {cls_a.weyl_class, cls_b.weyl_class} != {"3a", "6a"}:
         return CertificationReport(p=p, verdict=VERDICT_NOT_COXETER, evidence_a=cls_a, evidence_b=cls_b)
     order_a = pair.a.order_report(p, cls_a)

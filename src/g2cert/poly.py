@@ -19,12 +19,15 @@ P is worked in a tower.  y -> x + 1/x (x is a unit, P(0) = 1) maps
 R[x]/(x^2 - yx + 1), R = F_p[y]/(Q), onto F_p[x]/(P), and both have
 dimension 6, so the map is an isomorphism.  With z = x - 1/x, z^2 = y^2 - 4
 and 2x = y + z, so in characteristic p x^p = (y^p + z^p)/2 = (V + zU)/2 =
-(V - yU)/2 + U x, where V = y^p and U = (y^2 - 4)^((p-1)/2) come from two
-cubic ladders.  Frobenius acts on R by phi, whose matrix M_Q has columns
-1, V, V^2.  Write x^p = A + B x; then phi(r + s x) = phi(r) + phi(s) A +
-phi(s) B x, so in the basis 1, y, y^2, x, xy, xy^2, M = [[M_Q, M_A M_Q],
-[0, N]] with N = M_B M_Q, whose columns are B, BV, BV^2.  Traces do not
-depend on the basis, so tr M^k = tr M_Q^k + tr N^k.
+(V - yU)/2 + U x, where V = y^p and U = (y^2 - 4)^((p-1)/2) come from
+cubic ladders.  V is also the Frobenius image that the cubic Q's own
+pattern reads, so degree_pattern takes it from a caller that already holds
+it (reduction.classify computes it once and gives it to both patterns) and
+otherwise runs its ladder.  Frobenius acts on R by phi, whose matrix M_Q
+has columns 1, V, V^2.  Write x^p = A + B x; then phi(r + s x) = phi(r) +
+phi(s) A + phi(s) B x, so in the basis 1, y, y^2, x, xy, xy^2, M =
+[[M_Q, M_A M_Q], [0, N]] with N = M_B M_Q, whose columns are B, BV, BV^2.
+Traces do not depend on the basis, so tr M^k = tr M_Q^k + tr N^k.
 
 Counts are at most 6, so for p >= 7 the residues are the counts.  The
 roots of a squarefree palindromic P pair off as t, 1/t with t != +-1:
@@ -220,20 +223,25 @@ def _cubic_pow_x(p: int, f: Sequence[int], e: int, disc: bool = False) -> tuple[
     return a0, a1, a2
 
 
-def _cubic_pattern(p: int, f: Sequence[int]) -> DegreePattern:
-    """Squarefree monic cubic: (1, 1, 1) iff x^p = x, else r1 = tr M = 1 + (x^p)_1 + (x^2p)_2."""
-    xp = _cubic_pow_x(p, f, p)
+def _cubic_pattern(p: int, f: Sequence[int], xp: tuple[int, int, int]) -> DegreePattern | None:
+    """Pattern of a monic cubic f, given xp = x^p mod f, or None when it has a repeated factor.
+
+    Squarefree by the discriminant; then (1, 1, 1) iff x^p = x, else
+    r1 = tr M = 1 + (x^p)_1 + (x^2p)_2.
+    """
+    if not cubic_discriminant(*f[:3]) % p:
+        return None
     if xp == (0, 1, 0):
         return (1, 1, 1)
     return (1, 2) if (1 + xp[1] + _cubic_ring(p, f)(xp, xp)[2]) % p == 1 else (3,)
 
 
-def _sextic_pattern(p: int, f: Sequence[int]) -> DegreePattern | None:
-    """Pattern of a monic palindromic sextic, or None when it has a repeated factor."""
-    q = (f[3] - 2 * f[5], f[4] - 3, f[5], 1)  # P = x^3 Q(x + 1/x)
+def _sextic_pattern(p: int, q: Sequence[int], v: tuple[int, int, int]) -> DegreePattern | None:
+    """Pattern of the monic palindromic sextic x^3 Q(x + 1/x), given Q = q and
+    V = y^p in R = F_p[y]/(Q), or None when it has a repeated factor."""
     mul = _cubic_ring(p, q)
-    # in R = F_p[y]/(Q): V = y^p and V^2 give phi; x^p = A + B x with B = U
-    v = v0, v1, v2 = _cubic_pow_x(p, q, p)
+    # in R: V = y^p and V^2 give phi; x^p = A + B x with B = U
+    v0, v1, v2 = v
     w = w0, w1, w2 = mul(v, v)
     b = b0, b1, b2 = _cubic_pow_x(p, q, (p - 1) // 2, disc=True)
     h = (p + 1) // 2  # 1/2; y B = (-q0 b2, b0 - q1 b2, b1 - q2 b2)
@@ -272,9 +280,15 @@ def _sextic_pattern(p: int, f: Sequence[int]) -> DegreePattern | None:
     return pattern if fixed(math.lcm(*pattern)) else None
 
 
-def degree_pattern(f: ModPoly) -> DegreePattern:
+def degree_pattern(f: ModPoly, frobenius: tuple[int, int, int] | None = None) -> DegreePattern:
     """Degrees of the irreducible factors of a squarefree monic cubic, or of a
     squarefree monic palindromic sextic, mod an odd p, sorted.
+
+    Both patterns read the Frobenius V = y^p of F_p[y]/(Q), where Q is f
+    itself (cubic) or the trace cubic (f3 - 2 f5, f4 - 3, f5, 1) read off f
+    (sextic, f = x^3 Q(x + 1/x)).  A caller that already holds V for that Q,
+    as canonical residues (the cubic kernel's x^e ladder returns them),
+    passes it as frobenius; otherwise it is computed here by that ladder.
 
     Raises NotSeparableError for a repeated factor, and ValueError that
     names the reason for any other input: a degree other than 3 or 6, an
@@ -286,13 +300,11 @@ def degree_pattern(f: ModPoly) -> DegreePattern:
         raise ValueError(f"degree patterns are computed for degrees 3 and 6 mod odd p, got {f}")
     if (c[-1] - 1) % p:
         raise ValueError(f"degree patterns need a monic polynomial, got {f}")
-    if f.degree == 3:
-        if cubic_discriminant(*c[:3]) % p:
-            return _cubic_pattern(p, c)
-    else:
-        if (c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p:
-            raise ValueError(f"sextic degree patterns need a palindromic sextic, got {f}")
-        pattern = _sextic_pattern(p, c)
-        if pattern:
-            return pattern
-    raise NotSeparableError(f"{f} has a repeated factor")
+    if f.degree == 6 and ((c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p):
+        raise ValueError(f"sextic degree patterns need a palindromic sextic, got {f}")
+    q = c if f.degree == 3 else (c[3] - 2 * c[5], c[4] - 3, c[5], 1)  # P = x^3 Q(x + 1/x)
+    v = _cubic_pow_x(p, q, p) if frobenius is None else frobenius
+    pattern = _cubic_pattern(p, q, v) if f.degree == 3 else _sextic_pattern(p, q, v)
+    if pattern is None:
+        raise NotSeparableError(f"{f} has a repeated factor")
+    return pattern

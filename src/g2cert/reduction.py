@@ -7,7 +7,10 @@ quadratic character of delta' = Q(2)Q(-2).  The class determines in turn
 the character of delta, the factor pattern of P mod p itself, and the
 order of the finite torus the reduced element lives in; all of these are
 recomputed and compared on every call, so a single inconsistent witness
-anywhere is a hard error rather than a wrong answer.
+anywhere is a hard error rather than a wrong answer.  Both factor
+patterns read the Frobenius y^p of F_p[y]/(Q): once the trace cubic read
+off P mod p is checked equal to Q mod p, one y^p per input per prime
+serves both witnesses (see ReductionContext.classify).
 
 Element orders are computed on the trace side: x^m = 1 for every root x
 of P mod p exactly when the trace sequence V_m (V_0 = 2, V_1 = y,
@@ -41,7 +44,15 @@ from .palindromic import (
     ramified_primes,
     square_kernels,
 )
-from .poly import DegreePattern, ModPoly, RatPoly, deflate_root_one, degree_pattern
+from .poly import (
+    DegreePattern,
+    ModPoly,
+    RatPoly,
+    _cubic_pow_x,
+    deflate_root_one,
+    degree_pattern,
+    format_poly,
+)
 from .polyfile import PolyFile
 from .weyl import FROBENIUS_LOOKUP, torus_order
 
@@ -140,18 +151,40 @@ class ReductionContext:
         if p < 3 or not is_prime(p):
             raise ValueError(f"need an odd prime, got {p}")
 
-    def cubic_mod(self, p: int) -> list[int]:
+    def _residues(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(Q mod p, P mod p), both monic; x_den = y_den, so one inverse serves both."""
         inv = pow(self.y_den % p, -1, p)
-        return [c % p * inv % p for c in self.y_num]
+        q = tuple([c % p * inv % p for c in self.y_num])
+        return q, tuple([c % p * inv % p for c in self.x_num])
 
-    def sextic_mod(self, p: int) -> list[int]:
-        inv = pow(self.x_den % p, -1, p)
-        return [c % p * inv % p for c in self.x_num]
+    def classify(self, p: int, *, checked: bool = False) -> FrobeniusClassification:
+        """The Weyl class of Frobenius at p, read off Q mod p and checked against P mod p.
 
-    def classify(self, p: int) -> FrobeniusClassification:
-        self.ensure_good(p)
+        Both Q and P are reduced mod p, and P's trace cubic (f3 - 2 f5,
+        f4 - 3, f5, 1) must equal Q mod p coefficient by coefficient.  One
+        y^p in F_p[y]/(Q) then serves both witnesses.  The ladder that
+        computes it is a pure function of p and the cubic's residues, so
+        once the two cubics agree the y^p that the sextic's pattern would
+        compute for itself is the same tuple, and the x-pattern, still read
+        off P mod p, is unchanged.  Sharing drops no witness; it adds the
+        equality check.
+
+        checked=True skips ensure_good, for a caller that has already
+        established that p is an odd prime outside `excluded` and that the
+        input is D6 (certify does, from is_prime or its sieve).
+        """
+        if not checked:
+            self.ensure_good(p)
+        q, sextic = self._residues(p)
+        trace_cubic = ((sextic[3] - 2 * sextic[5]) % p, (sextic[4] - 3) % p, sextic[5], 1)
+        if trace_cubic != q:
+            raise WitnessMismatchError(
+                f"p={p}: P mod p has trace cubic {format_poly(trace_cubic, 'y')} "
+                f"but Q mod p is {format_poly(q, 'y')}"
+            )
+        yp = _cubic_pow_x(p, q, p)
         half = (p - 1) // 2
-        y_pattern = degree_pattern(ModPoly(p, tuple(self.cubic_mod(p))))
+        y_pattern = degree_pattern(ModPoly(p, q), yp)
         chi_dp = -1 if pow(self.delta_prime_nd % p, half, p) == p - 1 else 1
         chi_d = -1 if pow(self.delta_nd % p, half, p) == p - 1 else 1
         info = FROBENIUS_LOOKUP[(y_pattern, chi_dp)]
@@ -160,7 +193,7 @@ class ReductionContext:
                 f"p={p}: chi(delta) = {chi_d} but class {info.label} "
                 f"requires {info.epsilon}"
             )
-        x_pattern = degree_pattern(ModPoly(p, tuple(self.sextic_mod(p))))
+        x_pattern = degree_pattern(ModPoly(p, sextic), yp)
         if x_pattern != info.pattern_on_x:
             raise WitnessMismatchError(
                 f"p={p}: sextic splits as {x_pattern} but class {info.label} "
@@ -186,7 +219,7 @@ class ReductionContext:
         torus witness, is checked on the way.
         """
         self.ensure_good(p)
-        f = self.cubic_mod(p)
+        f = self._residues(p)[0]
         torus = cls.torus_order
         order = 1
         for q, e in factor_integer(torus).items():
@@ -204,7 +237,7 @@ class ReductionContext:
         return order
 
 
-def _dickson(p: int, f: list[int], s: tuple[int, int, int], m: int) -> tuple[int, int, int]:
+def _dickson(p: int, f: tuple[int, ...], s: tuple[int, int, int], m: int) -> tuple[int, int, int]:
     """D_m(s) = V_m for V_0 = 2, V_1 = s, in F_p[y]/(f), f monic cubic; m >= 1.
 
     With s = y = x + 1/x, V_m = x^m + x^-m, and (x^m - 1)^2 = x^m (V_m - 2),

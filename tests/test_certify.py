@@ -211,10 +211,12 @@ def test_scan_summary_consistency(bundled_pair):
 
 
 def test_scan_deterministic_and_parallel_equal(bundled_pair):
+    # 1,221 scanned primes in two batches: jobs=2 starts a real pool
     r1, r2, r3 = [], [], []
-    s1 = scan(bundled_pair, 3000, record_sink=r1.append)
-    s2 = scan(bundled_pair, 3000, record_sink=r2.append)
-    s3 = scan(bundled_pair, 3000, record_sink=r3.append, jobs=2)
+    s1 = scan(bundled_pair, 10000, record_sink=r1.append)
+    s2 = scan(bundled_pair, 10000, record_sink=r2.append)
+    s3 = scan(bundled_pair, 10000, record_sink=r3.append, jobs=2)
+    assert s1.scanned == 1221
     assert r1 == r2 == r3
     assert s1 == s2 == s3
 

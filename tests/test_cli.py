@@ -214,11 +214,13 @@ def test_scan_csv_golden_head():
 
 
 def test_scan_byte_identical_across_jobs(tmp_path):
+    # 1,221 scanned primes: above the 1,000 that scan runs serially, so
+    # --jobs 3 starts a real pool of two workers, one per batch
     a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
-    run_cli("scan", "frobenius2", "frobenius3", "--limit", "4000", "--out", str(a))
-    run_cli("scan", "frobenius2", "frobenius3", "--limit", "4000", "--out", str(b))
+    run_cli("scan", "frobenius2", "frobenius3", "--limit", "10000", "--out", str(a))
+    run_cli("scan", "frobenius2", "frobenius3", "--limit", "10000", "--out", str(b))
     run_cli(
-        "scan", "frobenius2", "frobenius3", "--limit", "4000",
+        "scan", "frobenius2", "frobenius3", "--limit", "10000",
         "--jobs", "3", "--out", str(c),
     )
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()

@@ -227,12 +227,17 @@ def test_degree_pattern_every_palindromic_sextic(p):
         witness = discriminant(RatPoly.from_coeffs(q)) * rat_evaluate(
             RatPoly.from_coeffs(q), 2) * rat_evaluate(RatPoly.from_coeffs(q), -2)
         assert separable == (witness % p != 0), q
+        # once without y^p and once given the oracle's y^p mod Q
+        yp = _pad(naive_pow_x_mod(q, p, p), 3)
         try:
             got = degree_pattern(mod_poly(p, f))
         except NotSeparableError:
             assert not separable, f
+            with pytest.raises(NotSeparableError):
+                degree_pattern(mod_poly(p, f), yp)
             continue
         assert separable and got == naive_degree_pattern(f, p), f
+        assert degree_pattern(mod_poly(p, f), yp) == got, f
         found.add(got)
     assert found <= REACHABLE_PATTERNS
     assert p < 11 or found == REACHABLE_PATTERNS
@@ -288,12 +293,16 @@ def test_degree_pattern_all_cubics_mod_5():
         for b in range(p):
             for c in range(p):
                 f = mod_poly(p, [c, b, a, 1])
+                yp = _pad(naive_pow_x_mod([c, b, a, 1], p, p), 3)
                 try:
                     got = degree_pattern(f)
                 except NotSeparableError:
+                    with pytest.raises(NotSeparableError):
+                        degree_pattern(f, yp)
                     continue
                 want = naive_degree_pattern([c, b, a, 1], p)
                 assert got == want, (a, b, c)
+                assert degree_pattern(f, yp) == want, (a, b, c)
                 checked += 1
     assert checked > 50
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2cert.arith import factor_integer, is_prime
+from g2cert.arith import factor_integer, is_prime, primes_up_to
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
-from g2cert.poly import RatPoly
+from g2cert.poly import RatPoly, degree_pattern
 from g2cert.reduction import (
     REASON_DENOMINATOR,
     REASON_EVEN,
@@ -21,6 +21,7 @@ from g2cert.reduction import (
 from oracles import (
     KERNEL_PRIMES,
     inflate_palindromic,
+    mod_poly,
     naive_degree_pattern,
     naive_legendre,
     naive_order_of_x,
@@ -234,6 +235,32 @@ def test_order_report_raises_off_the_torus(ctx_a):
     for wrong in (order // max(factor_integer(order)), cls.torus_order + 1):
         with pytest.raises(WitnessMismatchError, match=f"p={p}"):
             ctx_a.order_report(p, replace(cls, torus_order=wrong))
+
+
+def test_shared_frobenius_gives_each_witness_its_own_pattern(ctx_a, ctx_b):
+    # classify computes y^p once and hands it to both patterns; each must be
+    # what degree_pattern finds on Q mod p and on P mod p when it runs its
+    # own ladder, with both reductions done here by the oracle
+    for ctx in (ctx_a, ctx_b):
+        small = [p for p in primes_up_to(2 * 10**4) if p > 2 and p not in ctx.excluded]
+        large = [p for start in (10**6, 10**9, 10**12) for p in _good_primes_from(ctx, start, 50)]
+        for p in small + large:
+            cls = ctx.classify(p)
+            q = mod_poly(p, reduce_rational_coeffs(list(ctx.pair.q.coeffs), p))
+            sextic = mod_poly(p, reduce_rational_coeffs(list(ctx.sextic.coeffs), p))
+            assert (cls.y_pattern, cls.x_pattern) == (degree_pattern(q), degree_pattern(sextic)), p
+
+
+@pytest.mark.parametrize("shift", [{3: 1}, {4: 1}, {5: 1}, {3: 2, 5: 1}])
+def test_classify_checks_the_trace_cubic_of_p_against_q(bundle_a, shift):
+    # P = x^3 Q(x + 1/x) over Q, so the trace cubic (f3 - 2 f5, f4 - 3, f5, 1)
+    # read off P mod p is Q mod p; a change to the coefficients it reads
+    # breaks that at every prime (the last shift changes q2 = f5 alone)
+    ctx = ReductionContext.from_polyfile(bundle_a)
+    ctx.x_num = tuple(c + shift.get(i, 0) for i, c in enumerate(ctx.x_num))
+    for p in (7, 101, 999983, 10**12 + 39):
+        with pytest.raises(WitnessMismatchError, match=f"p={p}: P mod p has trace cubic"):
+            ctx.classify(p)
 
 
 @given(st.data())
