@@ -28,12 +28,7 @@ from .palindromic import (
     temperedness_check,
 )
 from .weyl import CLASS_LABELS, WEYL_CLASSES, WeylClassInfo, torus_order
-from .reduction import (
-    FrobeniusClassification,
-    ReductionContext,
-    element_order,
-    frobenius_class,
-)
+from .reduction import FrobeniusClassification, ReductionContext, frobenius_class
 from .certify import (
     BOUNDED_SUBGROUPS,
     VERDICT_CERTIFIED,
@@ -72,7 +67,6 @@ __all__ = [
     "FrobeniusClassification",
     "ReductionContext",
     "frobenius_class",
-    "element_order",
     "BOUNDED_SUBGROUPS",
     "VERDICT_CERTIFIED",
     "CertificationReport",

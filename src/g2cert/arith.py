@@ -2,7 +2,8 @@
 
 Rationals are fractions.Fraction throughout: always normalized, exact, and
 str() already gives the canonical "num/den" wire form (denominator omitted
-when it is 1).  Integers are plain Python ints.
+when it is 1).  Integers are plain Python ints.  is_prime is a proof only
+below PRIME_PROOF_BOUND; require_proven_prime refuses the rest.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses admit no strong pseudoprime
+# below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); the first 12
+# stop at psi_12 = 318665857834031151167461, itself a pseudoprime to them.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_PROOF_BOUND = 3317044064679887385961981  # psi_13
 
 _TRIAL_BOUND = 1000
 
@@ -32,10 +36,10 @@ def parse_rational(s: str) -> Fraction:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < PRIME_PROOF_BOUND; probable above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     # smallest witness sets with no pseudoprime below the stated bounds
@@ -65,6 +69,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_proven_prime(n: int) -> None:
+    """ValueError unless is_prime proves n prime: n is prime and below PRIME_PROOF_BOUND."""
+    if n >= PRIME_PROOF_BOUND:
+        raise ValueError(f"need a prime below {PRIME_PROOF_BOUND}, where primality is proven; got {n}")
+    if not is_prime(n):
+        raise ValueError(f"need an odd prime, got {n}")
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -119,7 +131,8 @@ def factor_integer(n: int) -> dict[int, int]:
     """Complete factorization of |n| as {prime: exponent}, primes ascending.
 
     Trial division by small primes first, then Pollard-Brent rho on what
-    remains.  Every recorded prime passes is_prime (Miller-Rabin).
+    remains.  Every recorded prime passes is_prime: proven below
+    PRIME_PROOF_BOUND, probable above it.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -162,10 +175,3 @@ def squarefree_kernel(r: Fraction, exponents: dict[int, int]) -> int:
     """Squarefree d with r = d s^2, s rational, sign kept, from r's prime exponents."""
     return (1 if r > 0 else -1) * math.prod(q for q, e in exponents.items() if e % 2)
 
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, 1} by Euler's criterion; p an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    ls = pow(a % p, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else ls

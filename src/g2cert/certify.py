@@ -1,14 +1,16 @@
 """Generation certificates over F_p from two independent sextics.
 
 A prime is certified when the two Frobenius elements land in the two
-large-torus classes (one of order 3, one of order 6), both have element
-order above 3, and Lagrange's theorem rules out every applicable
-bounded maximal subgroup of G_2(p).  The unbounded maximal subgroups
-need no per-prime work: an element of odd order > 3 dividing p^2+p+1
-fits in none of them except the SL_3 normalizer, and its partner with
-order dividing p^2-p+1 fits only in the SU_3 normalizer, so the pair
-jointly escapes all of them.  The bounded ones are checked explicitly
-against their constant orders, the one table below.
+large-torus classes (one of order 3, one of order 6) and Lagrange's
+theorem rules out every applicable bounded maximal subgroup of G_2(p).
+Both element orders then exceed 3: that is an invariant, not a verdict,
+and an order of 3 or less raises WitnessMismatchError.  The unbounded
+maximal subgroups need no per-prime work: an element of odd order > 3
+dividing p^2+p+1 fits in none of them except the SL_3 normalizer, and
+its partner with order dividing p^2-p+1 fits only in the SU_3
+normalizer, so the pair jointly escapes all of them.  The bounded ones
+are checked explicitly against their constant orders, the one table
+below.
 
 tests/test_certify.py checks both steps exhaustively: the unbounded
 families against their standard orders over every prime up to 2*10^5,
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .arith import is_prime, legendre_symbol, primes_up_to
-from .errors import G2CertError
+from .arith import primes_up_to, require_proven_prime
+from .errors import G2CertError, WitnessMismatchError
 from .polyfile import PolyFile
 from .reduction import FrobeniusClassification, ReductionContext
 from .weyl import CLASS_LABELS
@@ -36,6 +38,8 @@ VERDICT_ORDER_TOO_SMALL = "OrderTooSmall"
 VERDICT_BOUNDED_NOT_EXCLUDED = "BoundedSubgroupNotExcluded"
 VERDICT_EXCLUDED = "ExcludedPrime"
 
+# OrderTooSmall is unreachable (_certify_good_prime raises instead); the
+# name stays so that scan's verdict_counts keep their keys until schema 2.
 VERDICTS = (
     VERDICT_CERTIFIED,
     VERDICT_NOT_COXETER,
@@ -47,13 +51,15 @@ VERDICTS = (
 PREDICTED_PATTERN_DENSITY = Fraction(1, 18)
 
 
-# The bounded maximal subgroups of G_2(p) for the p > 5 certified here:
-# (label, order, whether the subgroup occurs at p).
+# The bounded maximal subgroups of G_2(p): (label, order, whether the
+# subgroup occurs at p).  p is a prime above 5 that the caller has proven
+# (certify_prime by is_prime, scan by its sieve), so the square tests are
+# Euler's criterion with no further check.
 BOUNDED_SUBGROUPS: tuple[tuple[str, int, Callable[[int], bool]], ...] = (
     ("2^3.L3(2)", 2**6 * 3 * 7, lambda p: True),
-    ("L2(13)", 2**2 * 3 * 7 * 13, lambda p: legendre_symbol(13, p) == 1),
+    ("L2(13)", 2**2 * 3 * 7 * 13, lambda p: pow(13, (p - 1) // 2, p) == 1),
     ("G2(2)", 2**6 * 3**3 * 7, lambda p: True),
-    ("L2(8)", 2**3 * 3**2 * 7, lambda p: legendre_symbol(5, p) == 1),
+    ("L2(8)", 2**3 * 3**2 * 7, lambda p: pow(5, (p - 1) // 2, p) == 1),
     ("J1", 2**3 * 3 * 5 * 7 * 11 * 19, lambda p: p == 11),
 )
 
@@ -107,9 +113,9 @@ class CertificationReport:
 
 def certify_prime(pair: Pair, p: int) -> CertificationReport:
     """Full evidence chain for one prime; never raises for a merely
-    unsuitable prime, only for broken witnesses or a p that is not prime."""
-    if not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
+    unsuitable prime, only for broken witnesses or a p that is_prime does
+    not prove prime (ValueError, also at or above PRIME_PROOF_BOUND)."""
+    require_proven_prime(p)
     if p <= 5:
         return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note="p <= 5 is outside the certification range")
     if p in pair.excluded:
@@ -131,7 +137,10 @@ def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
     else:
         order_u, order_t = order_b, order_a
     if order_u <= 3 or order_t <= 3:
-        return CertificationReport(verdict=VERDICT_ORDER_TOO_SMALL, **common)
+        raise WitnessMismatchError(
+            f"p={p}: element orders ({order_a}, {order_b}) in classes "
+            f"({cls_a.weyl_class}, {cls_b.weyl_class}), but both must be at least 7"
+        )
     checks: list[tuple[str, str]] = []
     blocked = False
     for label, m, applies in BOUNDED_SUBGROUPS:

@@ -20,17 +20,8 @@ from .poly import RatPoly, cubic_discriminant
 
 TAG_D6 = "D6"
 TAG_WEYL_BC = "WeylBC_n"
-TAG_C_TIMES_S = "CtimesS_n"
 TAG_OTHER = "Other"
 TAG_INCONCLUSIVE = "Inconclusive"
-
-EVIDENCE_KEYS = (
-    "q_irreducible",
-    "delta_nonsquare",
-    "delta_prime_nonsquare",
-    "product_nonsquare",
-    "roots_in_interval",
-)
 
 
 @dataclass(frozen=True)

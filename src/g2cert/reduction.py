@@ -28,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .arith import factor_integer, is_prime
+from .arith import factor_integer, is_prime, require_proven_prime
 from .errors import (
     ExcludedPrimeError,
     G2CertError,
@@ -109,13 +109,13 @@ class ReductionContext:
         self.unit_product = g2_lift_check(pair.q)
         self.square_kernels = square_kernels(pair)
         self.ramified = ramified_primes(pair)
-        self.x_num, self.x_den = _int_model(sextic)
+        self.x_num = _int_model(sextic)[0]
         self.y_num, self.y_den = _int_model(pair.q)
         # chi(delta) mod p = chi(num * den): den^2 * delta = num * den
         self.delta_nd = pair.delta.numerator * pair.delta.denominator
         self.delta_prime_nd = pair.delta_prime.numerator * pair.delta_prime.denominator
-        # the lift and its inverse have integer coefficients, so x_den =
-        # y_den = D, whose primes the pair has already factored
+        # the lift and its inverse have integer coefficients, so P's common
+        # denominator is y_den = D, whose primes the pair has already factored
         bad: dict[int, str] = dict.fromkeys(pair.denominator_primes, REASON_DENOMINATOR)
         for q in self.ramified:
             bad.setdefault(q, REASON_RAMIFIED)
@@ -142,17 +142,16 @@ class ReductionContext:
             )
 
     def ensure_good(self, p: int) -> None:
+        require_proven_prime(p)
         self.require_d6()
         reason = self.excluded.get(p)
         if reason is not None:
             raise ExcludedPrimeError(p, reason)
         if p == 2:
             raise ExcludedPrimeError(p, REASON_EVEN)
-        if p < 3 or not is_prime(p):
-            raise ValueError(f"need an odd prime, got {p}")
 
     def _residues(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(Q mod p, P mod p), both monic; x_den = y_den, so one inverse serves both."""
+        """(Q mod p, P mod p), both monic; P's denominator is y_den, so one inverse serves both."""
         inv = pow(self.y_den % p, -1, p)
         q = tuple([c % p * inv % p for c in self.y_num])
         return q, tuple([c % p * inv % p for c in self.x_num])
@@ -284,16 +283,11 @@ def _dickson(p: int, f: tuple[int, ...], s: tuple[int, int, int], m: int) -> tup
 
 @functools.lru_cache(maxsize=8)
 def _context(sextic: RatPoly) -> ReductionContext:
-    # the per-sextic helpers below are called once per prime by library
-    # users; a few recent analyses are kept so each is built once
+    # kept for frobenius_class, which perfbench's certify-coxeter sampler
+    # imports; a few recent analyses are kept so each is built once
     return ReductionContext(sextic)
 
 
 def frobenius_class(sextic: RatPoly, p: int) -> FrobeniusClassification:
     """Weyl class of Frobenius at a good odd prime, triple-witnessed."""
     return _context(sextic).classify(p)
-
-
-def element_order(sextic: RatPoly, p: int, cls: FrobeniusClassification) -> int:
-    """Exact order of the reduced element at p, descending from Phi_w(p)."""
-    return _context(sextic).order_report(p, cls)

@@ -38,7 +38,6 @@ PUBLIC_API = {
     "FrobeniusClassification",
     "ReductionContext",
     "frobenius_class",
-    "element_order",
     "BOUNDED_SUBGROUPS",
     "VERDICT_CERTIFIED",
     "CertificationReport",

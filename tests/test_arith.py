@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from g2cert.arith import (
     factor_integer,
+    PRIME_PROOF_BOUND,
     is_prime,
-    legendre_symbol,
     prime_exponents,
     primes_up_to,
     squarefree_kernel,
 )
-from oracles import naive_is_prime, naive_legendre
+from oracles import naive_is_prime
 
 
 def test_primes_up_to_small():
@@ -36,6 +36,16 @@ def test_is_prime_large_values():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_is_prime_refuses_the_pseudoprime_at_each_witness_bound():
+    # the least strong pseudoprime to each witness tier, at the bound where
+    # the next tier takes over (Sorenson and Webster, Math. Comp. 86, 2017)
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    for n in (2047, 1373653, 3215031751, 3474749660383, psi_12):
+        assert not is_prime(n), n
+    assert PRIME_PROOF_BOUND == 3317044064679887385961981 > 33 * 10**23
 
 
 @given(st.integers(min_value=2, max_value=10**9))
@@ -106,22 +116,3 @@ def test_squarefree_kernel_is_square_complement(q):
     for e in factor_integer(k).values():
         assert e == 1
 
-
-def test_legendre_symbol_against_sweep():
-    for p in (3, 5, 7, 11, 13, 29, 101):
-        for a in range(1, p):
-            assert legendre_symbol(a, p) == naive_legendre(a, p), (a, p)
-        assert legendre_symbol(0, p) == 0
-        assert legendre_symbol(p * 7, p) == 0
-
-
-def test_legendre_symbol_negative_argument():
-    assert legendre_symbol(-1, 7) == naive_legendre(-1, 7) == -1
-    assert legendre_symbol(-1, 13) == naive_legendre(-1, 13) == 1
-
-
-def test_legendre_symbol_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 4)
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 2)

@@ -11,16 +11,15 @@ from g2cert.certify import (
     VERDICT_CERTIFIED,
     VERDICT_EXCLUDED,
     VERDICT_NOT_COXETER,
-    VERDICT_ORDER_TOO_SMALL,
     Pair,
     certify_prime,
     scan,
 )
-from g2cert.errors import G2CertError
+from g2cert.errors import G2CertError, WitnessMismatchError
 from g2cert.poly import RatPoly
 from g2cert.reduction import ReductionContext
 from g2cert.weyl import WEYL_CLASSES
-from oracles import inflate_palindromic, naive_irreducibles, naive_order_of_x
+from oracles import inflate_palindromic, naive_irreducibles, naive_legendre, naive_order_of_x
 
 # the primes the certificate's proofs are checked over
 PROOF_PRIMES = [p for p in primes_up_to(2 * 10**5) if p >= 7]
@@ -53,6 +52,12 @@ def test_subgroup_applicability():
     assert applies["J1"](11)
     assert not applies["J1"](29)
     assert applies["G2(2)"](29)
+    # every row on every prime 7 <= p <= 3000, against the square sweep
+    for p in primes_up_to(3000)[3:]:
+        assert applies["2^3.L3(2)"](p) and applies["G2(2)"](p), p
+        assert applies["L2(13)"](p) == (naive_legendre(13, p) == 1), p
+        assert applies["L2(8)"](p) == (naive_legendre(5, p) == 1), p
+        assert applies["J1"](p) == (p == 11), p
 
 
 def test_unbounded_families_hold_at_most_one_element():
@@ -162,13 +167,14 @@ def test_small_primes_excluded_even_when_not_in_set(sextic_a, sextic_b):
 
 
 def test_order_too_small_branch(bundled_pair, monkeypatch):
+    # orders in classes 3a and 6a are at least 7 (proven above), so an
+    # order of 3 is a broken witness, not a verdict
     def tiny_order(self, p, cls):
         return 3
 
     monkeypatch.setattr(ReductionContext, "order_report", tiny_order)
-    report = certify_prime(bundled_pair, 29)
-    assert report.verdict == VERDICT_ORDER_TOO_SMALL
-
+    with pytest.raises(WitnessMismatchError, match=r"p=29: element orders \(3, 3\)"):
+        certify_prime(bundled_pair, 29)
 
 def test_bounded_not_excluded_branch(bundled_pair, monkeypatch):
     # orders 7 and 21 both divide |2^3.L3(2)| = 1344, so the Lagrange

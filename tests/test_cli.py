@@ -185,6 +185,18 @@ def test_certify_exit_codes():
     assert no_floats(excluded.stdout)["verdict"] == "ExcludedPrime"
 
 
+def test_certify_refuses_primes_beyond_the_proof_bound_quickly():
+    # 10^30 + 3349 is prime but above the bound where is_prime is a proof;
+    # factoring its Phi_3 would take far longer than the timeout
+    big = run_cli("certify", "frobenius2", "frobenius3", "--prime", str(10**30 + 3349), timeout=10)
+    assert big.returncode == 2
+    assert "need a prime below 3317044064679887385961981" in big.stderr
+    # psi_12 = 399165290221 * 798330580441 fools the first 12 witnesses
+    psp = run_cli("certify", "frobenius2", "frobenius3", "--prime", "318665857834031151167461", timeout=10)
+    assert psp.returncode == 2
+    assert "need an odd prime" in psp.stderr
+
+
 def test_scan_json_schema_and_summary(tmp_path):
     out = tmp_path / "scan.json"
     r = run_cli("scan", "frobenius2", "frobenius3", "--limit", "300", "--out", str(out))

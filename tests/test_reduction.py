@@ -15,7 +15,6 @@ from g2cert.reduction import (
     REASON_STEINBERG,
     ReductionContext,
     _dickson,
-    element_order,
     frobenius_class,
 )
 from oracles import (
@@ -52,7 +51,7 @@ def test_frozen_classification_table(sextic_a, ctx_a):
         assert cls.chi_delta_prime == chi_dp, p
         assert cls.chi_delta == chi_d, p
         assert cls.torus_order == torus, p
-        assert element_order(sextic_a, p, cls) == order, p
+        assert ctx_a.order_report(p, cls) == order, p
         assert torus % order == 0, p
 
 
@@ -157,6 +156,12 @@ def test_bad_primes_raise_typed_errors(sextic_a):
     assert exc_even.value.reason == REASON_EVEN
 
 
+def test_primes_above_the_proof_bound_are_refused(ctx_a):
+    # 10^30 + 3349 is prime, but is_prime is a proof only below psi_13
+    with pytest.raises(ValueError, match="need a prime below 3317044064679887385961981"):
+        ctx_a.classify(10**30 + 3349)
+
+
 def test_classify_refuses_every_excluded_prime(bundle_a):
     # one exclusion policy: the Steinberg prime is refused like a ramified one
     ctx = ReductionContext.from_polyfile(replace(bundle_a, steinberg_prime=29))
@@ -187,8 +192,8 @@ def test_naive_order_agreement_sample(sextic_a, sextic_b):
                 ctx.ensure_good(p)
             except ExcludedPrimeError:
                 continue
-            cls = frobenius_class(sextic, p)
-            got = element_order(sextic, p, cls)
+            cls = ctx.classify(p)
+            got = ctx.order_report(p, cls)
             mod = reduce_rational_coeffs(list(sextic.coeffs), p)
             assert got == naive_order_of_x(mod, p, (p + 1) ** 2 + 1), (p, sextic)
 
