@@ -129,8 +129,8 @@ def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
     cls_b = pair.b.classify(p, checked=True)
     if {cls_a.weyl_class, cls_b.weyl_class} != {"3a", "6a"}:
         return CertificationReport(p=p, verdict=VERDICT_NOT_COXETER, evidence_a=cls_a, evidence_b=cls_b)
-    order_a = pair.a.order_report(p, cls_a)
-    order_b = pair.b.order_report(p, cls_b)
+    order_a = pair.a.order_report(p, cls_a, checked=True)
+    order_b = pair.b.order_report(p, cls_b, checked=True)
     common = dict(p=p, evidence_a=cls_a, evidence_b=cls_b, order_a=order_a, order_b=order_b)
     if cls_a.weyl_class == "3a":
         order_u, order_t = order_a, order_b

@@ -18,8 +18,10 @@ V satisfies the x + 1/x doubling rules) equals the constant 2 in
 F_p[y]/(Q).  That turns an order computation in degree-6 extensions into
 cubic arithmetic with a logarithmic ladder on the cubic kernel of poly.py.
 V_m(y) is the Dickson polynomial D_m(y), and D_a(D_b(y)) = D_ab(y), so the
-exact order descends from the torus order by cofactors: one long ladder
-per prime factor q of the torus order, then short ladders of length log q.
+exact order descends from the torus order T along one split chain: about
+log T + log(T/q_max) bits of ladder for the cofactors V_(T/q^e) of all the
+prime-power parts q^e of T, one check of V_T = 2, then short ladders of
+length log q (see ReductionContext.order_report).
 """
 
 from __future__ import annotations
@@ -207,32 +209,59 @@ class ReductionContext:
             x_pattern=x_pattern,
         )
 
-    def order_report(self, p: int, cls: FrobeniusClassification) -> int:
-        """Exact order by cofactor descent from the torus order.
+    def order_report(self, p: int, cls: FrobeniusClassification, *, checked: bool = False) -> int:
+        """Exact order by one split chain over the prime-power parts of the torus order.
 
-        For each q^e exactly dividing the torus order, the q-part of the
-        order is the least q^k with V_(torus/q^e * q^k) = 2.  Since
-        D_a(D_b(y)) = D_ab(y), that takes one ladder to w = V_(torus/q^e)
-        and then k ladders of length log q, each mapping w to D_q(w).  The
-        last step of every descent reaches V_torus, so V_torus = 2, the
-        torus witness, is checked on the way.
+        Let T be the torus order and q^e its exactly dividing prime powers,
+        in ascending order.  The q-part of the order is the least q^k with
+        V_(T/q^e * q^k) = 2.  Since D_a(D_b(y)) = D_ab(y), every leaf
+        V_(T/q^e) hangs off one chain: from g = y and m = T, each part but
+        the smallest, largest first, gets its leaf D_(m/q^e)(g), then g
+        becomes D_(q^e)(g) and m becomes m/q^e.  What is left is the
+        smallest part's leaf g = V_(T/q^e).
+
+        The smallest part's descent runs in full, at most e ladders of
+        length log q that map w to D_q(w), and its last step reaches V_T.
+        A descent per part would end at that same V_T in every part (and
+        D_m(2) = 2, so one that stops early has V_T = 2 too), so this one
+        check of V_T = 2 is the whole torus witness.  Once x^T = 1 is
+        proven, every q-part is at most q^e, so the other leaves need at
+        most e - 1 such ladders: a leaf that is not 2 after them has
+        q-part q^e.
+
+        checked=True skips ensure_good, for a caller that has already
+        established that p is an odd prime outside `excluded` and that the
+        input is D6 (certify does, from is_prime or its sieve).
         """
-        self.ensure_good(p)
+        if not checked:
+            self.ensure_good(p)
         f = self._residues(p)[0]
         torus = cls.torus_order
+        parts = sorted((q**e, q) for q, e in factor_integer(torus).items())
+        g, m = (0, 1, 0), torus
+        leaves = []
+        for qe, q in reversed(parts[1:]):
+            leaves.append((qe, q, _dickson(p, f, g, m // qe)))
+            g = _dickson(p, f, g, qe)
+            m //= qe
+        qe, q = parts[0]
         order = 1
-        for q, e in factor_integer(torus).items():
-            w = _dickson(p, f, (0, 1, 0), torus // q**e)
-            k = 0
+        while g != (2, 0, 0):
+            if order == qe:
+                raise WitnessMismatchError(
+                    f"p={p}: V_{torus} != 2, so the element of class {cls.weyl_class} "
+                    f"does not lie in its torus of order {torus}"
+                )
+            g = _dickson(p, f, g, q)
+            order *= q
+        for qe, q, w in leaves:
+            part = 1
             while w != (2, 0, 0):
-                if k == e:
-                    raise WitnessMismatchError(
-                        f"p={p}: V_{torus} != 2, so the element of class {cls.weyl_class} "
-                        f"does not lie in its torus of order {torus}"
-                    )
+                part *= q
+                if part == qe:
+                    break
                 w = _dickson(p, f, w, q)
-                k += 1
-            order *= q**k
+            order *= part
         return order
 
 

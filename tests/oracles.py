@@ -4,7 +4,11 @@ Everything here is written the slow, obvious way on purpose: trial
 division, root sweeps, multiply-until-identity loops, the Euclidean
 resultant, and the Weyl group of G2 enumerated element by element.  None
 of it shares code with the fast paths in the package, so agreement is
-meaningful.
+meaningful.  The one exception is cofactor_descent_order, an exact-order
+descent with one ladder per prime factor of the torus order: it takes the
+factorization from the caller and reuses the package's Dickson ladder
+(checked on its own against the three-term recurrence), so it checks only
+the order in which order_report composes the ladders.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from g2cert.poly import ModPoly, RatPoly
+from g2cert.reduction import _dickson
 
 # primes the F_p kernels are checked at, up to the largest prime below
 # 10^12, where products of residues exceed 2^64
@@ -150,6 +155,29 @@ def naive_order_of_x(f: list[int], p: int, cap: int) -> int:
         if acc == one:
             return k
     raise AssertionError(f"no order found within {cap} steps")
+
+
+def cofactor_descent_order(p: int, f: list[int], torus: int, factors: dict[int, int]) -> int:
+    """Order of y's root x, as the least m | torus with V_m = 2 in F_p[y]/(f).
+
+    factors is the factorization {q: e} of torus.  One descent per q: a
+    ladder to V_(torus/q^e), then at most e ladders of length log q, each
+    mapping w to D_q(w); the q-part is q^k for the k at which w first
+    equals 2.  Every descent ends at V_torus, so each one checks it;
+    raises AssertionError when the element is off the torus.
+    """
+    f = tuple(f)
+    order = 1
+    for q, e in factors.items():
+        w = _dickson(p, f, (0, 1, 0), torus // q**e)
+        k = 0
+        while w != (2, 0, 0):
+            if k == e:
+                raise AssertionError(f"p={p}: V_{torus} != 2")
+            w = _dickson(p, f, w, q)
+            k += 1
+        order *= q**k
+    return order
 
 
 def naive_derivative(f: list[int], p: int) -> list[int]:

@@ -169,7 +169,7 @@ def test_small_primes_excluded_even_when_not_in_set(sextic_a, sextic_b):
 def test_order_too_small_branch(bundled_pair, monkeypatch):
     # orders in classes 3a and 6a are at least 7 (proven above), so an
     # order of 3 is a broken witness, not a verdict
-    def tiny_order(self, p, cls):
+    def tiny_order(self, p, cls, *, checked=False):
         return 3
 
     monkeypatch.setattr(ReductionContext, "order_report", tiny_order)
@@ -181,7 +181,7 @@ def test_bounded_not_excluded_branch(bundled_pair, monkeypatch):
     # argument cannot rule that subgroup out
     fake = {29: iter([7, 21])}
 
-    def fake_order(self, p, cls):
+    def fake_order(self, p, cls, *, checked=False):
         return next(fake[p])
 
     monkeypatch.setattr(ReductionContext, "order_report", fake_order)

@@ -19,6 +19,7 @@ from g2cert.reduction import (
 )
 from oracles import (
     KERNEL_PRIMES,
+    cofactor_descent_order,
     inflate_palindromic,
     mod_poly,
     naive_degree_pattern,
@@ -240,6 +241,51 @@ def test_order_report_raises_off_the_torus(ctx_a):
     for wrong in (order // max(factor_integer(order)), cls.torus_order + 1):
         with pytest.raises(WitnessMismatchError, match=f"p={p}"):
             ctx_a.order_report(p, replace(cls, torus_order=wrong))
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        17,  # a prime: the element's order is 10200
+        5**4,  # a prime power that holds the 5-part 25 and nothing else
+        10200 // 17 * 43,  # parts 3, 8, 25, 43: only the largest, peeled first, misses 17
+    ],
+)
+def test_order_report_raises_on_each_shape_of_wrong_torus(ctx_a, wrong):
+    # the split chain checks V_T = 2 once, at the end of the smallest
+    # part's descent; a miss anywhere in T must still be a witness mismatch
+    p = 101
+    cls = ctx_a.classify(p)
+    assert ctx_a.order_report(p, cls) == 10200
+    with pytest.raises(WitnessMismatchError, match=rf"^p={p}: V_{wrong} != 2, so the element of class 2a"):
+        ctx_a.order_report(p, replace(cls, torus_order=wrong))
+
+
+def test_split_chain_equals_the_per_factor_descent(ctx_a, ctx_b):
+    # every good prime to 6*10^4 for both inputs, and 50 above each of 10^9
+    # and 10^12, against a descent with one ladder per prime factor of T
+    cases = repeated = 0
+    seen = set()
+    for ctx in (ctx_a, ctx_b):
+        small = [p for p in primes_up_to(6 * 10**4) if p > 2 and p not in ctx.excluded]
+        large = [p for start in (10**9, 10**12) for p in _good_primes_from(ctx, start, 50)]
+        for p in small + large:
+            cls = ctx.classify(p)
+            f = reduce_rational_coeffs(list(ctx.pair.q.coeffs), p)
+            factors = factor_integer(cls.torus_order)
+            assert ctx.order_report(p, cls) == cofactor_descent_order(p, f, cls.torus_order, factors), p
+            seen.add(cls.weyl_class)
+            cases += 1
+            repeated += p < 6 * 10**4 and max(factors.values()) >= 2
+    # 8,384 of the small cases have a repeated prime in T, so leaves with e >= 2 run
+    assert (cases, len(seen), repeated) == (12303, 6, 8384)
+
+
+def test_order_report_checked_skips_only_the_input_checks(ctx_a):
+    cls = ctx_a.classify(29)
+    assert ctx_a.order_report(29, cls, checked=True) == ctx_a.order_report(29, cls) == 871
+    with pytest.raises(ExcludedPrimeError):
+        ctx_a.order_report(71, cls)
 
 
 def test_shared_frobenius_gives_each_witness_its_own_pattern(ctx_a, ctx_b):
