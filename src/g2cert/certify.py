@@ -21,7 +21,6 @@ bounded rows only L2(13) can ever contain both elements.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -139,7 +138,8 @@ def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
     if order_u <= 3 or order_t <= 3:
         raise WitnessMismatchError(
             f"p={p}: element orders ({order_a}, {order_b}) in classes "
-            f"({cls_a.weyl_class}, {cls_b.weyl_class}), but both must be at least 7"
+            f"({cls_a.weyl_class}, {cls_b.weyl_class}), but both must be at least 7",
+            p=p, witness="element_orders", expected=7, actual=(order_a, order_b),
         )
     checks: list[tuple[str, str]] = []
     blocked = False
@@ -219,6 +219,9 @@ def scan(
         chunk = max(1000, len(scan_primes) // (jobs * 8))
         batches = [scan_primes[i : i + chunk] for i in range(0, len(scan_primes), chunk)]
         workers = min(jobs, len(batches), os.cpu_count() or 1)
+        # imported here, so that a process that never pools never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for reports in pool.map(_scan_chunk, [(pair, batch) for batch in batches]):
                 for report in reports:

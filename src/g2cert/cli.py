@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -422,7 +423,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: it depends only on the code."""
     ap = argparse.ArgumentParser(
         prog="g2cert",
         description="Exact certification pipeline for Frobenius class data "

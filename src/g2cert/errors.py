@@ -6,6 +6,8 @@ CLI can map it to a single exit code, distinct from usage errors.
 
 from __future__ import annotations
 
+import functools
+
 
 class G2CertError(Exception):
     """A mathematical precondition failed."""
@@ -40,4 +42,28 @@ class WitnessMismatchError(G2CertError):
 
     This is never expected on valid input; it indicates a defect in the
     implementation or an excluded prime that slipped through.
+
+    Carries the prime, the name of the witness that failed, the value it
+    required and the value it found:
+
+    - "trace_cubic": Q mod p, and the trace cubic read off P mod p;
+    - "chi_delta": the residue symbol of delta that the class requires,
+      and the one computed;
+    - "x_pattern": the sextic pattern the class requires, and the one found;
+    - "torus": (2, 0, 0), and V_T for the torus order T, both in F_p[y]/(Q);
+    - "element_orders": 7, the least order allowed in classes 3a and 6a,
+      and the two orders found.
     """
+
+    def __init__(self, message: str, *, p: int, witness: str, expected: object, actual: object):
+        super().__init__(message)
+        self.p = p
+        self.witness = witness
+        self.expected = expected
+        self.actual = actual
+
+    def __reduce__(self):
+        # a pooled scan's worker raises this in a child process; the
+        # parent rebuilds it from the message and the context
+        context = dict(p=self.p, witness=self.witness, expected=self.expected, actual=self.actual)
+        return functools.partial(type(self), **context), self.args

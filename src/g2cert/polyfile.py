@@ -7,6 +7,7 @@ parses to a monic polynomial or fails with a diagnostic naming the field.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -92,8 +93,13 @@ def digest(pf: PolyFile) -> str:
     return hashlib.sha256(serialize_polyfile(pf).encode("utf-8")).hexdigest()
 
 
+@functools.cache
 def bundled_polyfile(name: str) -> PolyFile:
-    """One of the two characteristic polynomials shipped with the package."""
+    """One of the two characteristic polynomials shipped with the package.
+
+    Parsed once per process; an unknown name raises on every call (the
+    cache keeps no exceptions).
+    """
     if name not in BUNDLED_NAMES:
         raise ValueError(f"no bundled polynomial {name!r}; have {BUNDLED_NAMES}")
     text = resources.files(__package__).joinpath(f"data/{name}.json").read_text("utf-8")

@@ -181,7 +181,8 @@ class ReductionContext:
         if trace_cubic != q:
             raise WitnessMismatchError(
                 f"p={p}: P mod p has trace cubic {format_poly(trace_cubic, 'y')} "
-                f"but Q mod p is {format_poly(q, 'y')}"
+                f"but Q mod p is {format_poly(q, 'y')}",
+                p=p, witness="trace_cubic", expected=q, actual=trace_cubic,
             )
         yp = _cubic_pow_x(p, q, p)
         half = (p - 1) // 2
@@ -192,13 +193,15 @@ class ReductionContext:
         if chi_d != info.epsilon:
             raise WitnessMismatchError(
                 f"p={p}: chi(delta) = {chi_d} but class {info.label} "
-                f"requires {info.epsilon}"
+                f"requires {info.epsilon}",
+                p=p, witness="chi_delta", expected=info.epsilon, actual=chi_d,
             )
         x_pattern = degree_pattern(ModPoly(p, sextic), yp)
         if x_pattern != info.pattern_on_x:
             raise WitnessMismatchError(
                 f"p={p}: sextic splits as {x_pattern} but class {info.label} "
-                f"requires {info.pattern_on_x}"
+                f"requires {info.pattern_on_x}",
+                p=p, witness="x_pattern", expected=info.pattern_on_x, actual=x_pattern,
             )
         return FrobeniusClassification(
             y_pattern=y_pattern,
@@ -250,7 +253,8 @@ class ReductionContext:
             if order == qe:
                 raise WitnessMismatchError(
                     f"p={p}: V_{torus} != 2, so the element of class {cls.weyl_class} "
-                    f"does not lie in its torus of order {torus}"
+                    f"does not lie in its torus of order {torus}",
+                    p=p, witness="torus", expected=(2, 0, 0), actual=g,
                 )
             g = _dickson(p, f, g, q)
             order *= q

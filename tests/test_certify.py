@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -173,8 +175,16 @@ def test_order_too_small_branch(bundled_pair, monkeypatch):
         return 3
 
     monkeypatch.setattr(ReductionContext, "order_report", tiny_order)
-    with pytest.raises(WitnessMismatchError, match=r"p=29: element orders \(3, 3\)"):
+    with pytest.raises(WitnessMismatchError, match=r"p=29: element orders \(3, 3\)") as raised:
         certify_prime(bundled_pair, 29)
+    e = raised.value
+    assert (e.p, e.witness, e.expected, e.actual) == (29, "element_orders", 7, (3, 3))
+    # a pooled scan's worker raises it in a child process: the parent's copy
+    # keeps the message and the context
+    copy = pickle.loads(pickle.dumps(e))
+    assert type(copy) is WitnessMismatchError
+    assert (str(copy), copy.p, copy.witness, copy.expected, copy.actual) == (
+        str(e), e.p, e.witness, e.expected, e.actual)
 
 def test_bounded_not_excluded_branch(bundled_pair, monkeypatch):
     # orders 7 and 21 both divide |2^3.L3(2)| = 1344, so the Lagrange
@@ -246,7 +256,9 @@ def test_scan_pool_size_is_clamped(bundled_pair, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(certify, "ProcessPoolExecutor", SerialPool)
+    # scan imports the pool class when it pools, so the stand-in goes where
+    # that import reads it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for jobs, cpus, want in ((2, 64, 2), (10**5, 64, 3), (10**5, None, 1)):
         monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
         records = []

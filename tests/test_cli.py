@@ -379,3 +379,62 @@ def test_version_flag():
     r = run_cli("--version")
     assert r.returncode == 0
     assert r.stdout.startswith("g2cert ")
+
+
+# One process, one parser: main reuses the tree that build_parser built on
+# its first call.  Interleaved calls of every kind, errors included, must
+# each print exactly what the same call prints alone in a fresh process.
+INTERLEAVED = (
+    ("reduce", "frobenius2"),
+    ("certify", "frobenius2", "frobenius3", "--prime", "29"),
+    ("certify", "frobenius2", "frobenius3", "--prime", "71"),  # excluded: exit 1
+    ("certify", "frobenius2", "frobenius3"),  # no --prime: usage on stderr, exit 2
+    ("--version",),
+    ("torus-orders", "--q", "5"),
+    ("frobenius", "frobenius2", "--limit", "200", "--format", "csv"),
+    ("certify", "frobenius2", "frobenius3", "--prime", "29"),
+)
+
+
+def test_parser_is_built_once_and_reuse_leaks_no_state(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    # the usage text wraps at the terminal width; pin it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = []
+    for argv in INTERLEAVED:
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        alone = run_cli(*argv)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 1, 2, 0, 0, 0, 0]
+
+
+IMPORT_HYGIENE = """
+import sys
+import g2cert, g2cert.cli
+out = sys.argv[1]
+pool = ["concurrent.futures", "multiprocessing"]
+loaded = lambda: [m for m in pool if m in sys.modules]
+assert loaded() == [], ("import", loaded())
+
+def scan(limit, jobs):
+    argv = ["scan", "frobenius2", "frobenius3", "--format", "csv", "--limit", limit, "--jobs", jobs]
+    return g2cert.cli.main(argv + ["--out", f"{out}/{limit}-{jobs}.csv"])
+
+# jobs=1, and a jobs=2 scan of at most 1,000 primes, run serially
+for limit, jobs in (("500", "1"), ("500", "2"), ("10000", "1")):
+    assert scan(limit, jobs) == 0 and loaded() == [], (limit, jobs, loaded())
+# 1,221 scanned primes: above 1,000, so jobs=2 starts a pool
+assert scan("10000", "2") == 0 and loaded() == pool, loaded()
+"""
+
+
+def test_only_a_pooled_scan_loads_the_process_pool(tmp_path):
+    r = subprocess.run(
+        [sys.executable, "-c", IMPORT_HYGIENE, str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "500-1.csv").read_bytes() == (tmp_path / "500-2.csv").read_bytes()
+    assert (tmp_path / "10000-1.csv").read_bytes() == (tmp_path / "10000-2.csv").read_bytes()

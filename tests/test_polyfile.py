@@ -107,3 +107,10 @@ def test_digest_tracks_content():
     doc["coefficients"][0] = "-2"
     changed = digest(parse_polyfile(json.dumps(doc)))
     assert base != changed
+
+
+def test_bundled_polyfile_is_parsed_once_and_unknown_names_always_raise():
+    assert bundled_polyfile("frobenius2") is bundled_polyfile("frobenius2")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no bundled polynomial 'frobenius4'"):
+            bundled_polyfile("frobenius4")

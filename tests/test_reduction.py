@@ -17,6 +17,7 @@ from g2cert.reduction import (
     _dickson,
     frobenius_class,
 )
+from g2cert.weyl import FROBENIUS_LOOKUP
 from oracles import (
     KERNEL_PRIMES,
     cofactor_descent_order,
@@ -239,8 +240,11 @@ def test_order_report_raises_off_the_torus(ctx_a):
     order = ctx_a.order_report(p, cls)
     # order/q misses the element's order by one factor q, order + 1 by far
     for wrong in (order // max(factor_integer(order)), cls.torus_order + 1):
-        with pytest.raises(WitnessMismatchError, match=f"p={p}"):
+        with pytest.raises(WitnessMismatchError, match=f"p={p}") as raised:
             ctx_a.order_report(p, replace(cls, torus_order=wrong))
+        e = raised.value
+        assert (e.p, e.witness, e.expected) == (p, "torus", (2, 0, 0))
+        assert len(e.actual) == 3 and e.actual != e.expected
 
 
 @pytest.mark.parametrize(
@@ -257,8 +261,14 @@ def test_order_report_raises_on_each_shape_of_wrong_torus(ctx_a, wrong):
     p = 101
     cls = ctx_a.classify(p)
     assert ctx_a.order_report(p, cls) == 10200
-    with pytest.raises(WitnessMismatchError, match=rf"^p={p}: V_{wrong} != 2, so the element of class 2a"):
+    message = rf"^p={p}: V_{wrong} != 2, so the element of class 2a"
+    with pytest.raises(WitnessMismatchError, match=message) as raised:
         ctx_a.order_report(p, replace(cls, torus_order=wrong))
+    # actual is V_T itself: the ladder from y to the wrong T lands on it
+    f = reduce_rational_coeffs(list(ctx_a.pair.q.coeffs), p)
+    v_t = _dickson(p, f, (0, 1, 0), wrong)
+    e = raised.value
+    assert (e.p, e.witness, e.expected, e.actual) == (p, "torus", (2, 0, 0), v_t)
 
 
 def test_split_chain_equals_the_per_factor_descent(ctx_a, ctx_b):
@@ -310,8 +320,48 @@ def test_classify_checks_the_trace_cubic_of_p_against_q(bundle_a, shift):
     ctx = ReductionContext.from_polyfile(bundle_a)
     ctx.x_num = tuple(c + shift.get(i, 0) for i, c in enumerate(ctx.x_num))
     for p in (7, 101, 999983, 10**12 + 39):
-        with pytest.raises(WitnessMismatchError, match=f"p={p}: P mod p has trace cubic"):
+        with pytest.raises(WitnessMismatchError, match=f"p={p}: P mod p has trace cubic") as raised:
             ctx.classify(p)
+        e = raised.value
+        want = tuple(reduce_rational_coeffs(list(ctx.pair.q.coeffs), p))
+        f = [c * pow(ctx.y_den, -1, p) % p for c in ctx.x_num]
+        got = ((f[3] - 2 * f[5]) % p, (f[4] - 3) % p, f[5], 1)
+        assert (e.p, e.witness, e.expected, e.actual) == (p, "trace_cubic", want, got)
+        assert got != want
+
+
+def _nonresidue(p):
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+@pytest.mark.parametrize("p", [7, 29, 101, 999983])
+def test_classify_checks_chi_delta_against_the_class(bundle_a, p):
+    # delta times a nonresidue mod p flips chi(delta) alone; the class, read
+    # off the y-pattern and chi(delta'), still requires the true symbol
+    ctx = ReductionContext.from_polyfile(bundle_a)
+    cls = ctx.classify(p)
+    ctx.delta_nd *= _nonresidue(p)
+    message = rf"^p={p}: chi\(delta\) = {-cls.chi_delta} but class"
+    with pytest.raises(WitnessMismatchError, match=message) as raised:
+        ctx.classify(p)
+    e = raised.value
+    assert (e.p, e.witness, e.expected, e.actual) == (p, "chi_delta", cls.chi_delta, -cls.chi_delta)
+
+
+@pytest.mark.parametrize("p", [7, 29, 101, 999983])
+def test_classify_checks_the_x_pattern_against_the_class(bundle_a, p):
+    # delta' times a nonresidue mod p flips chi(delta'), so the lookup picks
+    # the other class with the same y-pattern and the same chi(delta); the
+    # sextic's own pattern, from P mod p, no longer fits it
+    ctx = ReductionContext.from_polyfile(bundle_a)
+    cls = ctx.classify(p)
+    ctx.delta_prime_nd *= _nonresidue(p)
+    with pytest.raises(WitnessMismatchError, match=rf"^p={p}: sextic splits as") as raised:
+        ctx.classify(p)
+    e = raised.value
+    want = FROBENIUS_LOOKUP[(cls.y_pattern, -cls.chi_delta_prime)].pattern_on_x
+    assert (e.p, e.witness, e.expected, e.actual) == (p, "x_pattern", want, cls.x_pattern)
+    assert want != cls.x_pattern
 
 
 @given(st.data())
