@@ -32,7 +32,8 @@ def parse_rational(s: str) -> Fraction:
     """Parse the canonical form produced by format_rational."""
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a canonical rational: {s!r}")
-    return Fraction(s)
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def is_prime(n: int) -> bool:

@@ -87,9 +87,11 @@ def _output(path: str | None):
 
 
 def _write_json(doc: Any, path: str | None) -> None:
+    # encoded before the file is opened, so a failed encode leaves no
+    # partial file, and written in one call
+    text = json.dumps(doc, indent=2) + "\n"
     with _output(path) as out:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(text)
 
 
 def _excluded_doc(excluded: dict[int, str]) -> list[dict]:

@@ -36,6 +36,10 @@ class ExcludedPrimeError(G2CertError):
         self.p = p
         self.reason = reason
 
+    def __reduce__(self):
+        # rebuilt from (p, reason), not from the message that args holds
+        return type(self), (self.p, self.reason)
+
 
 class WitnessMismatchError(G2CertError):
     """Independent mod-p witnesses disagree.

@@ -3,7 +3,14 @@
 A monic palindromic sextic P factors through y = x + 1/x:
 P(x) = x^3 Q(x + 1/x) for a unique monic cubic Q.  All structural
 questions (separability, ramification, Galois type, root location) are
-settled on Q with exact rational arithmetic.
+settled on Q exactly, on its integer model
+
+    Q = (c0 + c1 y + c2 y^2 + D y^3) / D,   D the least common denominator,
+
+which PalindromicPair.model holds.  Every test is an integer sign,
+equality or root search on c0, c1, c2 and D; the Fractions of the report
+(Q's coefficients, Q(+-2), delta, delta') are built once from integers,
+for display and for the factorizations that read their numerators.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Mapping
 
 from .arith import factor_integer, prime_exponents, squarefree_kernel
 from .errors import G2CertError, NotMonicError, NotPalindromicError
-from .poly import RatPoly, cubic_discriminant
+from .poly import RatPoly, cubic_discriminant, integer_model
 
 TAG_D6 = "D6"
 TAG_WEYL_BC = "WeylBC_n"
@@ -41,9 +48,18 @@ class PalindromicPair:
     q_at_minus_2: Fraction
 
     @functools.cached_property
+    def model(self) -> tuple[int, int, int, int]:
+        """(c0, c1, c2, D) with Q = (c0 + c1 y + c2 y^2 + D y^3) / D, D > 0 least.
+
+        ValueError unless Q is a monic cubic, which only a hand-built pair
+        can break; the checks that read the model refuse such a pair.
+        """
+        return _cubic_model(self.q)
+
+    @functools.cached_property
     def denominator_primes(self) -> tuple[int, ...]:
         """The primes of the least common denominator D of Q's coefficients."""
-        return tuple(factor_integer(math.lcm(*(c.denominator for c in self.q.coeffs))))
+        return tuple(factor_integer(self.model[3]))
 
     @functools.cached_property
     def exponents(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -56,13 +72,28 @@ class PalindromicPair:
         return prime_exponents(self.delta, dens), prime_exponents(self.delta_prime, dens)
 
 
+def _cubic_model(q: RatPoly) -> tuple[int, int, int, int]:
+    """The integer model (c0, c1, c2, D) of a monic cubic q; ValueError for any other q."""
+    if q.degree != 3 or not q.is_monic():
+        raise ValueError(f"the analysis needs a monic cubic Q, got {q}")
+    (c0, c1, c2), d = integer_model(q.coeffs[:3])
+    return c0, c1, c2, d
+
+
 def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
     """Recover the cubic Q with poly = x^3 Q(x + 1/x) and package the invariants.
 
     For Q = y^3 + q2 y^2 + q1 y + q0, x^3 Q(x + 1/x) is
     (x^2 + 1)^3 + q2 x (x^2 + 1)^2 + q1 x^2 (x^2 + 1) + q0 x^3, whose
     coefficients of x^5, x^4 and x^3 are q2, 3 + q1 and 2 q2 + q0; a monic
-    palindromic sextic is fixed by those three.  Everything is exact.
+    palindromic sextic is fixed by those three.
+
+    Everything runs on integers over D.  p3, p4 and p5 have the same least
+    common denominator D as q0, q1 and q2: q2 = p5, q1 = p4 - 3, and the
+    denominators of q0 = p3 - 2 p5 and p3 = q0 + 2 q2 each divide the
+    other triple's lcm.  Then D Q(+-2) = c0 +- 2 c1 + 4 c2 +- 8 D, and with
+    z = D y, D^3 Q(z / D) = z^3 + c2 z^2 + c1 D z + c0 D^2, whose
+    discriminant is D^6 disc(Q).
     """
     if poly.degree != 6:
         raise NotPalindromicError(f"degree {poly.degree}: only sextics are reduced")
@@ -70,17 +101,17 @@ def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
         raise NotMonicError("not monic")
     if not poly.is_palindromic():
         raise NotPalindromicError("coefficients are not palindromic")
-    p3, p4, p5, one = poly.coeffs[3:]
-    q = RatPoly((p3 - 2 * p5, p4 - 3, p5, one))
-    at2 = q.evaluate(2)
-    atm2 = q.evaluate(-2)
+    (n3, n4, c2), d = integer_model(poly.coeffs[3:6])
+    c0, c1 = n3 - 2 * c2, n4 - 3 * d
+    at2 = c0 + 2 * c1 + 4 * c2 + 8 * d
+    atm2 = c0 - 2 * c1 + 4 * c2 - 8 * d
     return PalindromicPair(
         poly=poly,
-        q=q,
-        delta=cubic_discriminant(*q.coeffs[:3]),
-        delta_prime=at2 * atm2,
-        q_at_2=at2,
-        q_at_minus_2=atm2,
+        q=RatPoly((Fraction(c0, d), Fraction(c1, d), poly.coeffs[5], poly.coeffs[6])),
+        delta=Fraction(cubic_discriminant(c0 * d * d, c1 * d, c2), d**6),
+        delta_prime=Fraction(at2 * atm2, d * d),
+        q_at_2=Fraction(at2, d),
+        q_at_minus_2=Fraction(atm2, d),
     )
 
 
@@ -121,20 +152,19 @@ def temperedness_check(pair: PalindromicPair) -> bool:
     on one side of 0.
 
     Equivalently every root of P lies on the unit circle.  All the
-    inequalities are strict and rational, so no floating point is
-    involved.
+    inequalities are strict, and each is an integer sign: disc and Q(+-2)
+    have the signs of their numerators, and on the integer model, after
+    multiplying through by D > 0, D Q'(+-2) = 12 D +- 4 c2 + c1 and the
+    last condition is -6 D < c2 < 6 D.  No floating point is involved.
     """
-    q = pair.q
-    if q.degree != 3 or not q.is_monic():
-        raise ValueError("temperedness test implemented for monic cubics only")
-    qp = q.derivative()
+    _, c1, c2, d = pair.model
     return (
-        pair.delta > 0
-        and pair.q_at_minus_2 < 0
-        and pair.q_at_2 > 0
-        and qp.evaluate(-2) > 0
-        and qp.evaluate(2) > 0
-        and -6 < q[2] < 6
+        pair.delta.numerator > 0
+        and pair.q_at_minus_2.numerator < 0
+        and pair.q_at_2.numerator > 0
+        and 12 * d - 4 * c2 + c1 > 0
+        and 12 * d + 4 * c2 + c1 > 0
+        and -6 * d < c2 < 6 * d
     )
 
 
@@ -144,22 +174,20 @@ def g2_lift_check(q: RatPoly) -> bool:
     Writing q = y^3 - a y^2 + b y - c, the condition is a^2 = c + 2b + 4.
     It holds exactly when the six roots of the palindromic lift split as
     x1 x2 x3 = 1 (and inverses), the shape a simply connected rank-2 torus
-    element produces.
+    element produces.  On the integer model (a = -c2 / D, b = c1 / D,
+    c = -c0 / D) it reads c2^2 = D (2 c1 - c0 + 4 D).
     """
-    if q.degree != 3 or not q.is_monic():
-        raise ValueError("lift check needs a monic cubic")
-    a = -q[2]
-    b = q[1]
-    c = -q[0]
-    return a * a == c + 2 * b + 4
+    c0, c1, c2, d = _cubic_model(q)
+    return c2 * c2 == d * (2 * c1 - c0 + 4 * d)
 
 
-def _cubic_irreducible(q: RatPoly) -> bool:
-    """Whether the monic cubic q has no rational root, i.e. is irreducible over Q.
+def _cubic_irreducible(model: tuple[int, int, int, int]) -> bool:
+    """Whether the monic cubic q with integer model (c0, c1, c2, D) has no
+    rational root, i.e. is irreducible over Q.
 
-    Let D be the lcm of the coefficient denominators.  Then
-    F(z) = D^3 q(z / D) = z^3 + c2 z^2 + c1 z + c0 is monic with integer
-    coefficients, and y is a root of q exactly when z = D y is a root of F.
+    F(z) = D^3 q(z / D) = z^3 + c2 z^2 + (c1 D) z + c0 D^2 is monic with
+    integer coefficients, and y is a root of q exactly when z = D y is a
+    root of F.  Below, c1 and c0 name F's coefficients c1 D and c0 D^2.
     By Gauss's lemma a rational root r/s of F in lowest terms has s | 1
     (s^3 F(r/s) = 0 gives s | r^3), so it is an integer; and by Cauchy's
     bound |z| < B = 1 + max(|c2|, |c1|, |c0|) (for |z| > 1,
@@ -179,8 +207,8 @@ def _cubic_irreducible(q: RatPoly) -> bool:
     [-B, k1], on [k1 + 1, k2] and on [k2 + 1, B], which hold every integer
     of [-B, B].  Everything is integer arithmetic.
     """
-    den = math.lcm(*(c.denominator for c in q.coeffs))
-    c2, c1, c0 = int(q[2] * den), int(q[1] * den**2), int(q[0] * den**3)
+    c0, c1, c2, den = model
+    c1, c0 = c1 * den, c0 * den * den
 
     def value(z: int) -> int:
         return ((z + c2) * z + c1) * z + c0
@@ -234,13 +262,11 @@ def classify_galois(pair: PalindromicPair) -> GaloisClassification:
     and delta_prime: delta is a square iff k = 1, delta_prime iff k' = 1,
     and their product iff k = k' (both kernels are squarefree).
     """
-    q = pair.q
-    if q.degree != 3 or not q.is_monic():
-        raise ValueError("classification implemented for monic cubics only")
+    model = pair.model  # ValueError unless Q is a monic cubic
     separable = separability_check(pair)
     k, k_prime = _kernels(pair) if separable else (1, 1)
     evidence = {
-        "q_irreducible": _cubic_irreducible(q),
+        "q_irreducible": _cubic_irreducible(model),
         "delta_nonsquare": separable and k != 1,
         "delta_prime_nonsquare": separable and k_prime != 1,
         "product_nonsquare": separable and k != k_prime,
@@ -257,7 +283,7 @@ def classify_galois(pair: PalindromicPair) -> GaloisClassification:
     elif not evidence["roots_in_interval"]:
         tag = TAG_INCONCLUSIVE
     else:
-        tag = TAG_D6 if g2_lift_check(q) else TAG_WEYL_BC
+        tag = TAG_D6 if g2_lift_check(pair.q) else TAG_WEYL_BC
     return GaloisClassification(tag=tag, evidence=evidence)
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import format_rational, parse_rational
+from .arith import format_rational
 from .errors import NotSeparableError
 
 DegreePattern = tuple[int, ...]
@@ -75,7 +75,7 @@ class RatPoly:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Fraction | int | str]) -> "RatPoly":
-        out = [Fraction(c) for c in coeffs]
+        out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         return cls(_trim(out))
 
     @property
@@ -91,21 +91,8 @@ class RatPoly:
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(_trim([i * c for i, c in enumerate(self.coeffs)][1:]))
-
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "RatPoly":
-        return cls(_trim([parse_rational(s) for s in items]))
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, "x")
@@ -120,13 +107,13 @@ def format_poly(coeffs: Sequence, var: str) -> str:
         c = coeffs[i]
         if not c:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+        text = str(c)  # an int or a Fraction: "-" and then |c|, or |c|
+        sign, mag = ("-", text[1:]) if text[0] == "-" else ("+", text)
         if i == 0:
-            body = str(mag)
+            body = mag
         else:
             x = var if i == 1 else f"{var}^{i}"
-            body = x if mag == 1 else f"{mag}*{x}"
+            body = x if mag == "1" else f"{mag}*{x}"
         parts.append((sign, body))
     if not parts:
         return "0"
@@ -137,18 +124,32 @@ def format_poly(coeffs: Sequence, var: str) -> str:
     return text
 
 
+def integer_model(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, d) with coeffs[i] = nums[i] / d, d the least common denominator.
+
+    Reads numerators and denominators only; no Fraction is built.
+    """
+    d = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def deflate_root_one(f: RatPoly) -> RatPoly:
-    """Exact synthetic division by (x - 1); requires f(1) = 0."""
+    """Exact synthetic division by (x - 1); requires f(1) = 0.
+
+    Runs on the integer numerators over f's common denominator d: the
+    quotient's coefficients are the suffix sums, and f(1) is the sum of
+    all of them, over d.
+    """
     if f.degree < 1:
         raise ValueError("cannot deflate a constant")
-    out = [Fraction(0)] * f.degree
-    acc = Fraction(0)
-    for i in range(f.degree, 0, -1):
-        acc += f.coeffs[i]
-        out[i - 1] = acc
-    if acc + f.coeffs[0] != 0:
-        raise ValueError("1 is not a root, remainder {}".format(acc + f.coeffs[0]))
-    return RatPoly(_trim(out))
+    nums, d = integer_model(f.coeffs)
+    acc, out = 0, []
+    for c in reversed(nums[1:]):
+        acc += c
+        out.append(acc)
+    if acc + nums[0]:
+        raise ValueError(f"1 is not a root, remainder {Fraction(acc + nums[0], d)}")
+    return RatPoly(_trim([Fraction(c, d) for c in reversed(out)]))
 
 
 def cubic_discriminant(c, b, a):

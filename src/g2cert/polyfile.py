@@ -31,7 +31,21 @@ class PolyFile:
     coefficients: tuple[str, ...]
 
     def poly(self) -> RatPoly:
-        return RatPoly.from_strings(self.coefficients)
+        return self._poly
+
+    @functools.cached_property
+    def _poly(self) -> RatPoly:
+        # each coefficient string is parsed once, here; equality and the
+        # digest read the fields only
+        parsed = []
+        for i, c in enumerate(self.coefficients):
+            if not isinstance(c, str):
+                raise PolyFileError(f"coefficients[{i}] must be a string")
+            try:
+                parsed.append(parse_rational(c))
+            except ValueError as e:
+                raise PolyFileError(f"coefficients[{i}]: {e}") from e
+        return RatPoly.from_coeffs(parsed)
 
 
 def parse_polyfile(text: str) -> PolyFile:
@@ -53,19 +67,11 @@ def parse_polyfile(text: str) -> PolyFile:
             raise PolyFileError(f"field {key!r} must be a {kind.__name__}")
     if not is_prime(raw["steinberg_prime"]):
         raise PolyFileError(f"field 'steinberg_prime' must be prime, got {raw['steinberg_prime']}")
-    coeffs = raw["coefficients"]
-    for i, c in enumerate(coeffs):
-        if not isinstance(c, str):
-            raise PolyFileError(f"coefficients[{i}] must be a string")
-        try:
-            parse_rational(c)
-        except ValueError as e:
-            raise PolyFileError(f"coefficients[{i}]: {e}") from e
     pf = PolyFile(
         name=raw["name"],
         steinberg_prime=raw["steinberg_prime"],
         variable=raw["variable"],
-        coefficients=tuple(coeffs),
+        coefficients=tuple(raw["coefficients"]),
     )
     if not pf.poly().is_monic():
         raise PolyFileError("field 'coefficients' must describe a monic polynomial")

@@ -27,7 +27,6 @@ length log q (see ReductionContext.order_report).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .arith import factor_integer, is_prime, require_proven_prime
@@ -54,6 +53,7 @@ from .poly import (
     deflate_root_one,
     degree_pattern,
     format_poly,
+    integer_model,
 )
 from .polyfile import PolyFile
 from .weyl import FROBENIUS_LOOKUP, torus_order
@@ -74,12 +74,6 @@ class FrobeniusClassification:
     weyl_class: str
     torus_order: int
     x_pattern: DegreePattern
-
-
-def _int_model(poly: RatPoly) -> tuple[tuple[int, ...], int]:
-    """(integer coefficients, d) with poly = (1/d) * sum c_i x^i."""
-    den = math.lcm(*(c.denominator for c in poly.coeffs))
-    return tuple(int(c * den) for c in poly.coeffs), den
 
 
 class ReductionContext:
@@ -111,8 +105,10 @@ class ReductionContext:
         self.unit_product = g2_lift_check(pair.q)
         self.square_kernels = square_kernels(pair)
         self.ramified = ramified_primes(pair)
-        self.x_num = _int_model(sextic)[0]
-        self.y_num, self.y_den = _int_model(pair.q)
+        # P's integer model, read off the sextic itself so that classify's
+        # trace-cubic check compares two independent reductions
+        self.x_num = tuple(integer_model(sextic.coeffs)[0])
+        self.y_num, self.y_den = pair.model, pair.model[3]
         # chi(delta) mod p = chi(num * den): den^2 * delta = num * den
         self.delta_nd = pair.delta.numerator * pair.delta.denominator
         self.delta_prime_nd = pair.delta_prime.numerator * pair.delta_prime.denominator

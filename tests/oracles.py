@@ -4,11 +4,15 @@ Everything here is written the slow, obvious way on purpose: trial
 division, root sweeps, multiply-until-identity loops, the Euclidean
 resultant, and the Weyl group of G2 enumerated element by element.  None
 of it shares code with the fast paths in the package, so agreement is
-meaningful.  The one exception is cofactor_descent_order, an exact-order
-descent with one ladder per prime factor of the torus order: it takes the
-factorization from the caller and reuses the package's Dickson ladder
-(checked on its own against the three-term recurrence), so it checks only
-the order in which order_report composes the ladders.
+meaningful.  There are two exceptions.  cofactor_descent_order, an
+exact-order descent with one ladder per prime factor of the torus order,
+takes the factorization from the caller and reuses the package's Dickson
+ladder (checked on its own against the three-term recurrence), so it
+checks only the order in which order_report composes the ladders.  The
+fraction_* functions are the package's input analysis as it ran in
+Fraction arithmetic before the integer model of Q; fraction_cubic_irreducible
+keeps the package's root search, so against it the integer model's
+coefficients are what is checked.
 """
 
 from __future__ import annotations
@@ -21,6 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from g2cert.errors import NotMonicError, NotPalindromicError
+from g2cert.palindromic import (
+    TAG_D6,
+    TAG_INCONCLUSIVE,
+    TAG_OTHER,
+    TAG_WEYL_BC,
+    GaloisClassification,
+    PalindromicPair,
+)
 from g2cert.poly import ModPoly, RatPoly
 from g2cert.reduction import _dickson
 
@@ -386,6 +399,10 @@ def rat_evaluate(f: RatPoly, x: Fraction | int) -> Fraction:
     return sum((c * Fraction(x) ** i for i, c in enumerate(f.coeffs)), Fraction(0))
 
 
+def rat_derivative(f: RatPoly) -> RatPoly:
+    return _rat_trim([i * c for i, c in enumerate(f.coeffs)][1:])
+
+
 def inflate_palindromic(q: RatPoly) -> RatPoly:
     """x^n q(x + 1/x) for monic q of degree n >= 1, monic palindromic of degree 2n.
 
@@ -398,6 +415,116 @@ def inflate_palindromic(q: RatPoly) -> RatPoly:
         for j in range(k + 1):
             out[n - k + 2 * j] += math.comb(k, j) * c
     return RatPoly(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# the input analysis in Fraction arithmetic, as the package ran it before it
+# moved to the integer model of Q: every value is a Fraction expression in
+# the coefficients, and squareness is read by integer square roots instead
+# of squarefree kernels
+
+
+def fraction_deflate_root_one(f: RatPoly) -> RatPoly:
+    if f.degree < 1:
+        raise ValueError("cannot deflate a constant")
+    out = [Fraction(0)] * f.degree
+    acc = Fraction(0)
+    for i in range(f.degree, 0, -1):
+        acc += f.coeffs[i]
+        out[i - 1] = acc
+    if acc + f.coeffs[0] != 0:
+        raise ValueError("1 is not a root, remainder {}".format(acc + f.coeffs[0]))
+    return _rat_trim(out)
+
+
+def fraction_palindromic_reduce(poly: RatPoly) -> PalindromicPair:
+    if poly.degree != 6:
+        raise NotPalindromicError(f"degree {poly.degree}: only sextics are reduced")
+    if not poly.is_monic():
+        raise NotMonicError("not monic")
+    if not poly.is_palindromic():
+        raise NotPalindromicError("coefficients are not palindromic")
+    p3, p4, p5, one = poly.coeffs[3:]
+    q = RatPoly((p3 - 2 * p5, p4 - 3, p5, one))
+    at2, atm2 = rat_evaluate(q, 2), rat_evaluate(q, -2)
+    return PalindromicPair(
+        poly=poly, q=q, delta=discriminant(q), delta_prime=at2 * atm2,
+        q_at_2=at2, q_at_minus_2=atm2,
+    )
+
+
+def fraction_temperedness_check(pair: PalindromicPair) -> bool:
+    q = pair.q
+    qp = rat_derivative(q)
+    return (
+        pair.delta > 0
+        and pair.q_at_minus_2 < 0
+        and pair.q_at_2 > 0
+        and rat_evaluate(qp, -2) > 0
+        and rat_evaluate(qp, 2) > 0
+        and -6 < q[2] < 6
+    )
+
+
+def fraction_g2_lift_check(q: RatPoly) -> bool:
+    a, b, c = -q[2], q[1], -q[0]
+    return a * a == c + 2 * b + 4
+
+
+def fraction_cubic_irreducible(q: RatPoly) -> bool:
+    """No rational root: no integer root of F(z) = D^3 q(z / D), searched by
+    bisection on the stretches where F is monotone (the package's proof)."""
+    den = math.lcm(*(c.denominator for c in q.coeffs))
+    c2, c1, c0 = int(q[2] * den), int(q[1] * den**2), int(q[0] * den**3)
+
+    def value(z: int) -> int:
+        return ((z + c2) * z + c1) * z + c0
+
+    def has_root(a: int, b: int) -> bool:
+        if a > b:
+            return False
+        fa, fb = value(a), value(b)
+        if fa == 0 or fb == 0:
+            return True
+        if (fa > 0) == (fb > 0):
+            return False
+        while b - a > 1:
+            mid = (a + b) // 2
+            fm = value(mid)
+            if fm == 0:
+                return True
+            if (fm > 0) == (fa > 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        return False
+
+    bound = 1 + max(abs(c2), abs(c1), abs(c0))
+    d = c2 * c2 - 3 * c1
+    if d <= 0:
+        return not has_root(-bound, bound)
+    s = math.isqrt(d)
+    k1, k2 = (-c2 - s - 1) // 3, (s - c2) // 3
+    return not (has_root(-bound, k1) or has_root(k1 + 1, k2) or has_root(k2 + 1, bound))
+
+
+def fraction_classify_galois(pair: PalindromicPair) -> GaloisClassification:
+    separable = pair.delta != 0 and pair.delta_prime != 0
+    d, dp = pair.delta, pair.delta_prime
+    evidence = {
+        "q_irreducible": fraction_cubic_irreducible(pair.q),
+        "delta_nonsquare": separable and not naive_is_square(d),
+        "delta_prime_nonsquare": separable and not naive_is_square(dp),
+        "product_nonsquare": separable and not naive_is_square(d * dp),
+        "roots_in_interval": separable and fraction_temperedness_check(pair),
+    }
+    if not all(evidence[k] for k in list(evidence)[:4]):
+        tag = TAG_OTHER
+    elif not evidence["roots_in_interval"]:
+        tag = TAG_INCONCLUSIVE
+    else:
+        tag = TAG_D6 if fraction_g2_lift_check(pair.q) else TAG_WEYL_BC
+    return GaloisClassification(tag=tag, evidence=evidence)
 
 
 # ---------------------------------------------------------------------------

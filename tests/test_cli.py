@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +292,38 @@ def test_single_input_output_pinned(argv, want):
     r = run_cli(*argv)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == want
+
+
+# `reduce` on each committed input under tests/data: sha256 of stdout, exit
+# code and stderr, computed before the analysis ran on the integer model.
+# d6, weyl-bc, inconclusive and rational-root are drawn by
+# perfbench/corpus.py (seed 777) and reach the D6, WeylBC_n, Inconclusive
+# and Other verdicts; square-discriminant is (x - 1)(x^6 + x^3 + 1), whose
+# Q = y^3 - 3y + 1 has discriminant 81 (Other); no-root-at-one is
+# frobenius2 with its x coefficient changed, so deflation fails.
+DATA_PINS = {
+    "d6": ("b9a56d9d0531fdc484058908158b650504d35243da644528bc6ff30bbd1e592c", 0, ""),
+    "weyl-bc": ("1a70ce9bc87f26bd695bde9d4aa827809abd73f9c1db1bd6a9d5adc71db4983e", 1, ""),
+    "inconclusive": ("d369e6d882c492e79c5bf3aa587d3b3cb2dd24353e78ce63df24d8b0d51b96cb", 1, ""),
+    "rational-root": ("c5bda65fdb1106b01ce6a5908a13091037172b86d58ea43f90a204c4a8f7efd7", 1, ""),
+    "square-discriminant": (
+        "2fdce074dd524667fd03bfe793e96298898c4542c7d845167a9e17d9d72052d0", 1, ""
+    ),
+    "no-root-at-one": (
+        hashlib.sha256(b"").hexdigest(),
+        1,
+        "g2cert: no-root-at-one: 1 is not a root, remainder -1/12\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DATA_PINS)
+def test_reduce_data_inputs_pinned(name):
+    r = run_cli("reduce", str(Path(__file__).parent / "data" / f"{name}.json"))
+    digest, code, stderr = DATA_PINS[name]
+    assert (hashlib.sha256(r.stdout.encode()).hexdigest(), r.returncode, r.stderr) == (
+        digest, code, stderr
+    )
 
 
 def test_scan_excludes_steinberg_prime_in_library_and_cli(tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -156,6 +157,15 @@ def test_bad_primes_raise_typed_errors(sextic_a):
     with pytest.raises(ExcludedPrimeError) as exc_even:
         ctx.classify(2)
     assert exc_even.value.reason == REASON_EVEN
+
+
+def test_excluded_prime_error_survives_pickling(ctx_a):
+    # how a pool worker's error would reach the parent
+    with pytest.raises(ExcludedPrimeError) as exc:
+        ctx_a.classify(71)
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert type(copy) is ExcludedPrimeError
+    assert (copy.p, copy.reason, copy.args) == (71, REASON_RAMIFIED, exc.value.args)
 
 
 def test_primes_above_the_proof_bound_are_refused(ctx_a):
