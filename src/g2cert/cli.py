@@ -150,7 +150,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
-    cls = ctx.classify(p)
+    cls = ctx.classify(p)  # proves p good, so order_report need not again
     return {
         "p": p,
         "y_pattern": list(cls.y_pattern),
@@ -159,7 +159,7 @@ def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
         "weyl_class": cls.weyl_class,
         "torus_order": cls.torus_order,
         "x_pattern": list(cls.x_pattern),
-        **_order_doc(ctx.order_report(p, cls)),
+        **_order_doc(ctx.order_report(p, cls, checked=True)),
     }
 
 

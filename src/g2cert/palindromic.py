@@ -71,6 +71,12 @@ class PalindromicPair:
         dens = self.denominator_primes
         return prime_exponents(self.delta, dens), prime_exponents(self.delta_prime, dens)
 
+    @functools.cached_property
+    def kernels(self) -> tuple[int, int]:
+        """Signed squarefree kernels of delta and delta_prime, which must be nonzero."""
+        exps, exps_prime = self.exponents
+        return squarefree_kernel(self.delta, exps), squarefree_kernel(self.delta_prime, exps_prime)
+
 
 def _cubic_model(q: RatPoly) -> tuple[int, int, int, int]:
     """The integer model (c0, c1, c2, D) of a monic cubic q; ValueError for any other q."""
@@ -264,7 +270,7 @@ def classify_galois(pair: PalindromicPair) -> GaloisClassification:
     """
     model = pair.model  # ValueError unless Q is a monic cubic
     separable = separability_check(pair)
-    k, k_prime = _kernels(pair) if separable else (1, 1)
+    k, k_prime = pair.kernels if separable else (1, 1)
     evidence = {
         "q_irreducible": _cubic_irreducible(model),
         "delta_nonsquare": separable and k != 1,
@@ -287,12 +293,6 @@ def classify_galois(pair: PalindromicPair) -> GaloisClassification:
     return GaloisClassification(tag=tag, evidence=evidence)
 
 
-def _kernels(pair: PalindromicPair) -> tuple[int, int]:
-    """Signed squarefree kernels of delta and delta_prime; pair must be separable."""
-    exps, exps_prime = pair.exponents
-    return squarefree_kernel(pair.delta, exps), squarefree_kernel(pair.delta_prime, exps_prime)
-
-
 def square_kernels(pair: PalindromicPair) -> frozenset[int]:
     """Squarefree kernels of delta, delta_prime and their product; pair must be separable.
 
@@ -300,6 +300,6 @@ def square_kernels(pair: PalindromicPair) -> frozenset[int]:
     three kernels.  The product's kernel is k k' / gcd(k, k')^2, since k
     and k' are squarefree.
     """
-    k, k_prime = _kernels(pair)
+    k, k_prime = pair.kernels
     g = math.gcd(k, k_prime)
     return frozenset((k, k_prime, k * k_prime // (g * g)))

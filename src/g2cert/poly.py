@@ -6,10 +6,10 @@ then -1.  RatPoly carries Fraction coefficients, ModPoly ints mod p.
 
 Over F_p only the trace cubic Q and the palindromic sextic
 P = x^3 Q(x + 1/x) occur, and both run on one cubic kernel: a
-straight-line product on int tuples and an x^e ladder that squares (6
-coefficient products) and steps on local ints, with no call and no tuple
-per step.  degree_pattern reads factor patterns off the matrix M of the
-Frobenius a -> a^p of F_p[x]/(f) (Berlekamp 1967) and takes no gcd.  For
+straight-line product on int tuples and one ladder over the bits of p
+that squares (6 coefficient products) and steps on local ints, with no
+call and no tuple per step.  Factor patterns are read off the matrix M of
+the Frobenius a -> a^p of F_p[x]/(f) (Berlekamp 1967), with no gcd.  For
 squarefree f, F_p[x]/(f) is the product of fields F_(p^d), on which the
 k-th Frobenius power fixes a normal basis if d | k and moves all of it
 otherwise; so tr M^k = N_k = sum of d n_d over d | k (mod p): r1 = tr M,
@@ -20,10 +20,9 @@ R[x]/(x^2 - yx + 1), R = F_p[y]/(Q), onto F_p[x]/(P), and both have
 dimension 6, so the map is an isomorphism.  With z = x - 1/x, z^2 = y^2 - 4
 and 2x = y + z, so in characteristic p x^p = (y^p + z^p)/2 = (V + zU)/2 =
 (V - yU)/2 + U x, where V = y^p and U = (y^2 - 4)^((p-1)/2) come from
-cubic ladders.  V is also the Frobenius image that the cubic Q's own
-pattern reads, so degree_pattern takes it from a caller that already holds
-it (reduction.classify computes it once and gives it to both patterns) and
-otherwise runs its ladder.  Frobenius acts on R by phi, whose matrix M_Q
+one pass over the bits of p (_frobenius).  V is also the Frobenius image
+that Q's own pattern reads, so one pass and one V^2 serve both patterns,
+as in reduction.classify.  Frobenius acts on R by phi, whose matrix M_Q
 has columns 1, V, V^2.  Write x^p = A + B x; then phi(r + s x) = phi(r) +
 phi(s) A + phi(s) B x, so in the basis 1, y, y^2, x, xy, xy^2, M =
 [[M_Q, M_A M_Q], [0, N]] with N = M_B M_Q, whose columns are B, BV, BV^2.
@@ -87,9 +86,6 @@ class RatPoly:
 
     def is_palindromic(self) -> bool:
         return bool(self.coeffs) and self.coeffs == tuple(reversed(self.coeffs))
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -175,9 +171,7 @@ class ModPoly:
 #
 # An element of F_p[x]/(f), f monic cubic, is 3 ints (ascending).  The
 # kernels accept any ints and return canonical residues in [0, p), so a
-# caller may feed them unreduced sums.  The x^e ladder keeps the element a
-# in local ints and overwrites it from the top coefficient down: the x^k
-# coefficient of a^2 reads only a_0, ..., a_k.
+# caller may feed them unreduced sums.
 
 
 def _cubic_ring(p: int, f: Sequence[int]):
@@ -198,53 +192,53 @@ def _cubic_ring(p: int, f: Sequence[int]):
     return mul
 
 
-def _cubic_pow_x(p: int, f: Sequence[int], e: int, disc: bool = False) -> tuple[int, int, int]:
-    """x^e, or (x^2 - 4)^e when disc, in F_p[x]/(f) for monic f = (f0, f1, f2, 1) and e >= 1.
+def _frobenius(p: int, q: Sequence[int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(V, U) = (y^p, (y^2 - 4)^((p-1)/2)) in F_p[y]/(q), q = (q0, q1, q2, 1) monic, p odd.
 
-    Square-and-multiply; the multiply step is a step by x, or for disc two
-    steps by x minus 4 times the element.
+    One square-and-multiply pass over the bits of p holds a = y^k and
+    b = (y^2 - 4)^k for each prefix k; at k = p >> 1 = (p - 1)/2, b is U and
+    a takes one more square and step by y.  A square folds the y^4 and y^3
+    coefficients t4, t3 down.
     """
-    r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p
-    a0, a1, a2 = (-4 % p, 0, 1) if disc else (0, 1, 0)
-    for bit in bin(e)[3:]:
-        # square (6 products), folding the x^4 and x^3 coefficients t4, t3 down
-        d0 = a0 + a0
-        t4 = a2 * a2 % p
+    r0, r1, r2 = -q[0] % p, -q[1] % p, -q[2] % p  # y^3 = r2 y^2 + r1 y + r0
+    a0, a1, a2, b0, b1, b2 = 0, 1, 0, -4 % p, 0, 1
+    for bit in bin(p)[3:-1]:
+        d0, t4 = a0 + a0, a2 * a2 % p
         t3 = ((a1 + a1) * a2 + t4 * r2) % p
-        a2 = (d0 * a2 + a1 * a1 + t4 * r1 + t3 * r2) % p
-        a1 = (d0 * a1 + t4 * r0 + t3 * r1) % p
-        a0 = (a0 * a0 + t3 * r0) % p
-        if bit == "1":
-            if disc:  # x a = (a2 r0, a0 + a2 r1, b2), then x (x a) - 4 a
-                b2 = (a1 + a2 * r2) % p
-                a0, a1, a2 = ((b2 * r0 - 4 * a0) % p, (a2 * r0 + b2 * r1 - 4 * a1) % p,
-                              (a0 + a2 * r1 + b2 * r2 - 4 * a2) % p)
-            else:
-                a0, a1, a2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
-    return a0, a1, a2
+        a0, a1, a2 = ((a0 * a0 + t3 * r0) % p, (d0 * a1 + t4 * r0 + t3 * r1) % p,
+                      (d0 * a2 + a1 * a1 + t4 * r1 + t3 * r2) % p)
+        d0, t4 = b0 + b0, b2 * b2 % p
+        t3 = ((b1 + b1) * b2 + t4 * r2) % p
+        b0, b1, b2 = ((b0 * b0 + t3 * r0) % p, (d0 * b1 + t4 * r0 + t3 * r1) % p,
+                      (d0 * b2 + b1 * b1 + t4 * r1 + t3 * r2) % p)
+        if bit == "1":  # y a = (a2 r0, a0 + a2 r1, a1 + a2 r2); y (y b) - 4 b
+            a0, a1, a2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
+            c2 = (b1 + b2 * r2) % p
+            b0, b1, b2 = ((c2 * r0 - 4 * b0) % p, (b2 * r0 + c2 * r1 - 4 * b1) % p,
+                          (b0 + b2 * r1 + c2 * r2 - 4 * b2) % p)
+    d0, t4 = a0 + a0, a2 * a2 % p
+    t3 = ((a1 + a1) * a2 + t4 * r2) % p
+    a0, a1, a2 = ((a0 * a0 + t3 * r0) % p, (d0 * a1 + t4 * r0 + t3 * r1) % p,
+                  (d0 * a2 + a1 * a1 + t4 * r1 + t3 * r2) % p)
+    return (a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p), (b0, b1, b2)
 
 
-def _cubic_pattern(p: int, f: Sequence[int], xp: tuple[int, int, int]) -> DegreePattern | None:
-    """Pattern of a monic cubic f, given xp = x^p mod f, or None when it has a repeated factor.
-
-    Squarefree by the discriminant; then (1, 1, 1) iff x^p = x, else
-    r1 = tr M = 1 + (x^p)_1 + (x^2p)_2.
-    """
+def _cubic_pattern(p: int, f: tuple[int, ...], v: tuple, w: tuple) -> DegreePattern:
+    """Pattern of a monic cubic f, given v = x^p and w = x^2p mod f: squarefree by the
+    discriminant, else NotSeparableError; then (1, 1, 1) iff x^p = x, else
+    r1 = tr M = 1 + (x^p)_1 + (x^2p)_2."""
     if not cubic_discriminant(*f[:3]) % p:
-        return None
-    if xp == (0, 1, 0):
+        raise NotSeparableError(f"{ModPoly(p, f)} has a repeated factor")
+    if v == (0, 1, 0):
         return (1, 1, 1)
-    return (1, 2) if (1 + xp[1] + _cubic_ring(p, f)(xp, xp)[2]) % p == 1 else (3,)
+    return (1, 2) if (1 + v[1] + w[2]) % p == 1 else (3,)
 
 
-def _sextic_pattern(p: int, q: Sequence[int], v: tuple[int, int, int]) -> DegreePattern | None:
-    """Pattern of the monic palindromic sextic x^3 Q(x + 1/x), given Q = q and
-    V = y^p in R = F_p[y]/(Q), or None when it has a repeated factor."""
-    mul = _cubic_ring(p, q)
-    # in R: V = y^p and V^2 give phi; x^p = A + B x with B = U
-    v0, v1, v2 = v
-    w = w0, w1, w2 = mul(v, v)
-    b = b0, b1, b2 = _cubic_pow_x(p, q, (p - 1) // 2, disc=True)
+def _sextic_pattern(p: int, q: Sequence[int], mul, v, w, b) -> DegreePattern | None:
+    """Pattern of the monic palindromic sextic x^3 Q(x + 1/x), None for a repeated factor,
+    given Q = q, mul of R = F_p[y]/(Q), and V = y^p, V^2 and U = (y^2 - 4)^((p-1)/2) in R."""
+    # V and V^2 give phi; x^p = A + B x with B = U
+    (v0, v1, v2), (w0, w1, w2), (b0, b1, b2) = v, w, b
     h = (p + 1) // 2  # 1/2; y B = (-q0 b2, b0 - q1 b2, b1 - q2 b2)
     a = ((v0 + q[0] * b2) * h % p, (v1 - b0 + q[1] * b2) * h % p, (v2 - b1 + q[2] * b2) * h % p)
     c0, c1, c2 = mul(b, v)  # N has columns B, B V, B V^2
@@ -281,15 +275,23 @@ def _sextic_pattern(p: int, q: Sequence[int], v: tuple[int, int, int]) -> Degree
     return pattern if fixed(math.lcm(*pattern)) else None
 
 
-def degree_pattern(f: ModPoly, frobenius: tuple[int, int, int] | None = None) -> DegreePattern:
+def _require_pattern_input(p: int, c: tuple[int, ...]) -> None:
+    """ValueError naming the reason unless c is a monic cubic or monic palindromic sextic, p odd."""
+    if len(c) not in (4, 7) or p < 3 or p % 2 == 0:
+        raise ValueError(
+            f"degree patterns are computed for degrees 3 and 6 mod odd p, got {ModPoly(p, c)}")
+    if (c[-1] - 1) % p:
+        raise ValueError(f"degree patterns need a monic polynomial, got {ModPoly(p, c)}")
+    if len(c) == 7 and ((c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p):
+        raise ValueError(f"sextic degree patterns need a palindromic sextic, got {ModPoly(p, c)}")
+
+
+def degree_pattern(f: ModPoly) -> DegreePattern:
     """Degrees of the irreducible factors of a squarefree monic cubic, or of a
     squarefree monic palindromic sextic, mod an odd p, sorted.
 
-    Both patterns read the Frobenius V = y^p of F_p[y]/(Q), where Q is f
-    itself (cubic) or the trace cubic (f3 - 2 f5, f4 - 3, f5, 1) read off f
-    (sextic, f = x^3 Q(x + 1/x)).  A caller that already holds V for that Q,
-    as canonical residues (the cubic kernel's x^e ladder returns them),
-    passes it as frobenius; otherwise it is computed here by that ladder.
+    Both read one Frobenius pass in F_p[y]/(Q), Q = f itself (cubic) or the
+    trace cubic (f3 - 2 f5, f4 - 3, f5, 1) of f = x^3 Q(x + 1/x) (sextic).
 
     Raises NotSeparableError for a repeated factor, and ValueError that
     names the reason for any other input: a degree other than 3 or 6, an
@@ -297,15 +299,12 @@ def degree_pattern(f: ModPoly, frobenius: tuple[int, int, int] | None = None) ->
     palindromic.
     """
     p, c = f.p, f.coeffs
-    if f.degree not in (3, 6) or p < 3 or p % 2 == 0:
-        raise ValueError(f"degree patterns are computed for degrees 3 and 6 mod odd p, got {f}")
-    if (c[-1] - 1) % p:
-        raise ValueError(f"degree patterns need a monic polynomial, got {f}")
-    if f.degree == 6 and ((c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p):
-        raise ValueError(f"sextic degree patterns need a palindromic sextic, got {f}")
-    q = c if f.degree == 3 else (c[3] - 2 * c[5], c[4] - 3, c[5], 1)  # P = x^3 Q(x + 1/x)
-    v = _cubic_pow_x(p, q, p) if frobenius is None else frobenius
-    pattern = _cubic_pattern(p, q, v) if f.degree == 3 else _sextic_pattern(p, q, v)
+    _require_pattern_input(p, c)
+    q = c if len(c) == 4 else (c[3] - 2 * c[5], c[4] - 3, c[5], 1)  # P = x^3 Q(x + 1/x)
+    v, u = _frobenius(p, q)
+    mul = _cubic_ring(p, q)
+    w = mul(v, v)
+    pattern = _cubic_pattern(p, q, v, w) if len(c) == 4 else _sextic_pattern(p, q, mul, v, w, u)
     if pattern is None:
         raise NotSeparableError(f"{f} has a repeated factor")
     return pattern

@@ -47,6 +47,10 @@ class PolyFile:
                 raise PolyFileError(f"coefficients[{i}]: {e}") from e
         return RatPoly.from_coeffs(parsed)
 
+    @functools.cached_property
+    def _digest(self) -> str:
+        return hashlib.sha256(serialize_polyfile(self).encode("utf-8")).hexdigest()
+
 
 def parse_polyfile(text: str) -> PolyFile:
     try:
@@ -95,8 +99,8 @@ def load_polyfile(path: str) -> PolyFile:
 
 
 def digest(pf: PolyFile) -> str:
-    """sha256 of the canonical serialization."""
-    return hashlib.sha256(serialize_polyfile(pf).encode("utf-8")).hexdigest()
+    """sha256 of the canonical serialization, computed once per PolyFile."""
+    return pf._digest
 
 
 @functools.cache

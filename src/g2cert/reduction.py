@@ -7,10 +7,9 @@ quadratic character of delta' = Q(2)Q(-2).  The class determines in turn
 the character of delta, the factor pattern of P mod p itself, and the
 order of the finite torus the reduced element lives in; all of these are
 recomputed and compared on every call, so a single inconsistent witness
-anywhere is a hard error rather than a wrong answer.  Both factor
-patterns read the Frobenius y^p of F_p[y]/(Q): once the trace cubic read
-off P mod p is checked equal to Q mod p, one y^p per input per prime
-serves both witnesses (see ReductionContext.classify).
+anywhere is a hard error rather than a wrong answer.  Once the trace
+cubic of P mod p is checked equal to Q mod p, both factor patterns read
+one Frobenius pass in F_p[y]/(Q) (see ReductionContext.classify).
 
 Element orders are computed on the trace side: x^m = 1 for every root x
 of P mod p exactly when the trace sequence V_m (V_0 = 2, V_1 = y,
@@ -49,9 +48,12 @@ from .poly import (
     DegreePattern,
     ModPoly,
     RatPoly,
-    _cubic_pow_x,
+    _cubic_pattern,
+    _cubic_ring,
+    _frobenius,
+    _require_pattern_input,
+    _sextic_pattern,
     deflate_root_one,
-    degree_pattern,
     format_poly,
     integer_model,
 )
@@ -159,11 +161,10 @@ class ReductionContext:
 
         Both Q and P are reduced mod p, and P's trace cubic (f3 - 2 f5,
         f4 - 3, f5, 1) must equal Q mod p coefficient by coefficient.  One
-        y^p in F_p[y]/(Q) then serves both witnesses.  The ladder that
-        computes it is a pure function of p and the cubic's residues, so
-        once the two cubics agree the y^p that the sextic's pattern would
-        compute for itself is the same tuple, and the x-pattern, still read
-        off P mod p, is unchanged.  Sharing drops no witness; it adds the
+        Frobenius pass in F_p[y]/(Q) then serves both witnesses: it is a
+        pure function of p and the cubic's residues, so once the cubics
+        agree, the x-pattern, still read off P mod p (checked monic and
+        palindromic), is unchanged.  Sharing drops no witness; it adds the
         equality check.
 
         checked=True skips ensure_good, for a caller that has already
@@ -180,11 +181,12 @@ class ReductionContext:
                 f"but Q mod p is {format_poly(q, 'y')}",
                 p=p, witness="trace_cubic", expected=q, actual=trace_cubic,
             )
-        yp = _cubic_pow_x(p, q, p)
-        half = (p - 1) // 2
-        y_pattern = degree_pattern(ModPoly(p, q), yp)
-        chi_dp = -1 if pow(self.delta_prime_nd % p, half, p) == p - 1 else 1
-        chi_d = -1 if pow(self.delta_nd % p, half, p) == p - 1 else 1
+        v, u = _frobenius(p, q)
+        mul = _cubic_ring(p, q)
+        w = mul(v, v)
+        y_pattern = _cubic_pattern(p, q, v, w)
+        chi_dp = -1 if pow(self.delta_prime_nd % p, p >> 1, p) == p - 1 else 1
+        chi_d = -1 if pow(self.delta_nd % p, p >> 1, p) == p - 1 else 1
         info = FROBENIUS_LOOKUP[(y_pattern, chi_dp)]
         if chi_d != info.epsilon:
             raise WitnessMismatchError(
@@ -192,7 +194,10 @@ class ReductionContext:
                 f"requires {info.epsilon}",
                 p=p, witness="chi_delta", expected=info.epsilon, actual=chi_d,
             )
-        x_pattern = degree_pattern(ModPoly(p, sextic), yp)
+        _require_pattern_input(p, sextic)
+        x_pattern = _sextic_pattern(p, q, mul, v, w, u)
+        if x_pattern is None:
+            raise NotSeparableError(f"{ModPoly(p, sextic)} has a repeated factor")
         if x_pattern != info.pattern_on_x:
             raise WitnessMismatchError(
                 f"p={p}: sextic splits as {x_pattern} but class {info.label} "
@@ -228,9 +233,8 @@ class ReductionContext:
         most e - 1 such ladders: a leaf that is not 2 after them has
         q-part q^e.
 
-        checked=True skips ensure_good, for a caller that has already
-        established that p is an odd prime outside `excluded` and that the
-        input is D6 (certify does, from is_prime or its sieve).
+        checked=True skips ensure_good, as in classify; certify, and the
+        frobenius command after classify, pass it.
         """
         if not checked:
             self.ensure_good(p)
@@ -273,17 +277,14 @@ def _dickson(p: int, f: tuple[int, ...], s: tuple[int, int, int], m: int) -> tup
     component field the test is exact, and the ring checks them all at
     once.  The ladder keeps (V_k, V_(k+1)) in the locals v0, v1, v2, w0, w1,
     w2, with V_2k = V_k^2 - 2 and V_(2k+1) = V_k V_(k+1) - s, by the cubic
-    kernel's product and square written out (poly.py); a square overwrites
-    its value from the top coefficient down.
+    kernel's product and square written out (poly.py).
     """
     r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p  # y^3 = r2 y^2 + r1 y + r0
     v0, v1, v2 = s0, s1, s2 = s[0] % p, s[1] % p, s[2] % p
-    d0 = s0 + s0
-    t4 = s2 * s2 % p
+    d0, t4 = s0 + s0, s2 * s2 % p
     t3 = ((s1 + s1) * s2 + t4 * r2) % p
-    w0 = (s0 * s0 + t3 * r0 - 2) % p
-    w1 = (d0 * s1 + t4 * r0 + t3 * r1) % p
-    w2 = (d0 * s2 + s1 * s1 + t4 * r1 + t3 * r2) % p
+    w0, w1, w2 = ((s0 * s0 + t3 * r0 - 2) % p, (d0 * s1 + t4 * r0 + t3 * r1) % p,
+                  (d0 * s2 + s1 * s1 + t4 * r1 + t3 * r2) % p)
     for bit in bin(m)[3:]:
         # c = V_k V_(k+1) - s
         t4 = v2 * w2 % p
@@ -292,20 +293,16 @@ def _dickson(p: int, f: tuple[int, ...], s: tuple[int, int, int], m: int) -> tup
         c1 = (v0 * w1 + v1 * w0 + t4 * r0 + t3 * r1 - s1) % p
         c2 = (v0 * w2 + v1 * w1 + v2 * w0 + t4 * r1 + t3 * r2 - s2) % p
         if bit == "0":  # (V_2k, V_(2k+1)) = (V_k^2 - 2, c)
-            d0 = v0 + v0
-            t4 = v2 * v2 % p
+            d0, t4 = v0 + v0, v2 * v2 % p
             t3 = ((v1 + v1) * v2 + t4 * r2) % p
-            v2 = (d0 * v2 + v1 * v1 + t4 * r1 + t3 * r2) % p
-            v1 = (d0 * v1 + t4 * r0 + t3 * r1) % p
-            v0 = (v0 * v0 + t3 * r0 - 2) % p
+            v0, v1, v2 = ((v0 * v0 + t3 * r0 - 2) % p, (d0 * v1 + t4 * r0 + t3 * r1) % p,
+                          (d0 * v2 + v1 * v1 + t4 * r1 + t3 * r2) % p)
             w0, w1, w2 = c0, c1, c2
         else:  # (V_(2k+1), V_(2k+2)) = (c, V_(k+1)^2 - 2)
-            d0 = w0 + w0
-            t4 = w2 * w2 % p
+            d0, t4 = w0 + w0, w2 * w2 % p
             t3 = ((w1 + w1) * w2 + t4 * r2) % p
-            w2 = (d0 * w2 + w1 * w1 + t4 * r1 + t3 * r2) % p
-            w1 = (d0 * w1 + t4 * r0 + t3 * r1) % p
-            w0 = (w0 * w0 + t3 * r0 - 2) % p
+            w0, w1, w2 = ((w0 * w0 + t3 * r0 - 2) % p, (d0 * w1 + t4 * r0 + t3 * r1) % p,
+                          (d0 * w2 + w1 * w1 + t4 * r1 + t3 * r2) % p)
             v0, v1, v2 = c0, c1, c2
     return v0, v1, v2
 

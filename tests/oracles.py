@@ -336,6 +336,11 @@ def _gcd(a: int, b: int) -> int:
 # resultant, on RatPoly used only as a container of Fraction coefficients
 
 
+def rat_coeff(f: RatPoly, i: int) -> Fraction:
+    """The x^i coefficient of f, 0 past its degree."""
+    return f.coeffs[i] if 0 <= i < len(f.coeffs) else Fraction(0)
+
+
 def _rat_trim(coeffs: list[Fraction]) -> RatPoly:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -462,12 +467,12 @@ def fraction_temperedness_check(pair: PalindromicPair) -> bool:
         and pair.q_at_2 > 0
         and rat_evaluate(qp, -2) > 0
         and rat_evaluate(qp, 2) > 0
-        and -6 < q[2] < 6
+        and -6 < rat_coeff(q, 2) < 6
     )
 
 
 def fraction_g2_lift_check(q: RatPoly) -> bool:
-    a, b, c = -q[2], q[1], -q[0]
+    a, b, c = -rat_coeff(q, 2), rat_coeff(q, 1), -rat_coeff(q, 0)
     return a * a == c + 2 * b + 4
 
 
@@ -475,7 +480,8 @@ def fraction_cubic_irreducible(q: RatPoly) -> bool:
     """No rational root: no integer root of F(z) = D^3 q(z / D), searched by
     bisection on the stretches where F is monotone (the package's proof)."""
     den = math.lcm(*(c.denominator for c in q.coeffs))
-    c2, c1, c0 = int(q[2] * den), int(q[1] * den**2), int(q[0] * den**3)
+    c2, c1, c0 = (int(rat_coeff(q, 2) * den), int(rat_coeff(q, 1) * den**2),
+                  int(rat_coeff(q, 0) * den**3))
 
     def value(z: int) -> int:
         return ((z + c2) * z + c1) * z + c0

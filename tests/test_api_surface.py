@@ -62,7 +62,6 @@ TRACED_BINDINGS = (
     ("g2cert.reduction", "palindromic_reduce"),
     ("g2cert.reduction", "classify_galois"),
     ("g2cert.reduction", "ramified_primes"),
-    ("g2cert.reduction", "degree_pattern"),
     ("g2cert.reduction", "factor_integer"),
     ("g2cert.reduction", "ReductionContext.classify"),
     ("g2cert.reduction", "ReductionContext.order_report"),
@@ -87,9 +86,7 @@ def test_public_api_is_pinned():
 def test_names_used_by_perfbench_exist():
     for name in ("bundled_polyfile", "deflate_root_one", "frobenius_class"):
         assert callable(getattr(g2cert, name)), name
-    # the per-layer tracer wraps the binding each caller looks up; the
-    # reduction.degree_pattern spans are split into cubic and sextic by the
-    # degree of the first argument
+    # the per-layer tracer wraps the binding each caller looks up
     for module, path in TRACED_BINDINGS:
         owner = importlib.import_module(module)
         for part in path.split("."):
@@ -97,17 +94,16 @@ def test_names_used_by_perfbench_exist():
         assert callable(owner), (module, path)
 
 
-def test_classify_sends_one_cubic_and_one_sextic_through_the_binding(ctx_a, monkeypatch):
-    # the tracer splits this binding's spans by degree into the
-    # poly.degree_pattern.cubic/sextic stages; a classify that stopped
-    # calling it would leave both stages silently absent
-    degrees = []
-    original = g2cert.reduction.degree_pattern
+def test_classify_runs_one_frobenius_pass(ctx_a, monkeypatch):
+    # both patterns, Q's and P's, are read off one pass over the bits of p;
+    # a second pass would be the per-pattern ladder that classify replaced
+    calls = []
+    original = g2cert.reduction._frobenius
 
-    def counting(f, *args):
-        degrees.append(f.degree)
-        return original(f, *args)
+    def counting(p, q):
+        calls.append(p)
+        return original(p, q)
 
-    monkeypatch.setattr(g2cert.reduction, "degree_pattern", counting)
+    monkeypatch.setattr(g2cert.reduction, "_frobenius", counting)
     ctx_a.classify(101)
-    assert degrees == [3, 6]
+    assert calls == [101]

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from g2cert.errors import NotSeparableError
 from g2cert.poly import (
     RatPoly,
-    _cubic_pow_x,
+    _cubic_pattern,
     _cubic_ring,
+    _frobenius,
+    _sextic_pattern,
     cubic_discriminant,
     deflate_root_one,
     degree_pattern,
@@ -25,6 +27,7 @@ from oracles import (
     naive_poly_mod,
     naive_poly_mul,
     naive_pow_x_mod,
+    rat_coeff,
     rat_derivative,
     rat_divmod,
     rat_evaluate,
@@ -63,7 +66,8 @@ def test_divmod_identity(a, b):
     q, r = rat_divmod(a, b)
     bq = rat_mul(b, q)
     n = max(len(bq.coeffs), len(r.coeffs), len(a.coeffs))
-    assert [bq[i] + r[i] for i in range(n)] == [a[i] for i in range(n)]
+    coeff_sums = [rat_coeff(bq, i) + rat_coeff(r, i) for i in range(n)]
+    assert coeff_sums == [rat_coeff(a, i) for i in range(n)]
     assert not r.coeffs or r.degree < b.degree
 
 
@@ -120,12 +124,20 @@ def _pad(a: list[int], n: int) -> tuple[int, ...]:
     return tuple(a) + (0,) * (n - len(a))
 
 
-def _naive_disc_power(f: list[int], e: int, p: int) -> tuple[int, ...]:
-    """(x^2 - 4)^e mod monic cubic f by e schoolbook products."""
+def _naive_power(base: list[int], e: int, f: list[int], p: int) -> tuple[int, ...]:
+    """base^e mod monic cubic f by binary powering on schoolbook products."""
     acc = [1]
-    for _ in range(e):
-        acc = naive_poly_mod(naive_poly_mul(acc, [-4 % p, 0, 1], p), f, p)
+    while e:
+        if e & 1:
+            acc = naive_poly_mod(naive_poly_mul(acc, base, p), f, p)
+        base = naive_poly_mod(naive_poly_mul(base, base, p), f, p)
+        e >>= 1
     return _pad(acc, 3)
+
+
+def _naive_frobenius(f: list[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(y^p, (y^2 - 4)^((p-1)/2)) mod monic cubic f, each by its own powering."""
+    return _naive_power([0, 1], p, f, p), _naive_power([-4 % p, 0, 1], (p - 1) // 2, f, p)
 
 
 def _palindromic_mod(q: list[int], p: int) -> list[int]:
@@ -154,25 +166,20 @@ def test_cubic_mul_matches_naive(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_pow_x_matches_naive(data):
-    # each ladder step squares, and on a 1 bit steps by x, or by x^2 - 4
+    # one pass over the bits of p gives y^p and (y^2 - 4)^((p-1)/2), here at
+    # primes up to the largest below 10^12
     p = data.draw(st.sampled_from(KERNEL_PRIMES))
     f = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(3)] + [1]
-    e = data.draw(st.integers(min_value=1, max_value=2000))
-    assert _cubic_pow_x(p, f, e) == _pad(naive_poly_mod([0] * e + [1], f, p), 3), (p, f, e)
-    assert _cubic_pow_x(p, f, e, disc=True) == _naive_disc_power(f, e, p), (p, f, e)
+    assert _frobenius(p, f) == _naive_frobenius(f, p), (p, f)
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_pow_x_ladders_at_p_and_its_neighbours(p):
-    # every monic cubic mod 3 and 5, at the exponents the patterns use
-    # (x^p, and (x^2 - 4)^((p-1)/2)) and the ones on either side of them
-    half = (p - 1) // 2
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_frobenius_every_cubic_mod_small_primes(p):
+    # every monic cubic mod 3, 5 and 7, where the pass has 0, 1 and 1 bits
+    # before U is read
     for k in range(p**3):
         f = [k // p**i % p for i in range(3)] + [1]
-        for e in (p - 1, p, p + 1):
-            assert _cubic_pow_x(p, f, e) == _pad(naive_poly_mod([0] * e + [1], f, p), 3), (f, e)
-        for e in (half, half + 1):
-            assert _cubic_pow_x(p, f, e, disc=True) == _naive_disc_power(f, e, p), (f, e)
+        assert _frobenius(p, f) == _naive_frobenius(f, p), f
 
 
 @given(st.data())
@@ -184,8 +191,7 @@ def test_tower_frobenius_is_x_to_the_p(data):
     p = data.draw(st.sampled_from(KERNEL_PRIMES))
     q = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(3)] + [1]
     sextic = _palindromic_mod(q, p)
-    v = _cubic_pow_x(p, q, p)
-    u = _cubic_pow_x(p, q, (p - 1) // 2, disc=True)
+    v, u = _frobenius(p, q)
     yu = _pad(naive_poly_mod(naive_poly_mul([0, 1], list(u), p), q, p), 3)
     a = [(vi - yi) * pow(2, -1, p) % p for vi, yi in zip(v, yu)]
     # 1/x = -(f1 + f2 x + ... + x^5), as P = 1 + x (f1 + f2 x + ... + x^5)
@@ -228,17 +234,17 @@ def test_degree_pattern_every_palindromic_sextic(p):
         witness = discriminant(RatPoly.from_coeffs(q)) * rat_evaluate(
             RatPoly.from_coeffs(q), 2) * rat_evaluate(RatPoly.from_coeffs(q), -2)
         assert separable == (witness % p != 0), q
-        # once without y^p and once given the oracle's y^p mod Q
-        yp = _pad(naive_pow_x_mod(q, p, p), 3)
+        # once through degree_pattern and once from the oracle's V, V^2 and U
+        v, u = _naive_frobenius(q, p)
+        mul = _cubic_ring(p, q)
+        given = _sextic_pattern(p, q, mul, v, mul(v, v), u)
         try:
             got = degree_pattern(mod_poly(p, f))
         except NotSeparableError:
-            assert not separable, f
-            with pytest.raises(NotSeparableError):
-                degree_pattern(mod_poly(p, f), yp)
+            assert not separable and given is None, f
             continue
         assert separable and got == naive_degree_pattern(f, p), f
-        assert degree_pattern(mod_poly(p, f), yp) == got, f
+        assert given == got, f
         found.add(got)
     assert found <= REACHABLE_PATTERNS
     assert p < 11 or found == REACHABLE_PATTERNS
@@ -294,16 +300,18 @@ def test_degree_pattern_all_cubics_mod_5():
         for b in range(p):
             for c in range(p):
                 f = mod_poly(p, [c, b, a, 1])
-                yp = _pad(naive_pow_x_mod([c, b, a, 1], p, p), 3)
+                # once through degree_pattern and once from the oracle's V and V^2
+                v = _naive_frobenius([c, b, a, 1], p)[0]
+                w = _cubic_ring(p, f.coeffs)(v, v)
                 try:
                     got = degree_pattern(f)
                 except NotSeparableError:
                     with pytest.raises(NotSeparableError):
-                        degree_pattern(f, yp)
+                        _cubic_pattern(p, f.coeffs, v, w)
                     continue
                 want = naive_degree_pattern([c, b, a, 1], p)
                 assert got == want, (a, b, c)
-                assert degree_pattern(f, yp) == want, (a, b, c)
+                assert _cubic_pattern(p, f.coeffs, v, w) == want, (a, b, c)
                 checked += 1
     assert checked > 50
 

@@ -340,6 +340,20 @@ def test_classify_checks_the_trace_cubic_of_p_against_q(bundle_a, shift):
         assert got != want
 
 
+@pytest.mark.parametrize("index, reason", [
+    (0, "palindromic"), (1, "palindromic"), (2, "palindromic"), (6, "monic"),
+])
+def test_classify_refuses_p_mod_p_off_the_trace_cubic(bundle_a, index, reason):
+    # the trace cubic reads only f3, f4 and f5; the monic and palindromic
+    # check on P mod p is what ties classify to f0, f1, f2 and f6, so a
+    # change to one of them alone is refused at every prime
+    ctx = ReductionContext.from_polyfile(bundle_a)
+    ctx.x_num = tuple(c + ctx.y_den * (i == index) for i, c in enumerate(ctx.x_num))
+    for p in (7, 101, 999983, 10**12 + 39):
+        with pytest.raises(ValueError, match=f"need a {reason} .* \\(mod {p}\\)$"):
+            ctx.classify(p)
+
+
 def _nonresidue(p):
     return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
 
