@@ -80,8 +80,19 @@ def require_proven_prime(n: int) -> None:
         raise ValueError(f"need an odd prime, got {n}")
 
 
+# primes_up_to(n) holds about n bytes plus 36 per prime: some 3 GB here
+SIEVE_LIMIT = 10**9
+
+
+def require_sievable(n: int) -> None:
+    """ValueError unless n <= SIEVE_LIMIT, the largest limit primes_up_to sieves."""
+    if n > SIEVE_LIMIT:
+        raise ValueError(f"limit {n} is above the sieve bound {SIEVE_LIMIT}")
+
+
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, ascending, by sieve of Eratosthenes."""
+    """All primes <= n, ascending, by sieve of Eratosthenes; n <= SIEVE_LIMIT."""
+    require_sievable(n)
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)

@@ -5,6 +5,13 @@ All output is exact (rationals as strings, densities as fraction plus a
 decimal rendering) and deterministic: the same inputs and flags produce
 byte-identical bytes.  Exit codes: 0 all checks pass, 1 mathematical
 precondition or certification failure, 2 usage or I/O error.
+
+`frobenius` and `scan` stream records through one writer, `_Report`.  JSON
+is `{`, a line per head field, `"records": [`, the records joined by
+`,\n    `, `\n  ]` (`]` if none), a line per tail field, `}`; each value is
+json.dumps(value, indent=indent) with its newlines padded to its depth
+(indent=2 gives json.dumps(doc, indent=2), indent=None a compact line per
+value).  CSV is the column names, a row per record, `# <json>` per tail value.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__
-from .arith import primes_up_to
+from .arith import primes_up_to, require_proven_prime, require_sievable
 from .certify import (
     VERDICT_CERTIFIED,
     CertificationReport,
@@ -27,7 +34,7 @@ from .certify import (
     certify_prime,
     scan,
 )
-from .errors import ExcludedPrimeError, G2CertError
+from .errors import G2CertError
 from .golden import EXPECTED, INDEPENDENT, TORUS_TABLE
 from .palindromic import TAG_D6
 from .poly import format_poly
@@ -68,6 +75,11 @@ def _density_doc(fr: Fraction) -> dict:
     return {"fraction": f"{fr.numerator}/{fr.denominator}", "decimal": _decimal(fr)}
 
 
+def _head(command: str) -> dict:
+    """The fields every report document opens with."""
+    return {"schema": SCHEMA, "version": __version__, "command": command}
+
+
 def _input_doc(pf: PolyFile) -> dict:
     return {
         "name": pf.name,
@@ -92,6 +104,39 @@ def _write_json(doc: Any, path: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     with _output(path) as out:
         out.write(text)
+
+
+class _Report:
+    """A report streamed as the module docstring lays out; render maps a record to its value."""
+
+    def __init__(self, out, fmt: str, head: dict, columns: tuple, render, indent: int | None):
+        self.out, self.render, self.indent, self.sep = out, render, indent, ""
+        self.rows = csv.writer(out, lineterminator="\n") if fmt == "csv" else None
+        if self.rows is not None:
+            self.rows.writerow(columns)
+        else:
+            fields = "".join(f"{self._field(k, v)},\n" for k, v in head.items())
+            out.write("{\n" + fields + '  "records": [')
+
+    def _dumps(self, value: Any, pad: str) -> str:
+        return json.dumps(value, indent=self.indent).replace("\n", "\n" + pad)
+
+    def _field(self, key: str, value: Any) -> str:
+        return f"  {json.dumps(key)}: {self._dumps(value, '  ')}"
+
+    def record(self, r: Any) -> None:
+        if self.rows is not None:
+            self.rows.writerow(self.render(r))
+        else:
+            self.out.write(f"{self.sep}\n    {self._dumps(self.render(r), '    ')}")
+            self.sep = ","
+
+    def close(self, tail: dict) -> None:
+        if self.rows is not None:
+            self.out.write("".join(f"# {json.dumps(v)}\n" for v in tail.values()))
+        else:
+            end = "".join(",\n" + self._field(k, v) for k, v in tail.items())
+            self.out.write(("\n  ]" if self.sep else "]") + end + "\n}\n")
 
 
 def _excluded_doc(excluded: dict[int, str]) -> list[dict]:
@@ -119,9 +164,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     ctx = ReductionContext.from_polyfile(pf)
     pair, tag = ctx.pair, ctx.classification.tag
     doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "reduce",
+        **_head("reduce"),
         "input": _input_doc(pf),
         "characteristic_poly": list(pf.coefficients),
         "sextic": ctx.sextic.to_strings(),
@@ -149,8 +192,16 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 # frobenius
 
 
+_FROBENIUS_COLUMNS = ("p", "y_pattern", "chi_delta_prime", "chi_delta", "weyl_class",
+                      "torus_order", "exact_order", "excluded")
+
+
 def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
-    cls = ctx.classify(p)  # proves p good, so order_report need not again
+    """The record of a proven prime p: its exclusion, or its class and order evidence."""
+    why = ctx.exclusion(p)
+    if why is not None:
+        return {"p": p, "excluded": why}
+    cls = ctx.classify(p, checked=True)
     return {
         "p": p,
         "y_pattern": list(cls.y_pattern),
@@ -163,42 +214,28 @@ def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
     }
 
 
+def _frobenius_row(r: dict) -> list:
+    """A record's CSV row: absent fields empty, the y-pattern joined by +."""
+    r = {**r, "y_pattern": "+".join(map(str, r.get("y_pattern", ())))}
+    return [r.get(c, "") for c in _FROBENIUS_COLUMNS]
+
+
 def cmd_frobenius(args: argparse.Namespace) -> int:
     pf = _load_input(args.input)
     ctx = ReductionContext.from_polyfile(pf)
     ctx.require_d6()
-    targets = [args.prime] if args.prime is not None else primes_up_to(args.limit)
-    records = []
-    for p in targets:
-        try:
-            records.append(_frobenius_record(ctx, p))
-        except ExcludedPrimeError as e:
-            records.append({"p": p, "excluded": e.reason})
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": "frobenius",
-            "input": _input_doc(pf),
-            "records": records,
-        }
-        _write_json(doc, args.out)
-        return 0
+    if args.prime is None:
+        primes = primes_up_to(args.limit)
+    else:
+        require_proven_prime(args.prime)
+        primes = [args.prime]
+    head = {**_head("frobenius"), "input": _input_doc(pf)}
+    render = _frobenius_row if args.format == "csv" else (lambda r: r)
     with _output(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["p", "y_pattern", "chi_delta_prime", "chi_delta", "weyl_class",
-             "torus_order", "exact_order", "excluded"]
-        )
-        for r in records:
-            if "excluded" in r:
-                writer.writerow([r["p"], "", "", "", "", "", "", r["excluded"]])
-            else:
-                writer.writerow(
-                    [r["p"], "+".join(map(str, r["y_pattern"])), r["chi_delta_prime"],
-                     r["chi_delta"], r["weyl_class"], r["torus_order"],
-                     r["exact_order"], ""]
-                )
+        report = _Report(out, args.format, head, _FROBENIUS_COLUMNS, render, indent=2)
+        for p in primes:
+            report.record(_frobenius_record(ctx, p))
+        report.close({})
     return 0
 
 
@@ -232,12 +269,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     pf_a = _load_input(args.input_a)
     pf_b = _load_input(args.input_b)
     report = certify_prime(Pair.from_files(pf_a, pf_b), args.prime)
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "certify",
-        "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)},
-    }
+    doc = {**_head("certify"), "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)}}
     doc.update(_record_doc(report))
     if report.note:
         doc["note"] = report.note
@@ -277,48 +309,27 @@ def _summary_doc(summary) -> dict:
     }
 
 
+def _scan_row(r: CertificationReport) -> list:
+    return [r.p, r.class_a, r.class_b, "" if r.order_a is None else r.order_a,
+            "" if r.order_b is None else r.order_b, r.verdict]
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
+    require_sievable(args.limit)
     pf_a = _load_input(args.input_a)
     pf_b = _load_input(args.input_b)
     pair = Pair.from_files(pf_a, pf_b)
+    head = {
+        **_head("scan"),
+        "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)},
+        "parameters": {"limit": args.limit, "excluded_primes": _excluded_doc(pair.excluded)},
+    }
+    columns = ("p", "class_A", "class_B", "order_A", "order_B", "verdict")
+    render = _scan_row if args.format == "csv" else _record_doc
     with _output(args.out) as out:
-        if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["p", "class_A", "class_B", "order_A", "order_B", "verdict"])
-
-            def sink(r: CertificationReport) -> None:
-                writer.writerow(
-                    [r.p, r.class_a, r.class_b,
-                     "" if r.order_a is None else r.order_a,
-                     "" if r.order_b is None else r.order_b,
-                     r.verdict]
-                )
-
-        else:
-            # one report document, its records streamed as they arrive
-            head = {
-                "schema": SCHEMA,
-                "version": __version__,
-                "command": "scan",
-                "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)},
-                "parameters": {"limit": args.limit, "excluded_primes": _excluded_doc(pair.excluded)},
-            }
-            out.write("{\n")
-            for key, value in head.items():
-                out.write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
-            out.write('  "records": [\n')
-            first = True
-
-            def sink(r: CertificationReport) -> None:
-                nonlocal first
-                out.write(("    " if first else ",\n    ") + json.dumps(_record_doc(r)))
-                first = False
-
-        summary = json.dumps(_summary_doc(scan(pair, args.limit, record_sink=sink, jobs=args.jobs)))
-        if args.format == "csv":
-            out.write(f"# {summary}\n")
-        else:
-            out.write(f'\n  ],\n  "summary": {summary}\n}}\n')
+        report = _Report(out, args.format, head, columns, render, indent=None)
+        summary = scan(pair, args.limit, record_sink=report.record, jobs=args.jobs)
+        report.close({"summary": _summary_doc(summary)})
     return 0
 
 
@@ -336,11 +347,7 @@ def cmd_torus_orders(args: argparse.Namespace) -> int:
             row["value"] = torus_order(label, args.q)
         rows.append(row)
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA, "version": __version__, "command": "torus-orders",
-            "q": args.q, "rows": rows,
-        }
-        _write_json(doc, args.out)
+        _write_json({**_head("torus-orders"), "q": args.q, "rows": rows}, args.out)
         return 0
     width = max(len(r["polynomial"]) for r in rows)
     with _output(args.out) as out:

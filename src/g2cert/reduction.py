@@ -141,14 +141,16 @@ class ReductionContext:
                 f"classification is {self.classification.tag}"
             )
 
+    def exclusion(self, p: int) -> str | None:
+        """Why p is a bad prime of this input (one of its excluded primes, or 2), else None."""
+        return self.excluded.get(p, REASON_EVEN if p == 2 else None)
+
     def ensure_good(self, p: int) -> None:
         require_proven_prime(p)
         self.require_d6()
-        reason = self.excluded.get(p)
+        reason = self.exclusion(p)
         if reason is not None:
             raise ExcludedPrimeError(p, reason)
-        if p == 2:
-            raise ExcludedPrimeError(p, REASON_EVEN)
 
     def _residues(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(Q mod p, P mod p), both monic; P's denominator is y_den, so one inverse serves both."""
@@ -169,7 +171,7 @@ class ReductionContext:
 
         checked=True skips ensure_good, for a caller that has already
         established that p is an odd prime outside `excluded` and that the
-        input is D6 (certify does, from is_prime or its sieve).
+        input is D6 (certify and the frobenius command do).
         """
         if not checked:
             self.ensure_good(p)
@@ -233,8 +235,8 @@ class ReductionContext:
         most e - 1 such ladders: a leaf that is not 2 after them has
         q-part q^e.
 
-        checked=True skips ensure_good, as in classify; certify, and the
-        frobenius command after classify, pass it.
+        checked=True skips ensure_good, as in classify; certify and the
+        frobenius command pass it.
         """
         if not checked:
             self.ensure_good(p)

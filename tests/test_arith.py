@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from g2cert.arith import (
     factor_integer,
     PRIME_PROOF_BOUND,
+    SIEVE_LIMIT,
     is_prime,
     prime_exponents,
     primes_up_to,
+    require_sievable,
     squarefree_kernel,
 )
 from oracles import naive_is_prime
@@ -20,6 +22,13 @@ def test_primes_up_to_small():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
+
+
+def test_primes_up_to_refuses_a_limit_above_the_sieve_bound():
+    require_sievable(SIEVE_LIMIT)
+    for n in (SIEVE_LIMIT + 1, 10**12):
+        with pytest.raises(ValueError, match=f"^limit {n} is above the sieve bound {SIEVE_LIMIT}$"):
+            primes_up_to(n)
 
 
 def test_primes_up_to_counts():

@@ -2,12 +2,15 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from g2cert import cli
+from g2cert.arith import SIEVE_LIMIT
 from g2cert.certify import Pair, scan
 from g2cert.poly import RatPoly
 from g2cert.polyfile import bundled_polyfile, load_polyfile, serialize_polyfile
@@ -254,43 +257,83 @@ def test_scan_output_pinned():
     assert doc["parameters"].keys() == {"limit", "excluded_primes"}
 
 
+# (argv, sha256 of the whole stdout, exit code).  The scan, the single
+# --prime, the record-less and the certify pins were computed before frobenius
+# and scan shared one record writer; scan-json-empty is the one byte change
+# that writer made, "records": [] where an empty scan wrote "[\n\n  ]".
 PINNED_OUTPUTS = {
     "reduce-frobenius2": (
         ("reduce", "frobenius2"),
         "ddf3fc60d2fd37ef9539319c78030332c8316a29d8024b5c39c80754c8569994",
+        0,
     ),
     "reduce-frobenius3": (
         ("reduce", "frobenius3"),
         "f034a65e67d7971d8cc4b24579640a79387769d8e6fd9bbce5158112cef5f157",
+        0,
     ),
     "frobenius2-json": (
         ("frobenius", "frobenius2", "--limit", "2000"),
         "297002dd82f430b87b77f71148ee2fefea259784c7508c15106807034b0336d1",
+        0,
     ),
     "frobenius2-csv": (
         ("frobenius", "frobenius2", "--limit", "2000", "--format", "csv"),
         "bc6d3308fb7e50b4ac5d0095252ac80b5940169c1e437e0e04899240acded0d0",
+        0,
     ),
     "frobenius3-json": (
         ("frobenius", "frobenius3", "--limit", "2000"),
         "86f5d258b3b5d6ae0731e3f89533bb99edc3713e794df1efc517491e10735269",
+        0,
     ),
     "frobenius3-csv": (
         ("frobenius", "frobenius3", "--limit", "2000", "--format", "csv"),
         "3355caf08149a8c811a0334b9062ffe53bca036ca4cbd4ff82e4de965b266798",
+        0,
+    ),
+    "frobenius2-prime-71": (
+        ("frobenius", "frobenius2", "--prime", "71"),
+        "be64309c22daa614a909addc5aa36e7fb4e008887412e2334fba442037ea037b",
+        0,
+    ),
+    "frobenius2-no-records": (
+        ("frobenius", "frobenius2", "--limit", "1"),
+        "b087dc4a5be094586af95954c4c4dd2622b41fd2fc1d58cdcd266a460cfebba4",
+        0,
+    ),
+    "certify-29": (
+        ("certify", "frobenius2", "frobenius3", "--prime", "29"),
+        "7aab5f304d476aafce29d2331b6d7de0a855435f200e546bd9b1c8ce77a808f7",
+        0,
+    ),
+    "certify-71": (
+        ("certify", "frobenius2", "frobenius3", "--prime", "71"),
+        "4450cbef2cb3ad7672176908a259251002922835538040795f0297c2b482b696",
+        1,
+    ),
+    "scan-json": (
+        ("scan", "frobenius2", "frobenius3", "--limit", "3000"),
+        "bfaefd1290120ae2983ec2b30d3e4832f0ff933b88bba5a388daf97ad70dd0c0",
+        0,
+    ),
+    "scan-json-empty": (
+        ("scan", "frobenius2", "frobenius3", "--limit", "5"),
+        "1d4d9eb8a3d5d8d97d0e3c402a3dbf0e7511344bfa185e2f58bbd30a690d45e4",
+        0,
     ),
     "reproduce": (
         ("reproduce",),
         "846c7f655bc018e70efc84f9787ca8bbafda451642b3f54ec17dde9fec493810",
+        0,
     ),
 }
 
 
-@pytest.mark.parametrize("argv, want", PINNED_OUTPUTS.values(), ids=PINNED_OUTPUTS.keys())
-def test_single_input_output_pinned(argv, want):
-    # pinned sha256 of the whole stdout
+@pytest.mark.parametrize("argv, want, code", PINNED_OUTPUTS.values(), ids=PINNED_OUTPUTS.keys())
+def test_single_input_output_pinned(argv, want, code):
     r = run_cli(*argv)
-    assert r.returncode == 0, r.stderr
+    assert r.returncode == code, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == want
 
 
@@ -471,3 +514,50 @@ def test_only_a_pooled_scan_loads_the_process_pool(tmp_path):
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "500-1.csv").read_bytes() == (tmp_path / "500-2.csv").read_bytes()
     assert (tmp_path / "10000-1.csv").read_bytes() == (tmp_path / "10000-2.csv").read_bytes()
+
+
+# The child's own peak RSS, VmHWM, in kB.  Not ru_maxrss: Linux carries the
+# launching process's high-water mark across fork and exec into it, so under
+# a pytest process larger than the child both limits would read the same.
+MEMORY_PROBE = """
+import sys
+from g2cert import cli
+code = cli.main(["frobenius", "frobenius3", "--limit", sys.argv[1], "--out", sys.argv[2]])
+with open("/proc/self/status") as status:
+    print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_frobenius_peak_memory_stays_flat_in_the_limit(tmp_path):
+    # records stream to the output as they are made: ten times the primes
+    # (9,592 against 1,229) may not raise the process's peak RSS by 10%
+    peak = {}
+    for n in (10_000, 100_000):
+        out = tmp_path / f"{n}.json"
+        r = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(n), str(out)],
+                           capture_output=True, text=True)
+        code, peak[n] = map(int, r.stdout.split())
+        assert code == 0, r.stderr
+    assert json.loads(out.read_text())["records"][-1]["p"] == 99991
+    assert peak[100_000] <= 1.1 * peak[10_000], peak
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("scan", "frobenius2", "frobenius3", "--format", "csv"), 10**10),
+    (("frobenius", "frobenius3"), 10**12),
+])
+def test_limit_above_the_sieve_bound_is_refused_before_output(tmp_path, capsys, argv, limit):
+    out = tmp_path / "huge.csv"
+    tracemalloc.start()
+    start = time.perf_counter()
+    code = cli.main([*argv, "--limit", str(limit), "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (code, out.exists()) == (2, False)
+    assert elapsed < 1
+    assert peak < 2**23, peak  # no sieve was allocated
+    assert capsys.readouterr() == (
+        "", f"g2cert: limit {limit} is above the sieve bound {SIEVE_LIMIT}\n"
+    )

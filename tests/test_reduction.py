@@ -159,6 +159,23 @@ def test_bad_primes_raise_typed_errors(sextic_a):
     assert exc_even.value.reason == REASON_EVEN
 
 
+def test_exclusion_is_the_reason_ensure_good_raises(ctx_a):
+    # 2 divides a denominator of frobenius2, so that reason wins over EvenPrime
+    assert [ctx_a.exclusion(p) for p in (2, 3, 5, 7, 71)] == [
+        REASON_DENOMINATOR, REASON_RAMIFIED, REASON_STEINBERG, None, REASON_RAMIFIED
+    ]
+    q = RatPoly.from_coeffs([F(-37, 9), F(-4, 3), F(7, 3), 1])
+    ctx = ReductionContext(inflate_palindromic(q))
+    assert [ctx.exclusion(p) for p in (2, 3, 7)] == [REASON_EVEN, REASON_DENOMINATOR, None]
+    for p in primes_up_to(200):
+        try:
+            ctx_a.ensure_good(p)
+            raised = None
+        except ExcludedPrimeError as e:
+            raised = e.reason
+        assert raised == ctx_a.exclusion(p), p
+
+
 def test_excluded_prime_error_survives_pickling(ctx_a):
     # how a pool worker's error would reach the parent
     with pytest.raises(ExcludedPrimeError) as exc:
