@@ -16,7 +16,7 @@ from .errors import (
     NotSeparableError,
     WitnessMismatchError,
 )
-from .poly import ModPoly, RatPoly, deflate_root_one, degree_pattern
+from .poly import RatPoly, deflate_root_one
 from .palindromic import (
     GaloisClassification,
     PalindromicPair,
@@ -49,9 +49,7 @@ __all__ = [
     "ExcludedPrimeError",
     "WitnessMismatchError",
     "RatPoly",
-    "ModPoly",
     "deflate_root_one",
-    "degree_pattern",
     "PalindromicPair",
     "GaloisClassification",
     "palindromic_reduce",

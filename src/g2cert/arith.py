@@ -23,13 +23,8 @@ PRIME_PROOF_BOUND = 3317044064679887385961981  # psi_13
 _TRIAL_BOUND = 1000
 
 
-def format_rational(r: Fraction) -> str:
-    """Canonical string form: "num/den", "/den" omitted when den == 1."""
-    return str(r)
-
-
 def parse_rational(s: str) -> Fraction:
-    """Parse the canonical form produced by format_rational."""
+    """Parse the canonical form that str() gives a Fraction (see the module docstring)."""
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a canonical rational: {s!r}")
     num, _, den = s.partition("/")

@@ -2,7 +2,8 @@
 
 Coefficients are stored ascending: a_0 + a_1 x + ... corresponds to the
 tuple (a_0, a_1, ...).  The zero polynomial is the empty tuple; degree is
-then -1.  RatPoly carries Fraction coefficients, ModPoly ints mod p.
+then -1.  RatPoly carries Fraction coefficients; over F_p a polynomial is
+a plain tuple of ints mod p.
 
 Over F_p only the trace cubic Q and the palindromic sextic
 P = x^3 Q(x + 1/x) occur, and both run on one cubic kernel: a
@@ -44,7 +45,9 @@ x^(p^k) = A_k + B_k x, A_(k+1) = phi(A_k) + phi(B_k) A and B_(k+1) =
 phi(B_k) B, and the check is (A_L, B_L) = (0, 1).  Through the
 isomorphism, if the check holds P is squarefree, so the traces were read
 right; if P is squarefree, they were and it holds.  A failed check, or
-traces no pattern fits, proves a repeated factor.  The cubic is
+traces no pattern fits, proves a repeated factor.  For (6) the check
+is read at x^(p^3) = 1/x (_sextic_pattern), so a squarefree P takes at
+most 4 tower steps, the 4 for a factor of degree 4.  The cubic is
 squarefree by its discriminant, and once x^p != x its r1 = tr M =
 1 + (x^p)_1 + (x^(2p))_2 is 1 or 0.
 """
@@ -56,7 +59,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import format_rational
 from .errors import NotSeparableError
 
 DegreePattern = tuple[int, ...]
@@ -88,7 +90,7 @@ class RatPoly:
         return bool(self.coeffs) and self.coeffs == tuple(reversed(self.coeffs))
 
     def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, "x")
@@ -153,17 +155,9 @@ def cubic_discriminant(c, b, a):
     return 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
 
 
-@dataclass(frozen=True)
-class ModPoly:
-    p: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __str__(self) -> str:
-        return format_poly(self.coeffs, "x") + f" (mod {self.p})"
+def _mod_str(p: int, coeffs: Sequence[int]) -> str:
+    """A polynomial over F_p as error messages name it: "x^3 + 2*x + 1 (mod 7)"."""
+    return format_poly(coeffs, "x") + f" (mod {p})"
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +222,7 @@ def _cubic_pattern(p: int, f: tuple[int, ...], v: tuple, w: tuple) -> DegreePatt
     discriminant, else NotSeparableError; then (1, 1, 1) iff x^p = x, else
     r1 = tr M = 1 + (x^p)_1 + (x^2p)_2."""
     if not cubic_discriminant(*f[:3]) % p:
-        raise NotSeparableError(f"{ModPoly(p, f)} has a repeated factor")
+        raise NotSeparableError(f"{_mod_str(p, f)} has a repeated factor")
     if v == (0, 1, 0):
         return (1, 1, 1)
     return (1, 2) if (1 + v[1] + w[2]) % p == 1 else (3,)
@@ -236,7 +230,15 @@ def _cubic_pattern(p: int, f: tuple[int, ...], v: tuple, w: tuple) -> DegreePatt
 
 def _sextic_pattern(p: int, q: Sequence[int], mul, v, w, b) -> DegreePattern | None:
     """Pattern of the monic palindromic sextic x^3 Q(x + 1/x), None for a repeated factor,
-    given Q = q, mul of R = F_p[y]/(Q), and V = y^p, V^2 and U = (y^2 - 4)^((p-1)/2) in R."""
+    given Q = q, mul of R = F_p[y]/(Q), and V = y^p, V^2 and U = (y^2 - 4)^((p-1)/2) in R.
+
+    When the traces leave one factor of degree 6 and x^(p^3) != x, (6)
+    holds exactly when x^(p^3) = 1/x = y - x.  If P is irreducible, sigma^3 :
+    a -> a^(p^3) is the involution of F_(p^6)/F_(p^3), so it fixes y, a root
+    of the cubic Q, and sends x, not in F_(p^3), to the other root 1/x of
+    t^2 - y t + 1.  Conversely x^(p^3) = 1/x gives x^(p^6) = x, the check
+    for L = 6.
+    """
     # V and V^2 give phi; x^p = A + B x with B = U
     (v0, v1, v2), (w0, w1, w2), (b0, b1, b2) = v, w, b
     h = (p + 1) // 2  # 1/2; y B = (-q0 b2, b0 - q1 b2, b1 - q2 b2)
@@ -269,8 +271,10 @@ def _sextic_pattern(p: int, q: Sequence[int], mul, v, w, b) -> DegreePattern | N
     rest = 6 - r1 - evens[0]
     if rest in (1, 2):  # a factor of degree 1 or 2 would have been counted
         return None
-    if rest == 6 and fixed(3):
-        return (3, 3)
+    if rest == 6:
+        if fixed(3):
+            return (3, 3)
+        return (6,) if powers[3] == ((0, 1, 0), (p - 1, 0, 0)) else None
     pattern = tuple(sorted((1,) * r1 + (2,) * (evens[0] // 2) + ((rest,) if rest else ())))
     return pattern if fixed(math.lcm(*pattern)) else None
 
@@ -279,14 +283,14 @@ def _require_pattern_input(p: int, c: tuple[int, ...]) -> None:
     """ValueError naming the reason unless c is a monic cubic or monic palindromic sextic, p odd."""
     if len(c) not in (4, 7) or p < 3 or p % 2 == 0:
         raise ValueError(
-            f"degree patterns are computed for degrees 3 and 6 mod odd p, got {ModPoly(p, c)}")
+            f"degree patterns are computed for degrees 3 and 6 mod odd p, got {_mod_str(p, c)}")
     if (c[-1] - 1) % p:
-        raise ValueError(f"degree patterns need a monic polynomial, got {ModPoly(p, c)}")
+        raise ValueError(f"degree patterns need a monic polynomial, got {_mod_str(p, c)}")
     if len(c) == 7 and ((c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p):
-        raise ValueError(f"sextic degree patterns need a palindromic sextic, got {ModPoly(p, c)}")
+        raise ValueError(f"sextic degree patterns need a palindromic sextic, got {_mod_str(p, c)}")
 
 
-def degree_pattern(f: ModPoly) -> DegreePattern:
+def _degree_pattern(p: int, c: tuple[int, ...]) -> DegreePattern:
     """Degrees of the irreducible factors of a squarefree monic cubic, or of a
     squarefree monic palindromic sextic, mod an odd p, sorted.
 
@@ -296,9 +300,9 @@ def degree_pattern(f: ModPoly) -> DegreePattern:
     Raises NotSeparableError for a repeated factor, and ValueError that
     names the reason for any other input: a degree other than 3 or 6, an
     even p, a leading coefficient other than 1, or a sextic that is not
-    palindromic.
+    palindromic.  No package code calls it: classify runs the same steps on
+    its own pass, and the tests check the kernels against the oracle here.
     """
-    p, c = f.p, f.coeffs
     _require_pattern_input(p, c)
     q = c if len(c) == 4 else (c[3] - 2 * c[5], c[4] - 3, c[5], 1)  # P = x^3 Q(x + 1/x)
     v, u = _frobenius(p, q)
@@ -306,5 +310,5 @@ def degree_pattern(f: ModPoly) -> DegreePattern:
     w = mul(v, v)
     pattern = _cubic_pattern(p, q, v, w) if len(c) == 4 else _sextic_pattern(p, q, mul, v, w, u)
     if pattern is None:
-        raise NotSeparableError(f"{f} has a repeated factor")
+        raise NotSeparableError(f"{_mod_str(p, c)} has a repeated factor")
     return pattern

@@ -46,11 +46,11 @@ from .palindromic import (
 )
 from .poly import (
     DegreePattern,
-    ModPoly,
     RatPoly,
     _cubic_pattern,
     _cubic_ring,
     _frobenius,
+    _mod_str,
     _require_pattern_input,
     _sextic_pattern,
     deflate_root_one,
@@ -199,7 +199,7 @@ class ReductionContext:
         _require_pattern_input(p, sextic)
         x_pattern = _sextic_pattern(p, q, mul, v, w, u)
         if x_pattern is None:
-            raise NotSeparableError(f"{ModPoly(p, sextic)} has a repeated factor")
+            raise NotSeparableError(f"{_mod_str(p, sextic)} has a repeated factor")
         if x_pattern != info.pattern_on_x:
             raise WitnessMismatchError(
                 f"p={p}: sextic splits as {x_pattern} but class {info.label} "

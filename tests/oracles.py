@@ -34,7 +34,7 @@ from g2cert.palindromic import (
     GaloisClassification,
     PalindromicPair,
 )
-from g2cert.poly import ModPoly, RatPoly
+from g2cert.poly import RatPoly
 from g2cert.reduction import _dickson
 
 # primes the F_p kernels are checked at, up to the largest prime below
@@ -95,12 +95,12 @@ def naive_poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
     return a
 
 
-def mod_poly(p: int, coeffs: list[int]):
-    """The package's ModPoly of coeffs reduced mod p, zero leading terms dropped."""
+def mod_poly(p: int, coeffs: list[int]) -> tuple[int, ...]:
+    """coeffs reduced mod p, zero leading terms dropped, as the package's F_p kernels take them."""
     out = [c % p for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
-    return ModPoly(p, tuple(out))
+    return tuple(out)
 
 
 def naive_pow_x_mod(f: list[int], e: int, p: int) -> list[int]:

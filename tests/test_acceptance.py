@@ -19,7 +19,7 @@ from g2cert.palindromic import (
     g2_lift_check,
     temperedness_check,
 )
-from g2cert.poly import degree_pattern
+from g2cert.poly import _degree_pattern
 from g2cert.weyl import CLASS_LABELS, WEYL_CLASSES, torus_order
 from oracles import (
     derive_weyl_classes,
@@ -178,7 +178,7 @@ def test_a7_oracle_equivalence(ctx_a, ctx_b):
             for coeffs in (cubic_mod, sextic_mod):
                 f = mod_poly(p, coeffs)
                 try:
-                    got = degree_pattern(f)
+                    got = _degree_pattern(p, f)
                 except NotSeparableError:
                     # a refusal is only correct when the polynomial really
                     # has a repeated factor; Euclid is the referee

@@ -20,9 +20,7 @@ PUBLIC_API = {
     "ExcludedPrimeError",
     "WitnessMismatchError",
     "RatPoly",
-    "ModPoly",
     "deflate_root_one",
-    "degree_pattern",
     "PalindromicPair",
     "GaloisClassification",
     "palindromic_reduce",

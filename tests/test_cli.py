@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,8 +14,11 @@ from g2cert import cli
 from g2cert.arith import SIEVE_LIMIT
 from g2cert.certify import Pair, scan
 from g2cert.poly import RatPoly
-from g2cert.polyfile import bundled_polyfile, load_polyfile, serialize_polyfile
+from g2cert.polyfile import PolyFile, bundled_polyfile, load_polyfile, serialize_polyfile
 from oracles import inflate_palindromic, rat_mul
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, **kw):
@@ -362,11 +366,63 @@ DATA_PINS = {
 
 @pytest.mark.parametrize("name", DATA_PINS)
 def test_reduce_data_inputs_pinned(name):
-    r = run_cli("reduce", str(Path(__file__).parent / "data" / f"{name}.json"))
+    r = run_cli("reduce", str(DATA / f"{name}.json"))
     digest, code, stderr = DATA_PINS[name]
     assert (hashlib.sha256(r.stdout.encode()).hexdigest(), r.returncode, r.stderr) == (
         digest, code, stderr
     )
+
+
+# A pair that reaches BoundedSubgroupNotExcluded from real inputs: each
+# file is (x - 1) x^3 Q(x + 1/x) with Steinberg prime 5, and the cubics are
+# a CRT lift of the period cubics of 2cos(2 pi/7) and 2cos(2 pi/13) mod 23,
+# so at p = 23 the elements have orders 7 and 13, which both divide
+# |L2(13)| = 1092, and 13 is a square mod 23.
+BLOCKED_CUBICS = {
+    "blocked-a": [F(5817, 9409), F(243, 97), F(281, 97), 1],
+    "blocked-b": [F(-1964, 9409), F(-166, 97), F(-86, 97), 1],
+}
+BLOCKED = [str(DATA / f"{name}.json") for name in BLOCKED_CUBICS]
+
+
+@pytest.mark.parametrize("name", BLOCKED_CUBICS)
+def test_blocked_pair_files_rebuild_from_their_cubics(name):
+    q = RatPoly.from_coeffs(BLOCKED_CUBICS[name])
+    septic = rat_mul(inflate_palindromic(q), RatPoly.from_coeffs([-1, 1]))
+    want = serialize_polyfile(PolyFile(name, 5, "x", tuple(septic.to_strings())))
+    assert (DATA / f"{name}.json").read_text() == want
+
+
+def test_blocked_pair_certify_reaches_bounded_subgroup_not_excluded():
+    r = run_cli("certify", *BLOCKED, "--prime", "23")
+    assert (r.returncode, r.stderr) == (1, "")
+    doc = no_floats(r.stdout)
+    assert (doc["class_a"], doc["class_b"]) == ("3a", "6a")
+    assert (doc["order_a"], doc["order_b"]) == (7, 13)
+    assert doc["verdict"] == "BoundedSubgroupNotExcluded"
+    assert doc["reasons"] == [
+        "2^3.L3(2): excluded: orders (7, 13) do not both divide 1344",
+        "L2(13): not excluded: both element orders divide |M| = 1092",
+        "G2(2): excluded: orders (7, 13) do not both divide 12096",
+    ]
+
+
+def test_blocked_pair_scan_byte_identical_across_jobs():
+    # 1,429 scanned primes: above the 1,000 at which --jobs 2 runs the pool
+    outs = [run_cli("scan", *BLOCKED, "--limit", "12000", "--format", "csv", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert [(r.returncode, r.stderr) for r in outs] == [(0, "")] * 2
+    assert outs[0].stdout == outs[1].stdout
+    lines = outs[0].stdout.splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    summary = json.loads(lines[-1][2:])
+    assert summary["scanned"] == len(rows) == 1429
+    assert Counter(row[-1] for row in rows) == {
+        "Certified": 86, "NotCoxeterPair": 1342, "BoundedSubgroupNotExcluded": 1
+    }
+    assert [row for row in rows if row[-1] == "BoundedSubgroupNotExcluded"] == [
+        ["23", "3a", "6a", "7", "13", "BoundedSubgroupNotExcluded"]
+    ]
 
 
 def test_scan_excludes_steinberg_prime_in_library_and_cli(tmp_path):

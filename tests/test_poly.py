@@ -9,11 +9,11 @@ from g2cert.poly import (
     RatPoly,
     _cubic_pattern,
     _cubic_ring,
+    _degree_pattern,
     _frobenius,
     _sextic_pattern,
     cubic_discriminant,
     deflate_root_one,
-    degree_pattern,
     format_poly,
 )
 from oracles import (
@@ -234,12 +234,12 @@ def test_degree_pattern_every_palindromic_sextic(p):
         witness = discriminant(RatPoly.from_coeffs(q)) * rat_evaluate(
             RatPoly.from_coeffs(q), 2) * rat_evaluate(RatPoly.from_coeffs(q), -2)
         assert separable == (witness % p != 0), q
-        # once through degree_pattern and once from the oracle's V, V^2 and U
+        # once through _degree_pattern and once from the oracle's V, V^2 and U
         v, u = _naive_frobenius(q, p)
         mul = _cubic_ring(p, q)
         given = _sextic_pattern(p, q, mul, v, mul(v, v), u)
         try:
-            got = degree_pattern(mod_poly(p, f))
+            got = _degree_pattern(p, mod_poly(p, f))
         except NotSeparableError:
             assert not separable and given is None, f
             continue
@@ -258,7 +258,7 @@ def test_degree_pattern_random_small(data):
     q = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(3)] + [1]
     coeffs = q if data.draw(st.booleans()) else _palindromic_mod(q, p)
     try:
-        pattern = degree_pattern(mod_poly(p, coeffs))
+        pattern = _degree_pattern(p, mod_poly(p, coeffs))
     except NotSeparableError:
         assert naive_gcd_degree(coeffs, naive_derivative(coeffs, p), p) > 0, (coeffs, p)
         return
@@ -290,7 +290,7 @@ def test_degree_pattern_refuses_a_forced_repeated_factor(data):
         s = data.draw(st.sampled_from([1, -1]))
         f = naive_poly_mul([1, -2 * s, 1], [1, a, b, a, 1], p)
     with pytest.raises(NotSeparableError):
-        degree_pattern(mod_poly(p, f))
+        _degree_pattern(p, mod_poly(p, f))
 
 
 def test_degree_pattern_all_cubics_mod_5():
@@ -300,18 +300,18 @@ def test_degree_pattern_all_cubics_mod_5():
         for b in range(p):
             for c in range(p):
                 f = mod_poly(p, [c, b, a, 1])
-                # once through degree_pattern and once from the oracle's V and V^2
+                # once through _degree_pattern and once from the oracle's V and V^2
                 v = _naive_frobenius([c, b, a, 1], p)[0]
-                w = _cubic_ring(p, f.coeffs)(v, v)
+                w = _cubic_ring(p, f)(v, v)
                 try:
-                    got = degree_pattern(f)
+                    got = _degree_pattern(p, f)
                 except NotSeparableError:
                     with pytest.raises(NotSeparableError):
-                        _cubic_pattern(p, f.coeffs, v, w)
+                        _cubic_pattern(p, f, v, w)
                     continue
                 want = naive_degree_pattern([c, b, a, 1], p)
                 assert got == want, (a, b, c)
-                assert _cubic_pattern(p, f.coeffs, v, w) == want, (a, b, c)
+                assert _cubic_pattern(p, f, v, w) == want, (a, b, c)
                 checked += 1
     assert checked > 50
 
@@ -320,11 +320,11 @@ def test_degree_pattern_rejects_repeated_factors():
     p = 7
     cubic = naive_poly_mul([1, 2, 1], [2, 1], p)  # (x+1)^2 (x+2)
     with pytest.raises(NotSeparableError):
-        degree_pattern(mod_poly(p, cubic))
+        _degree_pattern(p, mod_poly(p, cubic))
     quadratic = [1, 3, 1]  # x^2 + 3x + 1 is irreducible mod 7
     sextic = naive_poly_mul(naive_poly_mul(quadratic, quadratic, p), [1, 1, 1], p)
     with pytest.raises(NotSeparableError):
-        degree_pattern(mod_poly(p, sextic))
+        _degree_pattern(p, mod_poly(p, sextic))
 
 
 @pytest.mark.parametrize("p, coeffs, reason", [
@@ -340,7 +340,7 @@ def test_degree_pattern_rejects_repeated_factors():
 def test_degree_pattern_refuses_inputs_outside_its_contract(p, coeffs, reason):
     # a monic cubic or a monic palindromic sextic mod an odd p, and nothing else
     with pytest.raises(ValueError, match=reason):
-        degree_pattern(mod_poly(p, coeffs))
+        _degree_pattern(p, mod_poly(p, coeffs))
 
 
 small_cubics = st.lists(small_fractions, min_size=3, max_size=3).map(

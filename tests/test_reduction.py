@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from g2cert.arith import factor_integer, is_prime, primes_up_to
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
-from g2cert.poly import RatPoly, degree_pattern
+from g2cert.poly import RatPoly, _degree_pattern
 from g2cert.reduction import (
     REASON_DENOMINATOR,
     REASON_EVEN,
@@ -327,7 +327,7 @@ def test_order_report_checked_skips_only_the_input_checks(ctx_a):
 
 def test_shared_frobenius_gives_each_witness_its_own_pattern(ctx_a, ctx_b):
     # classify computes y^p once and hands it to both patterns; each must be
-    # what degree_pattern finds on Q mod p and on P mod p when it runs its
+    # what _degree_pattern finds on Q mod p and on P mod p when it runs its
     # own ladder, with both reductions done here by the oracle
     for ctx in (ctx_a, ctx_b):
         small = [p for p in primes_up_to(2 * 10**4) if p > 2 and p not in ctx.excluded]
@@ -336,7 +336,24 @@ def test_shared_frobenius_gives_each_witness_its_own_pattern(ctx_a, ctx_b):
             cls = ctx.classify(p)
             q = mod_poly(p, reduce_rational_coeffs(list(ctx.pair.q.coeffs), p))
             sextic = mod_poly(p, reduce_rational_coeffs(list(ctx.sextic.coeffs), p))
-            assert (cls.y_pattern, cls.x_pattern) == (degree_pattern(q), degree_pattern(sextic)), p
+            want = (_degree_pattern(p, q), _degree_pattern(p, sextic))
+            assert (cls.y_pattern, cls.x_pattern) == want, p
+
+
+def test_sextic_in_6a_has_x_to_the_p_cubed_equal_to_its_inverse(ctx_a, ctx_b):
+    # _sextic_pattern reads the pattern (6) as x^(p^3) = 1/x instead of
+    # x^(p^6) = x; the oracle's schoolbook powering checks that identity at
+    # every 6a prime of both inputs
+    checked = 0
+    for ctx in (ctx_a, ctx_b):
+        for p in primes_up_to(2 * 10**4):
+            if p == 2 or p in ctx.excluded or ctx.classify(p).weyl_class != "6a":
+                continue
+            sextic = reduce_rational_coeffs(list(ctx.sextic.coeffs), p)
+            power = naive_pow_x_mod(sextic, p**3, p)
+            assert naive_poly_mod(naive_poly_mul(power, [0, 1], p), sextic, p) == [1], p
+            checked += 1
+    assert checked == 755  # pinned, so a silently skipped prime cannot hide
 
 
 @pytest.mark.parametrize("shift", [{3: 1}, {4: 1}, {5: 1}, {3: 2, 5: 1}])
