@@ -163,22 +163,11 @@ def factor_integer(n: int) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def prime_exponents(r: Fraction, den_primes: tuple[int, ...]) -> dict[int, int]:
-    """Prime exponents of r != 0, negative in the denominator, a product of den_primes."""
-    if r == 0:
-        raise ValueError("cannot factor 0")
-    out = factor_integer(r.numerator)
-    d = r.denominator
-    for q in den_primes:
-        while d % q == 0:
-            out[q] = out.get(q, 0) - 1
-            d //= q
-    if d != 1:
-        raise ValueError(f"the denominator of {r} has a prime outside {den_primes}")
-    return out
+def is_square(n: int) -> bool:
+    """Whether the integer n is the square of an integer."""
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def squarefree_kernel(r: Fraction, exponents: dict[int, int]) -> int:
-    """Squarefree d with r = d s^2, s rational, sign kept, from r's prime exponents."""
+    """Squarefree d with r = d s^2, s rational, sign kept, from the prime exponents of num(r) den(r)."""
     return (1 if r > 0 else -1) * math.prod(q for q, e in exponents.items() if e % 2)
-

@@ -20,15 +20,16 @@ bounded rows only L2(13) can ever contain both elements.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .arith import primes_up_to, require_proven_prime
+from .arith import is_square, primes_up_to, require_proven_prime
 from .errors import G2CertError, WitnessMismatchError
 from .polyfile import PolyFile
-from .reduction import FrobeniusClassification, ReductionContext
+from .reduction import REASON_EVEN, FrobeniusClassification, ReductionContext
 from .weyl import CLASS_LABELS
 
 VERDICT_CERTIFIED = "Certified"
@@ -66,24 +67,32 @@ BOUNDED_SUBGROUPS: tuple[tuple[str, int, Callable[[int], bool]], ...] = (
 class Pair:
     """Two analysed inputs with independent splitting fields.
 
-    Construction checks the global hypotheses once, from the stored
-    analyses: both inputs classify as D6 and their quadratic subfields,
-    cut out by the square kernels other than 1, do not meet.  The excluded primes are
-    those of both inputs, Steinberg primes included; on a prime excluded
-    by both, the first input's reason is kept.
+    Construction checks that both inputs classify as D6 and that no
+    quadratic subfield is shared; two D6 fields that meet at all share
+    one.  An input's are cut out by the nonsquares n, n', n n' (n and n'
+    num * den of delta and delta'), and two are one field exactly when
+    their product is a square, so no s_a s_b may be one.  Only a refusal
+    factors, to name the shared kernels.  exclusion(p) is the first
+    input's reason, else the second's, EvenPrime last; excluded factors.
     """
 
     def __init__(self, a: ReductionContext, b: ReductionContext):
         a.require_d6()
         b.require_d6()
-        shared = (a.square_kernels & b.square_kernels) - {1}
-        if shared:
-            raise G2CertError(
-                f"splitting fields are not independent: shared quadratic kernel(s) {sorted(shared)}"
-            )
+        s_a, s_b = [(c.delta_nd, c.delta_prime_nd, c.delta_nd * c.delta_prime_nd) for c in (a, b)]
+        if any(is_square(s * t) for s in s_a for t in s_b):
+            shared = sorted(a.square_kernels & b.square_kernels)
+            raise G2CertError(f"splitting fields are not independent: shared quadratic kernel(s) {shared}")
         self.a = a
         self.b = b
-        self.excluded = dict(sorted({**b.excluded, **a.excluded}.items()))
+
+    def exclusion(self, p: int) -> str | None:
+        reason_a, reason_b = self.a.exclusion(p), self.b.exclusion(p)
+        return reason_b if reason_a in (None, REASON_EVEN) else reason_a
+
+    @functools.cached_property
+    def excluded(self) -> dict[int, str]:
+        return dict(sorted({**self.b.excluded, **self.a.excluded}.items()))
 
     @classmethod
     def from_files(cls, file_a: PolyFile, file_b: PolyFile) -> "Pair":
@@ -117,13 +126,14 @@ def certify_prime(pair: Pair, p: int) -> CertificationReport:
     require_proven_prime(p)
     if p <= 5:
         return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note="p <= 5 is outside the certification range")
-    if p in pair.excluded:
-        return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note=pair.excluded[p])
+    reason = pair.exclusion(p)
+    if reason is not None:
+        return CertificationReport(p=p, verdict=VERDICT_EXCLUDED, note=reason)
     return _certify_good_prime(pair, p)
 
 
 def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
-    # p is an odd prime above 5 outside pair.excluded, and Pair checked D6
+    # p is a prime above 5 with no exclusion, and Pair checked D6
     cls_a = pair.a.classify(p, checked=True)
     cls_b = pair.b.classify(p, checked=True)
     if {cls_a.weyl_class, cls_b.weyl_class} != {"3a", "6a"}:
@@ -192,9 +202,8 @@ def scan(
     boundaries are fixed by the input alone, so the merged output is
     identical to a serial run.
     """
-    skip = pair.excluded.keys() | {2, 3, 5}
     all_primes = primes_up_to(limit)
-    scan_primes = [p for p in all_primes if p not in skip]
+    scan_primes = [p for p in all_primes if p > 5 and pair.exclusion(p) is None]
     excluded_count = len(all_primes) - len(scan_primes)
 
     verdict_counts = {v: 0 for v in VERDICTS}

@@ -8,9 +8,10 @@ settled on Q exactly, on its integer model
     Q = (c0 + c1 y + c2 y^2 + D y^3) / D,   D the least common denominator,
 
 which PalindromicPair.model holds.  Every test is an integer sign,
-equality or root search on c0, c1, c2 and D; the Fractions of the report
-(Q's coefficients, Q(+-2), delta, delta') are built once from integers,
-for display and for the factorizations that read their numerators.
+equality, root search or square root on c0, c1, c2, D and num * den of
+delta and delta'; no decision factors.  The Fractions of the report are
+built once from integers; only the displayed square_kernels and
+ramified_primes factor.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arith import factor_integer, prime_exponents, squarefree_kernel
+from .arith import factor_integer, is_square, squarefree_kernel
 from .errors import G2CertError, NotMonicError, NotPalindromicError
 from .poly import RatPoly, cubic_discriminant, integer_model
 
@@ -57,25 +58,16 @@ class PalindromicPair:
         return _cubic_model(self.q)
 
     @functools.cached_property
-    def denominator_primes(self) -> tuple[int, ...]:
-        """The primes of the least common denominator D of Q's coefficients."""
-        return tuple(factor_integer(self.model[3]))
+    def square_classes(self) -> tuple[int, int]:
+        """num * den of delta and delta_prime: r = num den / den^2 has the square class of num den."""
+        d, d_prime = self.delta, self.delta_prime
+        return d.numerator * d.denominator, d_prime.numerator * d_prime.denominator
 
     @functools.cached_property
     def exponents(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Prime exponents of delta and delta_prime, which must be nonzero.
-
-        Both are integer polynomials in Q's coefficients, so their
-        denominators divide a power of D and only the numerators are factored.
-        """
-        dens = self.denominator_primes
-        return prime_exponents(self.delta, dens), prime_exponents(self.delta_prime, dens)
-
-    @functools.cached_property
-    def kernels(self) -> tuple[int, int]:
-        """Signed squarefree kernels of delta and delta_prime, which must be nonzero."""
-        exps, exps_prime = self.exponents
-        return squarefree_kernel(self.delta, exps), squarefree_kernel(self.delta_prime, exps_prime)
+        """Prime exponents of the square classes of delta and delta_prime, which must be nonzero."""
+        nd, nd_prime = self.square_classes
+        return factor_integer(nd), factor_integer(nd_prime)
 
 
 def _cubic_model(q: RatPoly) -> tuple[int, int, int, int]:
@@ -264,18 +256,16 @@ def classify_galois(pair: PalindromicPair) -> GaloisClassification:
     condition is conclusive evidence of a different group (Other); absent
     temperedness nothing more can be claimed (Inconclusive).
 
-    Squareness is read off the signed squarefree kernels k and k' of delta
-    and delta_prime: delta is a square iff k = 1, delta_prime iff k' = 1,
-    and their product iff k = k' (both kernels are squarefree).
+    Squareness is an integer square root of the square classes num * den.
     """
     model = pair.model  # ValueError unless Q is a monic cubic
     separable = separability_check(pair)
-    k, k_prime = pair.kernels if separable else (1, 1)
+    nd, nd_prime = pair.square_classes
     evidence = {
         "q_irreducible": _cubic_irreducible(model),
-        "delta_nonsquare": separable and k != 1,
-        "delta_prime_nonsquare": separable and k_prime != 1,
-        "product_nonsquare": separable and k != k_prime,
+        "delta_nonsquare": separable and not is_square(nd),
+        "delta_prime_nonsquare": separable and not is_square(nd_prime),
+        "product_nonsquare": separable and not is_square(nd * nd_prime),
         "roots_in_interval": separable and temperedness_check(pair),
     }
     algebraic = (
@@ -300,6 +290,7 @@ def square_kernels(pair: PalindromicPair) -> frozenset[int]:
     three kernels.  The product's kernel is k k' / gcd(k, k')^2, since k
     and k' are squarefree.
     """
-    k, k_prime = pair.kernels
+    exps, exps_prime = pair.exponents
+    k, k_prime = squarefree_kernel(pair.delta, exps), squarefree_kernel(pair.delta_prime, exps_prime)
     g = math.gcd(k, k_prime)
     return frozenset((k, k_prime, k * k_prime // (g * g)))

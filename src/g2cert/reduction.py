@@ -83,12 +83,11 @@ class ReductionContext:
 
     Construction reduces the sextic to its trace cubic, refuses an
     inseparable input, and records the Galois classification,
-    temperedness, the lift identity, the square kernels, the ramified
-    primes and the excluded primes with their reasons, in ascending p
-    (the Steinberg prime included when one is given).  Any separable
-    sextic gets an analysis; only the per-prime methods, which need the
-    order-12 dihedral splitting field, refuse other classifications.
-    Per-prime calls then only do modular work.
+    temperedness and the lift identity, none of which factors; nor does
+    exclusion(p).  The displayed square_kernels, ramified and excluded
+    primes factor on first use.  Any separable sextic gets an analysis;
+    only the per-prime methods, which need the order-12 dihedral
+    splitting field, refuse other classifications.
     """
 
     def __init__(self, sextic: RatPoly, steinberg_prime: int | None = None):
@@ -97,6 +96,7 @@ class ReductionContext:
         if steinberg_prime is not None and not is_prime(steinberg_prime):
             raise ValueError(f"Steinberg prime must be prime, got {steinberg_prime}")
         self.sextic = sextic
+        self.steinberg_prime = steinberg_prime
         self.pair = pair = palindromic_reduce(sextic)
         if pair.delta == 0:
             raise NotSeparableError("disc(Q) = 0: the sextic has a repeated root")
@@ -105,23 +105,26 @@ class ReductionContext:
         self.classification = classify_galois(pair)
         self.tempered = self.classification.evidence["roots_in_interval"]
         self.unit_product = g2_lift_check(pair.q)
-        self.square_kernels = square_kernels(pair)
-        self.ramified = ramified_primes(pair)
         # P's integer model, read off the sextic itself so that classify's
         # trace-cubic check compares two independent reductions
         self.x_num = tuple(integer_model(sextic.coeffs)[0])
         self.y_num, self.y_den = pair.model, pair.model[3]
         # chi(delta) mod p = chi(num * den): den^2 * delta = num * den
-        self.delta_nd = pair.delta.numerator * pair.delta.denominator
-        self.delta_prime_nd = pair.delta_prime.numerator * pair.delta_prime.denominator
-        # the lift and its inverse have integer coefficients, so P's common
-        # denominator is y_den = D, whose primes the pair has already factored
-        bad: dict[int, str] = dict.fromkeys(pair.denominator_primes, REASON_DENOMINATOR)
-        for q in self.ramified:
-            bad.setdefault(q, REASON_RAMIFIED)
-        if steinberg_prime is not None:
-            bad.setdefault(steinberg_prime, REASON_STEINBERG)
-        self.excluded: dict[int, str] = dict(sorted(bad.items()))
+        self.delta_nd, self.delta_prime_nd = pair.square_classes
+
+    @functools.cached_property
+    def square_kernels(self) -> frozenset[int]:
+        return square_kernels(self.pair)
+
+    @functools.cached_property
+    def ramified(self) -> frozenset[int]:
+        return ramified_primes(self.pair)
+
+    @functools.cached_property
+    def excluded(self) -> dict[int, str]:
+        """exclusion(q) over the primes of D, the ramified primes and the Steinberg prime, ascending."""
+        primes = {*factor_integer(self.y_den), *self.ramified, self.steinberg_prime} - {None}
+        return {q: self.exclusion(q) for q in sorted(primes)}
 
     @classmethod
     def from_polyfile(cls, pf: PolyFile) -> "ReductionContext":
@@ -142,8 +145,15 @@ class ReductionContext:
             )
 
     def exclusion(self, p: int) -> str | None:
-        """Why p is a bad prime of this input (one of its excluded primes, or 2), else None."""
-        return self.excluded.get(p, REASON_EVEN if p == 2 else None)
+        """Why the prime p is bad for this input, else None, by divisibility: P's common
+        denominator is D = y_den, and those of delta and delta' divide a power of D."""
+        if self.y_den % p == 0:
+            return REASON_DENOMINATOR
+        if self.delta_nd * self.delta_prime_nd % p == 0:
+            return REASON_RAMIFIED
+        if p == self.steinberg_prime:
+            return REASON_STEINBERG
+        return REASON_EVEN if p == 2 else None
 
     def ensure_good(self, p: int) -> None:
         require_proven_prime(p)
@@ -170,8 +180,8 @@ class ReductionContext:
         equality check.
 
         checked=True skips ensure_good, for a caller that has already
-        established that p is an odd prime outside `excluded` and that the
-        input is D6 (certify and the frobenius command do).
+        established that p is a prime with no exclusion and that the input
+        is D6 (certify and the frobenius command do).
         """
         if not checked:
             self.ensure_good(p)

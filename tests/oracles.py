@@ -12,7 +12,11 @@ checks only the order in which order_report composes the ladders.  The
 fraction_* functions are the package's input analysis as it ran in
 Fraction arithmetic before the integer model of Q; fraction_cubic_irreducible
 keeps the package's root search, so against it the integer model's
-coefficients are what is checked.
+coefficients are what is checked.  factored_exclusions and
+factored_square_kernels are the input decisions as they ran on
+factorizations, before they became divisibility and square-root tests;
+they take their factors from the package's factor_integer, which
+test_arith checks on its own.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from g2cert.arith import factor_integer
 from g2cert.errors import NotMonicError, NotPalindromicError
 from g2cert.palindromic import (
     TAG_D6,
@@ -35,7 +40,13 @@ from g2cert.palindromic import (
     PalindromicPair,
 )
 from g2cert.poly import RatPoly
-from g2cert.reduction import _dickson
+from g2cert.reduction import (
+    REASON_DENOMINATOR,
+    REASON_RAMIFIED,
+    REASON_STEINBERG,
+    ReductionContext,
+    _dickson,
+)
 
 # primes the F_p kernels are checked at, up to the largest prime below
 # 10^12, where products of residues exceed 2^64
@@ -531,6 +542,39 @@ def fraction_classify_galois(pair: PalindromicPair) -> GaloisClassification:
     else:
         tag = TAG_D6 if fraction_g2_lift_check(pair.q) else TAG_WEYL_BC
     return GaloisClassification(tag=tag, evidence=evidence)
+
+
+# ---------------------------------------------------------------------------
+# the input decisions on factorizations: the excluded primes from the
+# factored denominator and discriminants, independence from squarefree kernels
+
+
+def _fraction_exponents(r: Fraction) -> dict[int, int]:
+    """Prime exponents of r != 0, negative in the denominator."""
+    out = factor_integer(r.numerator)
+    for q, e in factor_integer(r.denominator).items():
+        out[q] = out.get(q, 0) - e
+    return out
+
+
+def factored_exclusions(ctx: ReductionContext) -> dict[int, str]:
+    """D's primes, then the primes of delta and delta', then the Steinberg
+    prime, each with the first reason that names it, in ascending p."""
+    bad = dict.fromkeys(factor_integer(ctx.pair.model[3]), REASON_DENOMINATOR)
+    for r in (ctx.pair.delta, ctx.pair.delta_prime):
+        for q in _fraction_exponents(r):
+            bad.setdefault(q, REASON_RAMIFIED)
+    if ctx.steinberg_prime is not None:
+        bad.setdefault(ctx.steinberg_prime, REASON_STEINBERG)
+    return dict(sorted(bad.items()))
+
+
+def factored_square_kernels(pair: PalindromicPair) -> frozenset[int]:
+    """Signed squarefree kernels of delta, delta' and their product, from their prime exponents."""
+    return frozenset(
+        (1 if r > 0 else -1) * math.prod(q for q, e in _fraction_exponents(r).items() if e % 2)
+        for r in (pair.delta, pair.delta_prime, pair.delta * pair.delta_prime)
+    )
 
 
 # ---------------------------------------------------------------------------

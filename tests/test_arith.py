@@ -10,7 +10,7 @@ from g2cert.arith import (
     PRIME_PROOF_BOUND,
     SIEVE_LIMIT,
     is_prime,
-    prime_exponents,
+    is_square,
     primes_up_to,
     require_sievable,
     squarefree_kernel,
@@ -86,7 +86,8 @@ def test_prime_factorization_value():
 
 
 def _kernel(r: Fraction) -> int:
-    return squarefree_kernel(r, prime_exponents(r, tuple(factor_integer(r.denominator))))
+    # the kernel reads the exponents of num(r) den(r), which has r's square class
+    return squarefree_kernel(r, factor_integer(r.numerator * r.denominator))
 
 
 def test_squarefree_kernel_known():
@@ -96,11 +97,16 @@ def test_squarefree_kernel_known():
     assert _kernel(Fraction(4)) == 1
     assert _kernel(Fraction(-4)) == -1
     assert _kernel(Fraction(1, 2)) == 2
-    assert prime_exponents(Fraction(-639, 256), (2,)) == {3: 2, 71: 1, 2: -8}
+    assert factor_integer(-639 * 256) == {2: 8, 3: 2, 71: 1}
     with pytest.raises(ValueError):
-        prime_exponents(Fraction(1, 6), (2,))  # 3 is not among the denominator primes
-    with pytest.raises(ValueError):
-        prime_exponents(Fraction(0), ())
+        factor_integer(0)  # delta = 0 has no kernel
+
+
+def test_is_square():
+    assert [n for n in range(-5, 50) if is_square(n)] == [0, 1, 4, 9, 16, 25, 36, 49]
+    assert is_square((10**40 + 7) ** 2)
+    assert not is_square((10**40 + 7) ** 2 + 1)
+    assert not is_square(-(10**40))
 
 
 @given(
@@ -112,8 +118,9 @@ def test_squarefree_kernel_known():
 def test_squarefree_kernel_is_square_complement(q):
     if q == 0:
         return
-    exponents = prime_exponents(q, tuple(factor_integer(q.denominator)))
-    assert math.prod(Fraction(p) ** e for p, e in exponents.items()) == abs(q)
+    nd = q.numerator * q.denominator
+    exponents = factor_integer(nd)
+    assert math.prod(p**e for p, e in exponents.items()) == abs(nd)
     k = squarefree_kernel(q, exponents)
     ratio = q / k
     # the ratio must be a square of a rational: both parts perfect squares

@@ -425,6 +425,39 @@ def test_blocked_pair_scan_byte_identical_across_jobs():
     ]
 
 
+# The lift identity with 41-digit coefficients: Q = y^3 - a y^2 + b y - c
+# with a = 10^40 + 7, b = 3 10^39 + 11 and c = a^2 - 2b - 4, in the file as
+# (x - 1) x^3 Q(x + 1/x) with Steinberg prime 7.  Its delta has 201 digits;
+# every command that needs D6 refuses it without factoring anything.
+LIFT_IDENTITY = str(DATA / "lift-identity.json")
+INCONCLUSIVE_REFUSAL = (
+    "g2cert: Frobenius classes need the order-12 dihedral splitting field, "
+    "classification is Inconclusive\n"
+)
+
+
+def test_lift_identity_file_rebuilds_from_its_cubic():
+    a, b = 10**40 + 7, 3 * 10**39 + 11
+    q = RatPoly.from_coeffs([-(a * a - 2 * b - 4), b, -a, 1])
+    septic = rat_mul(inflate_palindromic(q), RatPoly.from_coeffs([-1, 1]))
+    want = serialize_polyfile(PolyFile("lift-identity", 7, "x", tuple(septic.to_strings())))
+    assert Path(LIFT_IDENTITY).read_text() == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", LIFT_IDENTITY, "frobenius3", "--prime", "29"),
+        ("frobenius", LIFT_IDENTITY, "--limit", "200"),
+        ("scan", LIFT_IDENTITY, "frobenius3", "--limit", "2000"),
+    ],
+    ids=["certify", "frobenius", "scan"],
+)
+def test_lift_identity_input_is_refused_in_bounded_time(argv):
+    r = run_cli(*argv, timeout=5)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", INCONCLUSIVE_REFUSAL)
+
+
 def test_scan_excludes_steinberg_prime_in_library_and_cli(tmp_path):
     path = steinberg29_file(tmp_path)
     records = []

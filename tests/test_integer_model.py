@@ -12,7 +12,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2cert.errors import G2CertError
@@ -124,16 +124,16 @@ def test_analysis_matches_the_fraction_oracle(q):
 @given(cubics(20, 3, 12))
 @example(RatPoly.from_coeffs([1, -3, 0, 1]))  # disc 81, a square
 @example(RatPoly.from_coeffs([F(-1, 16), F(7, 4), F(-11, 4), 1]))  # D6, roots in (0, 2)
+# tests/data/lift-identity.json: a 201-digit delta, Inconclusive
+@example(RatPoly.from_coeffs([
+    -((10**40 + 7) ** 2 - 2 * (3 * 10**39 + 11) - 4), 3 * 10**39 + 11, -(10**40 + 7), 1
+]))
 @settings(max_examples=300, deadline=None)
 def test_classification_matches_the_fraction_oracle(q):
-    # classify_galois factors the numerators of delta and delta' for their
-    # square classes, and factoring has no time bound yet (ROADMAP.md, item
-    # 1), so heights are small and numerators of more than 20 digits (about
-    # 1 draw in 20) are skipped; the oracle reads squareness by integer
-    # square roots instead
+    # classify_galois reads squareness by integer square roots of num * den,
+    # the oracle by integer square roots of numerator and denominator apart
     sextic = inflate_palindromic(q)
     pair = palindromic_reduce(sextic)
-    assume(max(abs(pair.delta.numerator), abs(pair.delta_prime.numerator)) < 10**20)
     assert classify_galois(pair) == fraction_classify_galois(fraction_palindromic_reduce(sextic))
 
 
