@@ -28,7 +28,7 @@ from .palindromic import (
     temperedness_check,
 )
 from .weyl import CLASS_LABELS, WEYL_CLASSES, WeylClassInfo, torus_order
-from .reduction import FrobeniusClassification, ReductionContext, frobenius_class
+from .reduction import ReductionContext, frobenius_class
 from .certify import (
     BOUNDED_SUBGROUPS,
     VERDICT_CERTIFIED,
@@ -62,7 +62,6 @@ __all__ = [
     "WEYL_CLASSES",
     "WeylClassInfo",
     "torus_order",
-    "FrobeniusClassification",
     "ReductionContext",
     "frobenius_class",
     "BOUNDED_SUBGROUPS",

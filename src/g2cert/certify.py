@@ -29,8 +29,8 @@ from typing import Callable, Mapping
 from .arith import is_square, primes_up_to, require_proven_prime
 from .errors import G2CertError, WitnessMismatchError
 from .polyfile import PolyFile
-from .reduction import REASON_EVEN, FrobeniusClassification, ReductionContext
-from .weyl import CLASS_LABELS
+from .reduction import REASON_EVEN, ReductionContext
+from .weyl import CLASS_LABELS, WeylClassInfo
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_NOT_COXETER = "NotCoxeterPair"
@@ -101,10 +101,12 @@ class Pair:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """One prime's verdict; evidence_a/evidence_b are the WEYL_CLASSES rows classify verified."""
+
     p: int
     verdict: str
-    evidence_a: FrobeniusClassification | None = None
-    evidence_b: FrobeniusClassification | None = None
+    evidence_a: WeylClassInfo | None = None
+    evidence_b: WeylClassInfo | None = None
     order_a: int | None = None
     order_b: int | None = None
     excluded_subgroups: tuple[tuple[str, str], ...] = ()
@@ -179,7 +181,6 @@ class ScanSummary:
     density: Fraction
     density_all: Fraction
     pattern_density: Fraction
-    predicted_density: Fraction = PREDICTED_PATTERN_DENSITY
 
 
 def _scan_chunk(args: tuple[Pair, list[int]]) -> list[CertificationReport]:

@@ -28,6 +28,7 @@ from typing import Any
 from . import __version__
 from .arith import primes_up_to, require_proven_prime, require_sievable
 from .certify import (
+    PREDICTED_PATTERN_DENSITY,
     VERDICT_CERTIFIED,
     CertificationReport,
     Pair,
@@ -208,7 +209,7 @@ def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
         "chi_delta_prime": cls.chi_delta_prime,
         "chi_delta": cls.chi_delta,
         "weyl_class": cls.weyl_class,
-        "torus_order": cls.torus_order,
+        "torus_order": torus_order(cls.weyl_class, p),
         "x_pattern": list(cls.x_pattern),
         **_order_doc(ctx.order_report(p, cls, checked=True)),
     }
@@ -279,7 +280,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     ):
         if ev is not None:
             doc[f"x_pattern_{side}"] = list(ev.x_pattern)
-            doc[f"torus_order_{side}"] = ev.torus_order
+            doc[f"torus_order_{side}"] = torus_order(ev.weyl_class, report.p)
         if order is not None:
             doc[f"order_evidence_{side}"] = _order_doc(order)
     _write_json(doc, args.out)
@@ -305,7 +306,7 @@ def _summary_doc(summary) -> dict:
         "density": _density_doc(summary.density),
         "density_all": _density_doc(summary.density_all),
         "pattern_density": _density_doc(summary.pattern_density),
-        "predicted_pattern_density": _density_doc(summary.predicted_density),
+        "predicted_pattern_density": _density_doc(PREDICTED_PATTERN_DENSITY),
     }
 
 

@@ -3,13 +3,15 @@
 For a sextic P with dihedral (order 12) splitting field, the conjugacy
 class of Frobenius at a good prime p is pinned down by two cheap residue
 computations: the factor pattern of the trace cubic Q mod p and the
-quadratic character of delta' = Q(2)Q(-2).  The class determines in turn
-the character of delta, the factor pattern of P mod p itself, and the
-order of the finite torus the reduced element lives in; all of these are
-recomputed and compared on every call, so a single inconsistent witness
-anywhere is a hard error rather than a wrong answer.  Once the trace
-cubic of P mod p is checked equal to Q mod p, both factor patterns read
-one Frobenius pass in F_p[y]/(Q) (see ReductionContext.classify).
+quadratic character of delta' = Q(2)Q(-2).  The class, a row of
+weyl.WEYL_CLASSES, determines in turn the character of delta and the
+factor pattern of P mod p itself; both are recomputed and compared on
+every call, and the row comes back only once every witness agrees with
+it, so a single inconsistent witness anywhere is a hard error rather than
+a wrong answer.  The row's torus polynomial gives the order of the finite
+torus the reduced element lives in, which order_report checks.  Once the
+trace cubic of P mod p is checked equal to Q mod p, both factor patterns
+read one Frobenius pass in F_p[y]/(Q) (see ReductionContext.classify).
 
 Element orders are computed on the trace side: x^m = 1 for every root x
 of P mod p exactly when the trace sequence V_m (V_0 = 2, V_1 = y,
@@ -26,7 +28,6 @@ length log q (see ReductionContext.order_report).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .arith import factor_integer, is_prime, require_proven_prime
 from .errors import (
@@ -45,7 +46,6 @@ from .palindromic import (
     square_kernels,
 )
 from .poly import (
-    DegreePattern,
     RatPoly,
     _cubic_pattern,
     _cubic_ring,
@@ -58,24 +58,12 @@ from .poly import (
     integer_model,
 )
 from .polyfile import PolyFile
-from .weyl import FROBENIUS_LOOKUP, torus_order
+from .weyl import FROBENIUS_LOOKUP, WeylClassInfo, torus_order
 
 REASON_DENOMINATOR = "DenominatorVanishes"
 REASON_RAMIFIED = "RamifiedDiscriminant"
 REASON_STEINBERG = "SteinbergPrime"
 REASON_EVEN = "EvenPrime"
-
-
-@dataclass(frozen=True)
-class FrobeniusClassification:
-    """Verdict of the class lookup at p, with the full witness chain."""
-
-    y_pattern: DegreePattern
-    chi_delta_prime: int
-    chi_delta: int
-    weyl_class: str
-    torus_order: int
-    x_pattern: DegreePattern
 
 
 class ReductionContext:
@@ -168,8 +156,12 @@ class ReductionContext:
         q = tuple([c % p * inv % p for c in self.y_num])
         return q, tuple([c % p * inv % p for c in self.x_num])
 
-    def classify(self, p: int, *, checked: bool = False) -> FrobeniusClassification:
+    def classify(self, p: int, *, checked: bool = False) -> WeylClassInfo:
         """The Weyl class of Frobenius at p, read off Q mod p and checked against P mod p.
+
+        The result is the class's WEYL_CLASSES row, returned only once
+        every witness has passed: P's trace cubic equals Q mod p, and
+        chi(delta) and the x-pattern of P mod p equal the row's columns.
 
         Both Q and P are reduced mod p, and P's trace cubic (f3 - 2 f5,
         f4 - 3, f5, 1) must equal Q mod p coefficient by coefficient.  One
@@ -199,37 +191,32 @@ class ReductionContext:
         y_pattern = _cubic_pattern(p, q, v, w)
         chi_dp = -1 if pow(self.delta_prime_nd % p, p >> 1, p) == p - 1 else 1
         chi_d = -1 if pow(self.delta_nd % p, p >> 1, p) == p - 1 else 1
-        info = FROBENIUS_LOOKUP[(y_pattern, chi_dp)]
-        if chi_d != info.epsilon:
+        row = FROBENIUS_LOOKUP[(y_pattern, chi_dp)]
+        if chi_d != row.chi_delta:
             raise WitnessMismatchError(
-                f"p={p}: chi(delta) = {chi_d} but class {info.label} "
-                f"requires {info.epsilon}",
-                p=p, witness="chi_delta", expected=info.epsilon, actual=chi_d,
+                f"p={p}: chi(delta) = {chi_d} but class {row.weyl_class} "
+                f"requires {row.chi_delta}",
+                p=p, witness="chi_delta", expected=row.chi_delta, actual=chi_d,
             )
         _require_pattern_input(p, sextic)
         x_pattern = _sextic_pattern(p, q, mul, v, w, u)
         if x_pattern is None:
             raise NotSeparableError(f"{_mod_str(p, sextic)} has a repeated factor")
-        if x_pattern != info.pattern_on_x:
+        if x_pattern != row.x_pattern:
             raise WitnessMismatchError(
-                f"p={p}: sextic splits as {x_pattern} but class {info.label} "
-                f"requires {info.pattern_on_x}",
-                p=p, witness="x_pattern", expected=info.pattern_on_x, actual=x_pattern,
+                f"p={p}: sextic splits as {x_pattern} but class {row.weyl_class} "
+                f"requires {row.x_pattern}",
+                p=p, witness="x_pattern", expected=row.x_pattern, actual=x_pattern,
             )
-        return FrobeniusClassification(
-            y_pattern=y_pattern,
-            chi_delta_prime=chi_dp,
-            chi_delta=chi_d,
-            weyl_class=info.label,
-            torus_order=torus_order(info.label, p),
-            x_pattern=x_pattern,
-        )
+        return row
 
-    def order_report(self, p: int, cls: FrobeniusClassification, *, checked: bool = False) -> int:
+    def order_report(self, p: int, cls: WeylClassInfo, *, checked: bool = False) -> int:
         """Exact order by one split chain over the prime-power parts of the torus order.
 
-        Let T be the torus order and q^e its exactly dividing prime powers,
-        in ascending order.  The q-part of the order is the least q^k with
+        cls is the row that classify returned at p.  Its torus order T is
+        computed here, and the order comes back only once x^T = 1 is
+        proven.  Let q^e be the prime powers exactly dividing T, in
+        ascending order.  The q-part of the order is the least q^k with
         V_(T/q^e * q^k) = 2.  Since D_a(D_b(y)) = D_ab(y), every leaf
         V_(T/q^e) hangs off one chain: from g = y and m = T, each part but
         the smallest, largest first, gets its leaf D_(m/q^e)(g), then g
@@ -251,7 +238,7 @@ class ReductionContext:
         if not checked:
             self.ensure_good(p)
         f = self._residues(p)[0]
-        torus = cls.torus_order
+        torus = torus_order(cls.weyl_class, p)
         parts = sorted((q**e, q) for q, e in factor_integer(torus).items())
         g, m = (0, 1, 0), torus
         leaves = []
@@ -326,6 +313,6 @@ def _context(sextic: RatPoly) -> ReductionContext:
     return ReductionContext(sextic)
 
 
-def frobenius_class(sextic: RatPoly, p: int) -> FrobeniusClassification:
-    """Weyl class of Frobenius at a good odd prime, triple-witnessed."""
+def frobenius_class(sextic: RatPoly, p: int) -> WeylClassInfo:
+    """Weyl class of Frobenius at a good odd prime, triple-witnessed: its WEYL_CLASSES row."""
     return _context(sextic).classify(p)

@@ -1,12 +1,18 @@
 """The six conjugacy classes of the Weyl group of G2, dihedral of order 12.
 
-Each row holds what the Frobenius lookup reads: the class label, the
-factor pattern of Q mod p (the cycle type on the three roots y_i), the
-residue symbol eps' of delta' = Q(2)Q(-2), the symbol eps of disc(Q), the
-factor pattern of P mod p (the cycle type on the six roots x_i^(+-1)) and
-the torus polynomial (constant, linear, quadratic coefficient): the
+Each row holds what the Frobenius lookup reads: the class label
+(weyl_class), the factor pattern of Q mod p (y_pattern: the cycle type on
+the three roots y_i), the residue symbol chi_delta_prime of
+delta' = Q(2)Q(-2), the symbol chi_delta of disc(Q), the factor pattern of
+P mod p (x_pattern: the cycle type on the six roots x_i^(+-1)) and the
+torus polynomial (constant, linear, quadratic coefficient): the
 characteristic polynomial of the class on the root lattice, whose value at
 q is the order of the class's maximal torus over F_q.
+
+A row is also what ReductionContext.classify returns: the class of
+Frobenius at p, handed back once every witness computed mod p equals its
+columns.  The field names are the keys of the frobenius and scan records
+and the witness tags of WitnessMismatchError.
 
 The table is data.  tests/oracles.py models the group as signed
 permutations of three coordinates, derives every column from the model
@@ -23,16 +29,16 @@ from .poly import DegreePattern
 
 @dataclass(frozen=True)
 class WeylClassInfo:
-    label: str
-    pattern_on_y: DegreePattern
-    epsilon_prime: int
-    epsilon: int
-    pattern_on_x: DegreePattern
+    weyl_class: str
+    y_pattern: DegreePattern
+    chi_delta_prime: int
+    chi_delta: int
+    x_pattern: DegreePattern
     torus_poly: tuple[int, int, int]
 
 
 WEYL_CLASSES: dict[str, WeylClassInfo] = {
-    row.label: row
+    row.weyl_class: row
     for row in (
         WeylClassInfo("1a", (1, 1, 1), 1, 1, (1, 1, 1, 1, 1, 1), (1, -2, 1)),
         WeylClassInfo("2a", (1, 2), 1, -1, (1, 1, 2, 2), (-1, 0, 1)),
@@ -45,12 +51,12 @@ WEYL_CLASSES: dict[str, WeylClassInfo] = {
 
 CLASS_LABELS = tuple(WEYL_CLASSES)
 
-# the two cheap witnesses, the pattern on y and eps', pick the class
+# the two cheap witnesses, the pattern on y and chi(delta'), pick the class
 FROBENIUS_LOOKUP: dict[tuple[DegreePattern, int], WeylClassInfo] = {
-    (row.pattern_on_y, row.epsilon_prime): row for row in WEYL_CLASSES.values()
+    (row.y_pattern, row.chi_delta_prime): row for row in WEYL_CLASSES.values()
 }
 if len(FROBENIUS_LOOKUP) != len(WEYL_CLASSES):
-    raise ValueError("(pattern on y, epsilon') is not a unique key for the Weyl classes")
+    raise ValueError("(y_pattern, chi_delta_prime) is not a unique key for the Weyl classes")
 
 
 def torus_order(label: str, q: int) -> int:

@@ -33,7 +33,6 @@ PUBLIC_API = {
     "WEYL_CLASSES",
     "WeylClassInfo",
     "torus_order",
-    "FrobeniusClassification",
     "ReductionContext",
     "frobenius_class",
     "BOUNDED_SUBGROUPS",
@@ -81,9 +80,11 @@ def test_public_api_is_pinned():
     assert set(g2cert.__all__) == PUBLIC_API
 
 
-def test_names_used_by_perfbench_exist():
+def test_names_used_by_perfbench_exist(sextic_a):
     for name in ("bundled_polyfile", "deflate_root_one", "frobenius_class"):
         assert callable(getattr(g2cert, name)), name
+    # perfbench/primes.py draws the certify-coxeter primes by this attribute
+    assert g2cert.frobenius_class(sextic_a, 29).weyl_class == "3a"
     # the per-layer tracer wraps the binding each caller looks up
     for module, path in TRACED_BINDINGS:
         owner = importlib.import_module(module)

@@ -9,6 +9,7 @@ from g2cert import certify
 from g2cert.arith import primes_up_to
 from g2cert.certify import (
     BOUNDED_SUBGROUPS,
+    PREDICTED_PATTERN_DENSITY,
     VERDICT_BOUNDED_NOT_EXCLUDED,
     VERDICT_CERTIFIED,
     VERDICT_EXCLUDED,
@@ -96,7 +97,7 @@ def test_orders_in_classes_3a_and_6a_are_at_least_7():
     # 2, -2, -1, 0, 1) or in F_p^2 (n = 5: y^2 + y - 1 = 0), never a root
     # of an irreducible cubic, so OrderTooSmall is unreachable at a good
     # prime.  Checked over every monic irreducible cubic mod small p.
-    assert {c.label for c in WEYL_CLASSES.values() if c.pattern_on_y == (3,)} == {"3a", "6a"}
+    assert {c.weyl_class for c in WEYL_CLASSES.values() if c.y_pattern == (3,)} == {"3a", "6a"}
     for p in (7, 11, 13):
         cubics = naive_irreducibles(3, p, p**3)
         assert len(cubics) == (p**3 - p) // 3, p
@@ -223,7 +224,7 @@ def test_scan_summary_consistency(bundled_pair):
     )
     # records arrive in ascending prime order
     assert [r.p for r in records] == sorted(r.p for r in records)
-    assert summary.predicted_density == Fraction(1, 18)
+    assert PREDICTED_PATTERN_DENSITY == Fraction(1, 18)
 
 
 def test_scan_deterministic_and_parallel_equal(bundled_pair):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2cert import reduction
 from g2cert.arith import factor_integer, is_prime, primes_up_to
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
 from g2cert.poly import RatPoly, _degree_pattern
@@ -18,10 +19,11 @@ from g2cert.reduction import (
     _dickson,
     frobenius_class,
 )
-from g2cert.weyl import FROBENIUS_LOOKUP
+from g2cert.weyl import FROBENIUS_LOOKUP, WEYL_CLASSES, torus_order
 from oracles import (
     KERNEL_PRIMES,
     cofactor_descent_order,
+    derive_weyl_classes,
     inflate_palindromic,
     mod_poly,
     naive_degree_pattern,
@@ -53,7 +55,7 @@ def test_frozen_classification_table(sextic_a, ctx_a):
         assert cls.y_pattern == pattern, p
         assert cls.chi_delta_prime == chi_dp, p
         assert cls.chi_delta == chi_d, p
-        assert cls.torus_order == torus, p
+        assert torus_order(cls.weyl_class, p) == torus, p
         assert ctx_a.order_report(p, cls) == order, p
         assert torus % order == 0, p
 
@@ -68,6 +70,25 @@ def test_frozen_table_against_oracle(ctx_a):
         assert naive_legendre(d.numerator * d.denominator, p) == chi_d, p
         sextic = reduce_rational_coeffs(list(ctx_a.sextic.coeffs), p)
         assert naive_order_of_x(sextic, p, (p + 1) ** 2 + 1) == order, p
+
+
+def test_classify_returns_the_verified_table_row(ctx_a, ctx_b):
+    # the row itself, not a copy, at every good prime to 10^4: its label is
+    # looked up by the oracle's y-pattern and chi(delta') in the table the
+    # group model derives, apart from weyl.py
+    by_witnesses = {(c.pattern_on_y, c.epsilon_prime): label for label, c in derive_weyl_classes().items()}
+    cases = 0
+    for ctx in (ctx_a, ctx_b):
+        dp = ctx.pair.delta_prime
+        for p in primes_up_to(10**4):
+            if p == 2 or ctx.exclusion(p) is not None:
+                continue
+            cubic = reduce_rational_coeffs(list(ctx.pair.q.coeffs), p)
+            chi_dp = naive_legendre(dp.numerator * dp.denominator, p)
+            label = by_witnesses[(naive_degree_pattern(cubic, p), chi_dp)]
+            assert ctx.classify(p) is WEYL_CLASSES[label], p
+            cases += 1
+    assert cases == 2447
 
 
 def test_x_pattern_against_oracle(sextic_a, sextic_b):
@@ -251,7 +272,7 @@ def test_cofactor_descent_near_1e12(ctx_a, ctx_b):
             cls = ctx.classify(p)
             order = ctx.order_report(p, cls)
             classes.add(cls.weyl_class)
-            assert cls.torus_order % order == 0, p
+            assert torus_order(cls.weyl_class, p) % order == 0, p
             sextic = reduce_rational_coeffs(list(ctx.sextic.coeffs), p)
             assert naive_pow_x_mod(sextic, order, p) == [1], p
             for q in factor_integer(order):
@@ -259,16 +280,22 @@ def test_cofactor_descent_near_1e12(ctx_a, ctx_b):
     assert len(classes) >= 4
 
 
-def test_order_report_raises_off_the_torus(ctx_a):
+def _wrong_torus(monkeypatch, wrong: int) -> None:
+    # order_report reads the torus order through this binding
+    monkeypatch.setattr(reduction, "torus_order", lambda label, q: wrong)
+
+
+def test_order_report_raises_off_the_torus(ctx_a, monkeypatch):
     # a torus order that the element's order does not divide is a witness
     # mismatch
     p = 101
     cls = ctx_a.classify(p)
     order = ctx_a.order_report(p, cls)
     # order/q misses the element's order by one factor q, order + 1 by far
-    for wrong in (order // max(factor_integer(order)), cls.torus_order + 1):
+    for wrong in (order // max(factor_integer(order)), torus_order(cls.weyl_class, p) + 1):
+        _wrong_torus(monkeypatch, wrong)
         with pytest.raises(WitnessMismatchError, match=f"p={p}") as raised:
-            ctx_a.order_report(p, replace(cls, torus_order=wrong))
+            ctx_a.order_report(p, cls)
         e = raised.value
         assert (e.p, e.witness, e.expected) == (p, "torus", (2, 0, 0))
         assert len(e.actual) == 3 and e.actual != e.expected
@@ -282,15 +309,16 @@ def test_order_report_raises_off_the_torus(ctx_a):
         10200 // 17 * 43,  # parts 3, 8, 25, 43: only the largest, peeled first, misses 17
     ],
 )
-def test_order_report_raises_on_each_shape_of_wrong_torus(ctx_a, wrong):
+def test_order_report_raises_on_each_shape_of_wrong_torus(ctx_a, wrong, monkeypatch):
     # the split chain checks V_T = 2 once, at the end of the smallest
     # part's descent; a miss anywhere in T must still be a witness mismatch
     p = 101
     cls = ctx_a.classify(p)
     assert ctx_a.order_report(p, cls) == 10200
     message = rf"^p={p}: V_{wrong} != 2, so the element of class 2a"
+    _wrong_torus(monkeypatch, wrong)
     with pytest.raises(WitnessMismatchError, match=message) as raised:
-        ctx_a.order_report(p, replace(cls, torus_order=wrong))
+        ctx_a.order_report(p, cls)
     # actual is V_T itself: the ladder from y to the wrong T lands on it
     f = reduce_rational_coeffs(list(ctx_a.pair.q.coeffs), p)
     v_t = _dickson(p, f, (0, 1, 0), wrong)
@@ -309,8 +337,9 @@ def test_split_chain_equals_the_per_factor_descent(ctx_a, ctx_b):
         for p in small + large:
             cls = ctx.classify(p)
             f = reduce_rational_coeffs(list(ctx.pair.q.coeffs), p)
-            factors = factor_integer(cls.torus_order)
-            assert ctx.order_report(p, cls) == cofactor_descent_order(p, f, cls.torus_order, factors), p
+            torus = torus_order(cls.weyl_class, p)
+            factors = factor_integer(torus)
+            assert ctx.order_report(p, cls) == cofactor_descent_order(p, f, torus, factors), p
             seen.add(cls.weyl_class)
             cases += 1
             repeated += p < 6 * 10**4 and max(factors.values()) >= 2
@@ -417,7 +446,7 @@ def test_classify_checks_the_x_pattern_against_the_class(bundle_a, p):
     with pytest.raises(WitnessMismatchError, match=rf"^p={p}: sextic splits as") as raised:
         ctx.classify(p)
     e = raised.value
-    want = FROBENIUS_LOOKUP[(cls.y_pattern, -cls.chi_delta_prime)].pattern_on_x
+    want = FROBENIUS_LOOKUP[(cls.y_pattern, -cls.chi_delta_prime)].x_pattern
     assert (e.p, e.witness, e.expected, e.actual) == (p, "x_pattern", want, cls.x_pattern)
     assert want != cls.x_pattern
 

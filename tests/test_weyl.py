@@ -58,14 +58,26 @@ def test_epsilon_characters_multiplicative(a, b):
     assert ab.epsilon_prime() == a.epsilon_prime() * b.epsilon_prime()
 
 
+# each shipped column and the model's name for it; the model keeps its own
+# names so that the derived table stays independent of weyl.py
+SHIPPED_TO_MODEL = {
+    "weyl_class": "label",
+    "y_pattern": "pattern_on_y",
+    "chi_delta_prime": "epsilon_prime",
+    "chi_delta": "epsilon",
+    "x_pattern": "pattern_on_x",
+    "torus_poly": "torus_poly",
+}
+
+
 def test_class_table():
     # the shipped table is the one the group model derives, column by column
     derived = derive_weyl_classes()
     assert tuple(derived) == tuple(WEYL_CLASSES) == CLASS_LABELS
+    assert tuple(f.name for f in dataclasses.fields(WeylClassInfo)) == tuple(SHIPPED_TO_MODEL)
     for label, shipped in WEYL_CLASSES.items():
-        for field in dataclasses.fields(WeylClassInfo):
-            assert getattr(shipped, field.name) == getattr(derived[label], field.name), (
-                label, field.name)
+        for column, model in SHIPPED_TO_MODEL.items():
+            assert getattr(shipped, column) == getattr(derived[label], model), (label, column)
     assert tuple(c.size for c in derived.values()) == (1, 3, 3, 1, 2, 2)
     assert tuple(c.element_order for c in derived.values()) == (1, 2, 2, 2, 3, 6)
     assert sum(c.size for c in derived.values()) == 12
@@ -82,7 +94,7 @@ def test_torus_polynomials_symbolic():
         "6a": (1, -1, 1),
     }
     for cls in WEYL_CLASSES.values():
-        assert cls.torus_poly == expected[cls.label], cls.label
+        assert cls.torus_poly == expected[cls.weyl_class], cls.weyl_class
     assert torus_poly_str("1a") == "(q - 1)^2"
     assert torus_poly_str("6a") == "q^2 - q + 1"
 
@@ -107,16 +119,16 @@ def test_x_pattern_and_y_pattern_by_class():
         "6a": ((3,), (6,)),
     }
     for cls in WEYL_CLASSES.values():
-        assert (cls.pattern_on_y, cls.pattern_on_x) == want[cls.label], cls.label
+        assert (cls.y_pattern, cls.x_pattern) == want[cls.weyl_class], cls.weyl_class
 
 
 def test_frobenius_lookup_is_a_bijection():
     assert len(FROBENIUS_LOOKUP) == 6
-    assert {info.label for info in FROBENIUS_LOOKUP.values()} == set(CLASS_LABELS)
-    # the key really determines the class: epsilon' with the y-pattern
-    for (pattern, eps_prime), info in FROBENIUS_LOOKUP.items():
-        assert info.pattern_on_y == pattern
-        assert info.epsilon_prime == eps_prime
+    assert {info.weyl_class for info in FROBENIUS_LOOKUP.values()} == set(CLASS_LABELS)
+    # the key really determines the class: chi(delta') with the y-pattern
+    for (pattern, chi_dp), info in FROBENIUS_LOOKUP.items():
+        assert info.y_pattern == pattern
+        assert info.chi_delta_prime == chi_dp
 
 
 def test_torus_orders_at_small_q():
@@ -137,8 +149,8 @@ def test_torus_order_of_each_element():
     for w in enumerate_weyl():
         info = FROBENIUS_LOOKUP[(w.cycle_type_on_y(), w.epsilon_prime())]
         c0, c1, c2 = w.torus_poly()
-        assert torus_order(info.label, 7) == c2 * 49 + c1 * 7 + c0
-        assert (info.epsilon, info.pattern_on_x) == (w.epsilon(), w.pattern_on_x())
+        assert torus_order(info.weyl_class, 7) == c2 * 49 + c1 * 7 + c0
+        assert (info.chi_delta, info.x_pattern) == (w.epsilon(), w.pattern_on_x())
 
 
 def test_conjugacy_classes_are_closed():
