@@ -3,7 +3,8 @@ characteristic polynomials, including the Lagrange-style generation
 certificate for the pair of bundled inputs.
 
 Everything is computed over the rationals or prime fields; no floating
-point enters any result.
+point enters any result.  The names below are the library surface the
+README shows; every other name is imported from its own module.
 """
 
 __version__ = "0.1.0"
@@ -17,28 +18,10 @@ from .errors import (
     WitnessMismatchError,
 )
 from .poly import RatPoly, deflate_root_one
-from .palindromic import (
-    GaloisClassification,
-    PalindromicPair,
-    classify_galois,
-    g2_lift_check,
-    palindromic_reduce,
-    ramified_primes,
-    separability_check,
-    temperedness_check,
-)
-from .weyl import CLASS_LABELS, WEYL_CLASSES, WeylClassInfo, torus_order
+from .weyl import WEYL_CLASSES, torus_order
 from .reduction import ReductionContext, frobenius_class
-from .certify import (
-    BOUNDED_SUBGROUPS,
-    VERDICT_CERTIFIED,
-    CertificationReport,
-    Pair,
-    ScanSummary,
-    certify_prime,
-    scan,
-)
-from .polyfile import PolyFile, bundled_polyfile, load_polyfile, parse_polyfile
+from .certify import Pair, certify_prime, scan
+from .polyfile import bundled_polyfile
 
 __all__ = [
     "__version__",
@@ -50,29 +33,12 @@ __all__ = [
     "WitnessMismatchError",
     "RatPoly",
     "deflate_root_one",
-    "PalindromicPair",
-    "GaloisClassification",
-    "palindromic_reduce",
-    "separability_check",
-    "ramified_primes",
-    "temperedness_check",
-    "g2_lift_check",
-    "classify_galois",
-    "CLASS_LABELS",
     "WEYL_CLASSES",
-    "WeylClassInfo",
     "torus_order",
     "ReductionContext",
     "frobenius_class",
-    "BOUNDED_SUBGROUPS",
-    "VERDICT_CERTIFIED",
-    "CertificationReport",
     "Pair",
-    "ScanSummary",
     "certify_prime",
     "scan",
-    "PolyFile",
-    "parse_polyfile",
-    "load_polyfile",
     "bundled_polyfile",
 ]

@@ -168,6 +168,6 @@ def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def squarefree_kernel(r: Fraction, exponents: dict[int, int]) -> int:
+def squarefree_kernel(r: Fraction | int, exponents: dict[int, int]) -> int:
     """Squarefree d with r = d s^2, s rational, sign kept, from the prime exponents of num(r) den(r)."""
     return (1 if r > 0 else -1) * math.prod(q for q, e in exponents.items() if e % 2)

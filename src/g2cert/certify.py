@@ -79,7 +79,7 @@ class Pair:
     def __init__(self, a: ReductionContext, b: ReductionContext):
         a.require_d6()
         b.require_d6()
-        s_a, s_b = [(c.delta_nd, c.delta_prime_nd, c.delta_nd * c.delta_prime_nd) for c in (a, b)]
+        s_a, s_b = [(n, n_prime, n * n_prime) for n, n_prime in (a.square_classes, b.square_classes)]
         if any(is_square(s * t) for s in s_a for t in s_b):
             shared = sorted(a.square_kernels & b.square_kernels)
             raise G2CertError(f"splitting fields are not independent: shared quadratic kernel(s) {shared}")

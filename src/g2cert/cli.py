@@ -163,30 +163,29 @@ def _order_doc(order: int) -> dict:
 def cmd_reduce(args: argparse.Namespace) -> int:
     pf = _load_input(args.input)
     ctx = ReductionContext.from_polyfile(pf)
-    pair, tag = ctx.pair, ctx.classification.tag
     doc = {
         **_head("reduce"),
         "input": _input_doc(pf),
         "characteristic_poly": list(pf.coefficients),
         "sextic": ctx.sextic.to_strings(),
         "sextic_str": format_poly(ctx.sextic.coeffs, "x"),
-        "cubic": pair.q.to_strings(),
-        "cubic_str": format_poly(pair.q.coeffs, "y"),
-        "cubic_at_2": str(pair.q_at_2),
-        "cubic_at_minus_2": str(pair.q_at_minus_2),
-        "discriminant": str(pair.delta),
-        "discriminant_product": str(pair.delta_prime),
+        "cubic": ctx.q.to_strings(),
+        "cubic_str": format_poly(ctx.q.coeffs, "y"),
+        "cubic_at_2": str(ctx.q_at_2),
+        "cubic_at_minus_2": str(ctx.q_at_minus_2),
+        "discriminant": str(ctx.delta),
+        "discriminant_product": str(ctx.delta_prime),
         "squarefree_kernels": sorted(ctx.square_kernels),
         "ramified_primes": sorted(ctx.ramified),
-        "classification": tag,
-        "evidence": dict(ctx.classification.evidence),
+        "classification": ctx.tag,
+        "evidence": ctx.evidence,
         "tempered": ctx.tempered,
         "unit_product": ctx.unit_product,
     }
-    if tag == TAG_D6:
+    if ctx.tag == TAG_D6:
         doc["excluded_primes"] = _excluded_doc(ctx.excluded)
     _write_json(doc, args.out)
-    return 0 if tag == TAG_D6 and ctx.tempered else 1
+    return 0 if ctx.tag == TAG_D6 and ctx.tempered else 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +319,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
     pf_a = _load_input(args.input_a)
     pf_b = _load_input(args.input_b)
     pair = Pair.from_files(pf_a, pf_b)
-    head = {
-        **_head("scan"),
-        "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)},
-        "parameters": {"limit": args.limit, "excluded_primes": _excluded_doc(pair.excluded)},
-    }
+    if args.format == "csv":  # CSV has no head, so it never factors for excluded_primes
+        head, render = {}, _scan_row
+    else:
+        head = {
+            **_head("scan"),
+            "inputs": {"a": _input_doc(pf_a), "b": _input_doc(pf_b)},
+            "parameters": {"limit": args.limit, "excluded_primes": _excluded_doc(pair.excluded)},
+        }
+        render = _record_doc
     columns = ("p", "class_A", "class_B", "order_A", "order_B", "verdict")
-    render = _scan_row if args.format == "csv" else _record_doc
     with _output(args.out) as out:
         report = _Report(out, args.format, head, columns, render, indent=None)
         summary = scan(pair, args.limit, record_sink=report.record, jobs=args.jobs)
@@ -393,24 +395,23 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 mismatch(f"{pf.name}.pipeline", str(e))
                 continue
             analyses.append(ctx)
-            pair, tag = ctx.pair, ctx.classification.tag
             for field, got in (
                 ("sextic_coefficients", ctx.sextic.coeffs),
-                ("cubic_coefficients", pair.q.coeffs),
-                ("cubic_at_2", pair.q_at_2),
-                ("cubic_at_minus_2", pair.q_at_minus_2),
-                ("discriminant", pair.delta),
-                ("discriminant_product", pair.delta_prime),
-                ("classification", tag),
+                ("cubic_coefficients", ctx.q.coeffs),
+                ("cubic_at_2", ctx.q_at_2),
+                ("cubic_at_minus_2", ctx.q_at_minus_2),
+                ("discriminant", ctx.delta),
+                ("discriminant_product", ctx.delta_prime),
+                ("classification", ctx.tag),
                 ("tempered", ctx.tempered),
                 ("unit_product", ctx.unit_product),
                 ("squarefree_kernels", ctx.square_kernels),
             ):
                 compare(f"{pf.name}.{field}", want[field], got)
-            if tag == TAG_D6:
+            if ctx.tag == TAG_D6:
                 compare(f"{pf.name}.excluded_primes", want["excluded_primes"], tuple(ctx.excluded))
             else:
-                mismatch(f"{pf.name}.excluded_primes", f"not computable, classification is {tag}")
+                mismatch(f"{pf.name}.excluded_primes", f"not computable, classification is {ctx.tag}")
         if len(analyses) == 2:
             a, b = analyses
             try:

@@ -7,23 +7,21 @@ settled on Q exactly, on its integer model
 
     Q = (c0 + c1 y + c2 y^2 + D y^3) / D,   D the least common denominator,
 
-which PalindromicPair.model holds.  Every test is an integer sign,
-equality, root search or square root on c0, c1, c2, D and num * den of
-delta and delta'; no decision factors.  The Fractions of the report are
-built once from integers; only the displayed square_kernels and
-ramified_primes factor.
+which palindromic_reduce returns.  Everything here is a pure function of
+that model, or of the square classes n and n', num * den of
+delta = disc(Q) and delta' = Q(2)Q(-2); reduction.ReductionContext holds
+their values, one analysis per input.  Every decision is an integer sign,
+equality, root search or square root on c0, c1, c2, D, n and n'; none
+factors.  Only square_class_exponents factors, for the displayed
+square_kernels and ramified_primes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
 
 from .arith import factor_integer, is_square, squarefree_kernel
-from .errors import G2CertError, NotMonicError, NotPalindromicError
+from .errors import NotMonicError, NotPalindromicError
 from .poly import RatPoly, cubic_discriminant, integer_model
 
 TAG_D6 = "D6"
@@ -31,55 +29,12 @@ TAG_WEYL_BC = "WeylBC_n"
 TAG_OTHER = "Other"
 TAG_INCONCLUSIVE = "Inconclusive"
 
-
-@dataclass(frozen=True)
-class PalindromicPair:
-    """A palindromic P together with its trace reduction Q and invariants.
-
-    delta is disc(Q); delta_prime is Q(2)Q(-2), which equals the product of
-    y_i^2 - 4 over the roots of Q and so detects roots of P at +-1 as well
-    as collisions between x and 1/x.
-    """
-
-    poly: RatPoly
-    q: RatPoly
-    delta: Fraction
-    delta_prime: Fraction
-    q_at_2: Fraction
-    q_at_minus_2: Fraction
-
-    @functools.cached_property
-    def model(self) -> tuple[int, int, int, int]:
-        """(c0, c1, c2, D) with Q = (c0 + c1 y + c2 y^2 + D y^3) / D, D > 0 least.
-
-        ValueError unless Q is a monic cubic, which only a hand-built pair
-        can break; the checks that read the model refuse such a pair.
-        """
-        return _cubic_model(self.q)
-
-    @functools.cached_property
-    def square_classes(self) -> tuple[int, int]:
-        """num * den of delta and delta_prime: r = num den / den^2 has the square class of num den."""
-        d, d_prime = self.delta, self.delta_prime
-        return d.numerator * d.denominator, d_prime.numerator * d_prime.denominator
-
-    @functools.cached_property
-    def exponents(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Prime exponents of the square classes of delta and delta_prime, which must be nonzero."""
-        nd, nd_prime = self.square_classes
-        return factor_integer(nd), factor_integer(nd_prime)
+# (c0, c1, c2, D) with Q = (c0 + c1 y + c2 y^2 + D y^3) / D, D > 0 least
+Model = tuple[int, int, int, int]
 
 
-def _cubic_model(q: RatPoly) -> tuple[int, int, int, int]:
-    """The integer model (c0, c1, c2, D) of a monic cubic q; ValueError for any other q."""
-    if q.degree != 3 or not q.is_monic():
-        raise ValueError(f"the analysis needs a monic cubic Q, got {q}")
-    (c0, c1, c2), d = integer_model(q.coeffs[:3])
-    return c0, c1, c2, d
-
-
-def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
-    """Recover the cubic Q with poly = x^3 Q(x + 1/x) and package the invariants.
+def palindromic_reduce(poly: RatPoly) -> Model:
+    """The integer model (c0, c1, c2, D) of the cubic Q with poly = x^3 Q(x + 1/x).
 
     For Q = y^3 + q2 y^2 + q1 y + q0, x^3 Q(x + 1/x) is
     (x^2 + 1)^3 + q2 x (x^2 + 1)^2 + q1 x^2 (x^2 + 1) + q0 x^3, whose
@@ -89,9 +44,7 @@ def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
     Everything runs on integers over D.  p3, p4 and p5 have the same least
     common denominator D as q0, q1 and q2: q2 = p5, q1 = p4 - 3, and the
     denominators of q0 = p3 - 2 p5 and p3 = q0 + 2 q2 each divide the
-    other triple's lcm.  Then D Q(+-2) = c0 +- 2 c1 + 4 c2 +- 8 D, and with
-    z = D y, D^3 Q(z / D) = z^3 + c2 z^2 + c1 D z + c0 D^2, whose
-    discriminant is D^6 disc(Q).
+    other triple's lcm.
     """
     if poly.degree != 6:
         raise NotPalindromicError(f"degree {poly.degree}: only sextics are reduced")
@@ -100,32 +53,40 @@ def palindromic_reduce(poly: RatPoly) -> PalindromicPair:
     if not poly.is_palindromic():
         raise NotPalindromicError("coefficients are not palindromic")
     (n3, n4, c2), d = integer_model(poly.coeffs[3:6])
-    c0, c1 = n3 - 2 * c2, n4 - 3 * d
-    at2 = c0 + 2 * c1 + 4 * c2 + 8 * d
-    atm2 = c0 - 2 * c1 + 4 * c2 - 8 * d
-    return PalindromicPair(
-        poly=poly,
-        q=RatPoly((Fraction(c0, d), Fraction(c1, d), poly.coeffs[5], poly.coeffs[6])),
-        delta=Fraction(cubic_discriminant(c0 * d * d, c1 * d, c2), d**6),
-        delta_prime=Fraction(at2 * atm2, d * d),
-        q_at_2=Fraction(at2, d),
-        q_at_minus_2=Fraction(atm2, d),
-    )
+    return n3 - 2 * c2, n4 - 3 * d, c2, d
 
 
-def separability_check(pair: PalindromicPair) -> bool:
-    """True iff P has six distinct roots, none at +-1: delta and delta_prime nonzero."""
-    return pair.delta != 0 and pair.delta_prime != 0
+def trace_values(model: Model) -> tuple[int, int]:
+    """D Q(2) and D Q(-2), which are c0 +- 2 c1 + 4 c2 +- 8 D."""
+    c0, c1, c2, d = model
+    return c0 + 2 * c1 + 4 * c2 + 8 * d, c0 - 2 * c1 + 4 * c2 - 8 * d
 
 
-def ramified_primes(pair: PalindromicPair) -> frozenset[int]:
-    """Primes dividing a numerator or denominator of delta or delta_prime."""
-    if not separability_check(pair):
-        raise G2CertError("ramified primes undefined for inseparable pair")
-    return frozenset(pair.exponents[0].keys() | pair.exponents[1].keys())
+def scaled_discriminant(model: Model) -> int:
+    """D^6 disc(Q): with z = D y, D^3 Q(z / D) = z^3 + c2 z^2 + c1 D z + c0 D^2,
+    whose discriminant is D^6 disc(Q)."""
+    c0, c1, c2, d = model
+    return cubic_discriminant(c0 * d * d, c1 * d, c2)
 
 
-def temperedness_check(pair: PalindromicPair) -> bool:
+def separability_check(square_classes: tuple[int, int]) -> bool:
+    """True iff P has six distinct roots, none at +-1: delta and delta' nonzero."""
+    nd, nd_prime = square_classes
+    return nd != 0 and nd_prime != 0
+
+
+def square_class_exponents(square_classes: tuple[int, int]) -> tuple[dict[int, int], ...]:
+    """Prime exponents of the square classes of delta and delta', which must be nonzero."""
+    nd, nd_prime = square_classes
+    return factor_integer(nd), factor_integer(nd_prime)
+
+
+def ramified_primes(exponents: tuple[dict[int, int], ...]) -> frozenset[int]:
+    """Primes dividing a numerator or denominator of delta or delta', from the square classes' exponents."""
+    return frozenset(exponents[0].keys() | exponents[1].keys())
+
+
+def temperedness_check(model: Model) -> bool:
     """Exact sign test confining the roots of Q to (-2, 2).
 
     For a monic cubic Q = y^3 + q2 y^2 + q1 y + q0 the test is
@@ -150,23 +111,24 @@ def temperedness_check(pair: PalindromicPair) -> bool:
     on one side of 0.
 
     Equivalently every root of P lies on the unit circle.  All the
-    inequalities are strict, and each is an integer sign: disc and Q(+-2)
-    have the signs of their numerators, and on the integer model, after
-    multiplying through by D > 0, D Q'(+-2) = 12 D +- 4 c2 + c1 and the
-    last condition is -6 D < c2 < 6 D.  No floating point is involved.
+    inequalities are strict, and each is an integer sign on the integer
+    model: after multiplying through by D > 0, the signs are those of
+    D^6 disc(Q), D Q(+-2) and D Q'(+-2) = 12 D +- 4 c2 + c1, and the last
+    condition is -6 D < c2 < 6 D.  No floating point is involved.
     """
-    _, c1, c2, d = pair.model
+    _, c1, c2, d = model
+    at2, atm2 = trace_values(model)
     return (
-        pair.delta.numerator > 0
-        and pair.q_at_minus_2.numerator < 0
-        and pair.q_at_2.numerator > 0
+        scaled_discriminant(model) > 0
+        and atm2 < 0
+        and at2 > 0
         and 12 * d - 4 * c2 + c1 > 0
         and 12 * d + 4 * c2 + c1 > 0
         and -6 * d < c2 < 6 * d
     )
 
 
-def g2_lift_check(q: RatPoly) -> bool:
+def g2_lift_check(model: Model) -> bool:
     """Does the product of the x-roots on one side equal 1?
 
     Writing q = y^3 - a y^2 + b y - c, the condition is a^2 = c + 2b + 4.
@@ -175,11 +137,11 @@ def g2_lift_check(q: RatPoly) -> bool:
     element produces.  On the integer model (a = -c2 / D, b = c1 / D,
     c = -c0 / D) it reads c2^2 = D (2 c1 - c0 + 4 D).
     """
-    c0, c1, c2, d = _cubic_model(q)
+    c0, c1, c2, d = model
     return c2 * c2 == d * (2 * c1 - c0 + 4 * d)
 
 
-def _cubic_irreducible(model: tuple[int, int, int, int]) -> bool:
+def _cubic_irreducible(model: Model) -> bool:
     """Whether the monic cubic q with integer model (c0, c1, c2, D) has no
     rational root, i.e. is irreducible over Q.
 
@@ -239,14 +201,8 @@ def _cubic_irreducible(model: tuple[int, int, int, int]) -> bool:
     return not (has_root(-bound, k1) or has_root(k1 + 1, k2) or has_root(k2 + 1, bound))
 
 
-@dataclass(frozen=True)
-class GaloisClassification:
-    tag: str
-    evidence: Mapping[str, bool]
-
-
-def classify_galois(pair: PalindromicPair) -> GaloisClassification:
-    """Classify the Galois group of the splitting field of P, for n = 3.
+def classify_galois(model: Model, square_classes: tuple[int, int]) -> tuple[str, dict[str, bool]]:
+    """The tag and evidence of the Galois group of the splitting field of P, for n = 3.
 
     Evidence gathered: Q irreducible, delta / delta_prime / their product
     all nonsquare, and all roots of Q inside (-2, 2).  With all five plus
@@ -258,15 +214,14 @@ def classify_galois(pair: PalindromicPair) -> GaloisClassification:
 
     Squareness is an integer square root of the square classes num * den.
     """
-    model = pair.model  # ValueError unless Q is a monic cubic
-    separable = separability_check(pair)
-    nd, nd_prime = pair.square_classes
+    separable = separability_check(square_classes)
+    nd, nd_prime = square_classes
     evidence = {
         "q_irreducible": _cubic_irreducible(model),
         "delta_nonsquare": separable and not is_square(nd),
         "delta_prime_nonsquare": separable and not is_square(nd_prime),
         "product_nonsquare": separable and not is_square(nd * nd_prime),
-        "roots_in_interval": separable and temperedness_check(pair),
+        "roots_in_interval": separable and temperedness_check(model),
     }
     algebraic = (
         evidence["q_irreducible"]
@@ -279,18 +234,18 @@ def classify_galois(pair: PalindromicPair) -> GaloisClassification:
     elif not evidence["roots_in_interval"]:
         tag = TAG_INCONCLUSIVE
     else:
-        tag = TAG_D6 if g2_lift_check(pair.q) else TAG_WEYL_BC
-    return GaloisClassification(tag=tag, evidence=evidence)
+        tag = TAG_D6 if g2_lift_check(model) else TAG_WEYL_BC
+    return tag, evidence
 
 
-def square_kernels(pair: PalindromicPair) -> frozenset[int]:
-    """Squarefree kernels of delta, delta_prime and their product; pair must be separable.
+def square_kernels(square_classes: tuple[int, int], exponents: tuple[dict[int, int], ...]) -> frozenset[int]:
+    """Squarefree kernels of delta, delta' and their product, from the square classes' exponents.
 
     The quadratic subfields of the splitting field are cut out by these
     three kernels.  The product's kernel is k k' / gcd(k, k')^2, since k
     and k' are squarefree.
     """
-    exps, exps_prime = pair.exponents
-    k, k_prime = squarefree_kernel(pair.delta, exps), squarefree_kernel(pair.delta_prime, exps_prime)
+    (nd, nd_prime), (exps, exps_prime) = square_classes, exponents
+    k, k_prime = squarefree_kernel(nd, exps), squarefree_kernel(nd_prime, exps_prime)
     g = math.gcd(k, k_prime)
     return frozenset((k, k_prime, k * k_prime // (g * g)))

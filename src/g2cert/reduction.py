@@ -1,4 +1,8 @@
-"""Frobenius data of a palindromic sextic at good primes.
+"""The analysis of one input sextic, and its Frobenius data at good primes.
+
+ReductionContext is the one object that holds the whole analysis of an
+input; palindromic.py holds the pure functions on the integer model of Q
+that compute its fields.
 
 For a sextic P with dihedral (order 12) splitting field, the conjugacy
 class of Frobenius at a good prime p is pinned down by two cheap residue
@@ -28,6 +32,7 @@ length log q (see ReductionContext.order_report).
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 from .arith import factor_integer, is_prime, require_proven_prime
 from .errors import (
@@ -43,7 +48,10 @@ from .palindromic import (
     g2_lift_check,
     palindromic_reduce,
     ramified_primes,
+    scaled_discriminant,
+    square_class_exponents,
     square_kernels,
+    trace_values,
 )
 from .poly import (
     RatPoly,
@@ -67,15 +75,17 @@ REASON_EVEN = "EvenPrime"
 
 
 class ReductionContext:
-    """The analysis of one input sextic, computed once.
+    """The analysis of one input sextic P = x^3 Q(x + 1/x), computed once.
 
-    Construction reduces the sextic to its trace cubic, refuses an
-    inseparable input, and records the Galois classification,
-    temperedness and the lift identity, none of which factors; nor does
-    exclusion(p).  The displayed square_kernels, ramified and excluded
-    primes factor on first use.  Any separable sextic gets an analysis;
-    only the per-prime methods, which need the order-12 dihedral
-    splitting field, refuse other classifications.
+    Construction reduces the sextic to the integer model (c0, c1, c2, D)
+    of its trace cubic Q and keeps Q, delta = disc(Q), delta' = Q(2)Q(-2),
+    Q(+-2) and the square classes (num * den of delta and delta'); it
+    refuses an inseparable input, and records the Galois tag and its
+    evidence, temperedness and the lift identity.  None of that factors;
+    nor does exclusion(p).  The displayed square_kernels, ramified and
+    excluded primes factor on first use.  Any separable sextic gets an
+    analysis; only the per-prime methods, which need the order-12 dihedral
+    splitting field, refuse other tags.
     """
 
     def __init__(self, sextic: RatPoly, steinberg_prime: int | None = None):
@@ -85,33 +95,44 @@ class ReductionContext:
             raise ValueError(f"Steinberg prime must be prime, got {steinberg_prime}")
         self.sextic = sextic
         self.steinberg_prime = steinberg_prime
-        self.pair = pair = palindromic_reduce(sextic)
-        if pair.delta == 0:
+        self.model = c0, c1, _, d = palindromic_reduce(sextic)
+        at2, atm2 = trace_values(self.model)
+        self.q = RatPoly((Fraction(c0, d), Fraction(c1, d), sextic.coeffs[5], sextic.coeffs[6]))
+        self.q_at_2, self.q_at_minus_2 = Fraction(at2, d), Fraction(atm2, d)
+        self.delta = delta = Fraction(scaled_discriminant(self.model), d**6)
+        self.delta_prime = delta_prime = Fraction(at2 * atm2, d * d)
+        if delta == 0:
             raise NotSeparableError("disc(Q) = 0: the sextic has a repeated root")
-        if pair.delta_prime == 0:
+        if delta_prime == 0:
             raise NotSeparableError("Q(2)Q(-2) = 0: the sextic has a root at 1 or -1")
-        self.classification = classify_galois(pair)
-        self.tempered = self.classification.evidence["roots_in_interval"]
-        self.unit_product = g2_lift_check(pair.q)
+        # r = num den / den^2 has the square class of num * den, so
+        # chi(delta) mod p = chi(num * den)
+        self.square_classes = (delta.numerator * delta.denominator,
+                               delta_prime.numerator * delta_prime.denominator)
+        self.tag, self.evidence = classify_galois(self.model, self.square_classes)
+        self.tempered = self.evidence["roots_in_interval"]
+        self.unit_product = g2_lift_check(self.model)
         # P's integer model, read off the sextic itself so that classify's
         # trace-cubic check compares two independent reductions
         self.x_num = tuple(integer_model(sextic.coeffs)[0])
-        self.y_num, self.y_den = pair.model, pair.model[3]
-        # chi(delta) mod p = chi(num * den): den^2 * delta = num * den
-        self.delta_nd, self.delta_prime_nd = pair.square_classes
+
+    @functools.cached_property
+    def exponents(self) -> tuple[dict[int, int], ...]:
+        """Prime exponents of the square classes; only the displayed fields read them."""
+        return square_class_exponents(self.square_classes)
 
     @functools.cached_property
     def square_kernels(self) -> frozenset[int]:
-        return square_kernels(self.pair)
+        return square_kernels(self.square_classes, self.exponents)
 
     @functools.cached_property
     def ramified(self) -> frozenset[int]:
-        return ramified_primes(self.pair)
+        return ramified_primes(self.exponents)
 
     @functools.cached_property
     def excluded(self) -> dict[int, str]:
         """exclusion(q) over the primes of D, the ramified primes and the Steinberg prime, ascending."""
-        primes = {*factor_integer(self.y_den), *self.ramified, self.steinberg_prime} - {None}
+        primes = {*factor_integer(self.model[3]), *self.ramified, self.steinberg_prime} - {None}
         return {q: self.exclusion(q) for q in sorted(primes)}
 
     @classmethod
@@ -126,18 +147,19 @@ class ReductionContext:
         return cls(poly, pf.steinberg_prime)
 
     def require_d6(self) -> None:
-        if self.classification.tag != TAG_D6:
+        if self.tag != TAG_D6:
             raise G2CertError(
                 "Frobenius classes need the order-12 dihedral splitting field, "
-                f"classification is {self.classification.tag}"
+                f"classification is {self.tag}"
             )
 
     def exclusion(self, p: int) -> str | None:
         """Why the prime p is bad for this input, else None, by divisibility: P's common
-        denominator is D = y_den, and those of delta and delta' divide a power of D."""
-        if self.y_den % p == 0:
+        denominator is D, and those of delta and delta' divide a power of D."""
+        if self.model[3] % p == 0:
             return REASON_DENOMINATOR
-        if self.delta_nd * self.delta_prime_nd % p == 0:
+        nd, nd_prime = self.square_classes
+        if nd * nd_prime % p == 0:
             return REASON_RAMIFIED
         if p == self.steinberg_prime:
             return REASON_STEINBERG
@@ -151,9 +173,9 @@ class ReductionContext:
             raise ExcludedPrimeError(p, reason)
 
     def _residues(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(Q mod p, P mod p), both monic; P's denominator is y_den, so one inverse serves both."""
-        inv = pow(self.y_den % p, -1, p)
-        q = tuple([c % p * inv % p for c in self.y_num])
+        """(Q mod p, P mod p), both monic; P's denominator is D, so one inverse serves both."""
+        inv = pow(self.model[3] % p, -1, p)
+        q = tuple([c % p * inv % p for c in self.model])
         return q, tuple([c % p * inv % p for c in self.x_num])
 
     def classify(self, p: int, *, checked: bool = False) -> WeylClassInfo:
@@ -189,8 +211,9 @@ class ReductionContext:
         mul = _cubic_ring(p, q)
         w = mul(v, v)
         y_pattern = _cubic_pattern(p, q, v, w)
-        chi_dp = -1 if pow(self.delta_prime_nd % p, p >> 1, p) == p - 1 else 1
-        chi_d = -1 if pow(self.delta_nd % p, p >> 1, p) == p - 1 else 1
+        nd, nd_prime = self.square_classes
+        chi_dp = -1 if pow(nd_prime % p, p >> 1, p) == p - 1 else 1
+        chi_d = -1 if pow(nd % p, p >> 1, p) == p - 1 else 1
         row = FROBENIUS_LOOKUP[(y_pattern, chi_dp)]
         if chi_d != row.chi_delta:
             raise WitnessMismatchError(

@@ -43,13 +43,3 @@ def sextic_a(ctx_a):
 @pytest.fixture(scope="session")
 def sextic_b(ctx_b):
     return ctx_b.sextic
-
-
-@pytest.fixture(scope="session")
-def pair_a(ctx_a):
-    return ctx_a.pair
-
-
-@pytest.fixture(scope="session")
-def pair_b(ctx_b):
-    return ctx_b.pair

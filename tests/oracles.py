@@ -31,14 +31,7 @@ import numpy as np
 
 from g2cert.arith import factor_integer
 from g2cert.errors import NotMonicError, NotPalindromicError
-from g2cert.palindromic import (
-    TAG_D6,
-    TAG_INCONCLUSIVE,
-    TAG_OTHER,
-    TAG_WEYL_BC,
-    GaloisClassification,
-    PalindromicPair,
-)
+from g2cert.palindromic import TAG_D6, TAG_INCONCLUSIVE, TAG_OTHER, TAG_WEYL_BC
 from g2cert.poly import RatPoly
 from g2cert.reduction import (
     REASON_DENOMINATOR,
@@ -419,6 +412,19 @@ def rat_derivative(f: RatPoly) -> RatPoly:
     return _rat_trim([i * c for i, c in enumerate(f.coeffs)][1:])
 
 
+def torus_cubic(m1: Fraction, m2: Fraction, ea: Fraction, eb: Fraction) -> tuple[Fraction, ...]:
+    """(c0, c1, c2) of a monic cubic with the lift identity near a torus element's.
+
+    (cos t, sin t) = ((1 - m^2) / (1 + m^2), 2m / (1 + m^2)) for rational m;
+    the roots 2 cos t1, 2 cos t2 and 2 cos(t1 + t2) satisfy the lift
+    identity, and moving a and b by ea and eb with c = a^2 - 2b - 4 keeps it.
+    """
+    (c1, s1), (c2, s2) = [((1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)) for m in (m1, m2)]
+    r1, r2, r3 = 2 * c1, 2 * c2, 2 * (c1 * c2 - s1 * s2)
+    a, b = r1 + r2 + r3 + ea, r1 * r2 + r1 * r3 + r2 * r3 + eb
+    return 4 + 2 * b - a * a, b, -a
+
+
 def inflate_palindromic(q: RatPoly) -> RatPoly:
     """x^n q(x + 1/x) for monic q of degree n >= 1, monic palindromic of degree 2n.
 
@@ -453,7 +459,26 @@ def fraction_deflate_root_one(f: RatPoly) -> RatPoly:
     return _rat_trim(out)
 
 
-def fraction_palindromic_reduce(poly: RatPoly) -> PalindromicPair:
+@dataclass(frozen=True)
+class FractionReduction:
+    """Q and its invariants as Fractions, the values ReductionContext keeps."""
+
+    q: RatPoly
+    delta: Fraction
+    delta_prime: Fraction
+    q_at_2: Fraction
+    q_at_minus_2: Fraction
+
+
+def cubic_model(q: RatPoly) -> tuple[int, int, int, int]:
+    """(c0, c1, c2, D) with q = (c0 + c1 y + c2 y^2 + D y^3) / D for a monic cubic q, D least."""
+    assert q.degree == 3 and q.coeffs[3] == 1, q
+    d = math.lcm(*(c.denominator for c in q.coeffs))
+    c0, c1, c2 = (int(c * d) for c in q.coeffs[:3])
+    return c0, c1, c2, d
+
+
+def fraction_palindromic_reduce(poly: RatPoly) -> FractionReduction:
     if poly.degree != 6:
         raise NotPalindromicError(f"degree {poly.degree}: only sextics are reduced")
     if not poly.is_monic():
@@ -463,13 +488,11 @@ def fraction_palindromic_reduce(poly: RatPoly) -> PalindromicPair:
     p3, p4, p5, one = poly.coeffs[3:]
     q = RatPoly((p3 - 2 * p5, p4 - 3, p5, one))
     at2, atm2 = rat_evaluate(q, 2), rat_evaluate(q, -2)
-    return PalindromicPair(
-        poly=poly, q=q, delta=discriminant(q), delta_prime=at2 * atm2,
-        q_at_2=at2, q_at_minus_2=atm2,
-    )
+    return FractionReduction(q=q, delta=discriminant(q), delta_prime=at2 * atm2,
+                             q_at_2=at2, q_at_minus_2=atm2)
 
 
-def fraction_temperedness_check(pair: PalindromicPair) -> bool:
+def fraction_temperedness_check(pair: FractionReduction) -> bool:
     q = pair.q
     qp = rat_derivative(q)
     return (
@@ -525,7 +548,8 @@ def fraction_cubic_irreducible(q: RatPoly) -> bool:
     return not (has_root(-bound, k1) or has_root(k1 + 1, k2) or has_root(k2 + 1, bound))
 
 
-def fraction_classify_galois(pair: PalindromicPair) -> GaloisClassification:
+def fraction_classify_galois(pair: FractionReduction) -> tuple[str, dict[str, bool]]:
+    """(tag, evidence), as classify_galois returns them."""
     separable = pair.delta != 0 and pair.delta_prime != 0
     d, dp = pair.delta, pair.delta_prime
     evidence = {
@@ -541,7 +565,7 @@ def fraction_classify_galois(pair: PalindromicPair) -> GaloisClassification:
         tag = TAG_INCONCLUSIVE
     else:
         tag = TAG_D6 if fraction_g2_lift_check(pair.q) else TAG_WEYL_BC
-    return GaloisClassification(tag=tag, evidence=evidence)
+    return tag, evidence
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +584,8 @@ def _fraction_exponents(r: Fraction) -> dict[int, int]:
 def factored_exclusions(ctx: ReductionContext) -> dict[int, str]:
     """D's primes, then the primes of delta and delta', then the Steinberg
     prime, each with the first reason that names it, in ascending p."""
-    bad = dict.fromkeys(factor_integer(ctx.pair.model[3]), REASON_DENOMINATOR)
-    for r in (ctx.pair.delta, ctx.pair.delta_prime):
+    bad = dict.fromkeys(factor_integer(ctx.model[3]), REASON_DENOMINATOR)
+    for r in (ctx.delta, ctx.delta_prime):
         for q in _fraction_exponents(r):
             bad.setdefault(q, REASON_RAMIFIED)
     if ctx.steinberg_prime is not None:
@@ -569,11 +593,11 @@ def factored_exclusions(ctx: ReductionContext) -> dict[int, str]:
     return dict(sorted(bad.items()))
 
 
-def factored_square_kernels(pair: PalindromicPair) -> frozenset[int]:
+def factored_square_kernels(ctx: ReductionContext) -> frozenset[int]:
     """Signed squarefree kernels of delta, delta' and their product, from their prime exponents."""
     return frozenset(
         (1 if r > 0 else -1) * math.prod(q for q, e in _fraction_exponents(r).items() if e % 2)
-        for r in (pair.delta, pair.delta_prime, pair.delta * pair.delta_prime)
+        for r in (ctx.delta, ctx.delta_prime, ctx.delta * ctx.delta_prime)
     )
 
 
@@ -748,3 +772,25 @@ def derive_weyl_classes() -> dict[str, DerivedClass]:
     if sum(c.size for c in classes.values()) != 12:
         raise AssertionError("class sizes do not sum to 12")
     return dict(sorted(classes.items()))
+
+
+# ---------------------------------------------------------------------------
+# the orders of the bounded maximal subgroups of G_2(p), from their formulas
+
+
+def psl2_order(q: int) -> int:
+    """|L2(q)| = q (q^2 - 1) / gcd(2, q - 1)."""
+    return q * (q * q - 1) // math.gcd(2, q - 1)
+
+
+BOUNDED_SUBGROUP_ORDERS = {
+    # 2^3 . L3(2), with |L3(q)| = q^3 (q^3 - 1)(q^2 - 1) / gcd(3, q - 1) = 168 at q = 2
+    "2^3.L3(2)": 2**3 * (2**3 * (2**3 - 1) * (2**2 - 1)),
+    "L2(13)": psl2_order(13),
+    # |G2(q)| = q^6 (q^6 - 1)(q^2 - 1)
+    "G2(2)": 2**6 * (2**6 - 1) * (2**2 - 1),
+    "L2(8)": psl2_order(8),
+    # Z. Janko, A new finite simple group with abelian Sylow 2-subgroups and
+    # its characterization, J. Algebra 3 (1966), 147-186
+    "J1": 175560,
+}

@@ -13,12 +13,7 @@ import pytest
 from g2cert.arith import primes_up_to
 from g2cert.certify import VERDICT_CERTIFIED, Pair, scan
 from g2cert.errors import ExcludedPrimeError, NotSeparableError, WitnessMismatchError
-from g2cert.palindromic import (
-    TAG_D6,
-    classify_galois,
-    g2_lift_check,
-    temperedness_check,
-)
+from g2cert.palindromic import TAG_D6, classify_galois, g2_lift_check, temperedness_check
 from g2cert.poly import _degree_pattern
 from g2cert.weyl import CLASS_LABELS, WEYL_CLASSES, torus_order
 from oracles import (
@@ -65,10 +60,10 @@ def witness_sweep(ctx_a, ctx_b):
 
 def test_a1_golden_reduction_tables(sextic_a, sextic_b):
     t0 = time.perf_counter()
-    from g2cert.palindromic import palindromic_reduce
+    from g2cert.reduction import ReductionContext
 
-    pa = palindromic_reduce(sextic_a)
-    pb = palindromic_reduce(sextic_b)
+    pa = ReductionContext(sextic_a)
+    pb = ReductionContext(sextic_b)
     assert pa.q.coeffs == (F(-49, 16), F(-11, 4), F(5, 4), F(1))
     assert pb.q.coeffs == (F(-520, 729), F(-572, 243), F(-2, 27), F(1))
     assert pa.q_at_2 == F(71, 16)
@@ -83,10 +78,10 @@ def test_a1_golden_reduction_tables(sextic_a, sextic_b):
 
 
 def test_a2_classification_and_independence(ctx_a, ctx_b):
-    assert classify_galois(ctx_a.pair).tag == TAG_D6
-    assert classify_galois(ctx_b.pair).tag == TAG_D6
-    assert temperedness_check(ctx_a.pair)
-    assert temperedness_check(ctx_b.pair)
+    assert classify_galois(ctx_a.model, ctx_a.square_classes)[0] == ctx_a.tag == TAG_D6
+    assert classify_galois(ctx_b.model, ctx_b.square_classes)[0] == ctx_b.tag == TAG_D6
+    assert temperedness_check(ctx_a.model)
+    assert temperedness_check(ctx_b.model)
     Pair(ctx_a, ctx_b)  # refuses inputs whose square kernels other than 1 meet
     kernels_a, kernels_b = ctx_a.square_kernels - {1}, ctx_b.square_kernels - {1}
     assert not kernels_a & kernels_b
@@ -96,13 +91,13 @@ def test_a2_classification_and_independence(ctx_a, ctx_b):
     )
 
 
-def test_a3_lift_identity(pair_a, pair_b):
-    for pair in (pair_a, pair_b):
-        c0, c1, c2, c3 = pair.q.coeffs
+def test_a3_lift_identity(ctx_a, ctx_b):
+    for ctx in (ctx_a, ctx_b):
+        c0, c1, c2, c3 = ctx.q.coeffs
         assert c3 == 1
         a, b, c = -c2, c1, -c0
         assert a * a == c + 2 * b + 4
-        assert g2_lift_check(pair.q)
+        assert g2_lift_check(ctx.model) and ctx.unit_product
     print("PASS lift identity a^2 = c + 2b + 4 holds exactly for both cubics")
 
 
@@ -165,7 +160,7 @@ def test_a7_oracle_equivalence(ctx_a, ctx_b):
     inseparable_checks = 0
     for ctx in (ctx_a, ctx_b):
         sextic = ctx.sextic
-        cubic_coeffs = list(ctx.pair.q.coeffs)
+        cubic_coeffs = list(ctx.q.coeffs)
         sextic_coeffs = list(sextic.coeffs)
         for p in primes_up_to(199):
             if p < 7:

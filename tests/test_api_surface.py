@@ -2,10 +2,13 @@
 
 perfbench/ resolves these at run time, so removing one would otherwise only
 show up as a failed or silently thinner benchmark run.  The export list is
-pinned, so a change to it is a deliberate edit here.
+pinned, so a change to it is a deliberate edit here, and the README's
+library example runs against it.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import g2cert
 import g2cert.cli
@@ -21,32 +24,17 @@ PUBLIC_API = {
     "WitnessMismatchError",
     "RatPoly",
     "deflate_root_one",
-    "PalindromicPair",
-    "GaloisClassification",
-    "palindromic_reduce",
-    "separability_check",
-    "ramified_primes",
-    "temperedness_check",
-    "g2_lift_check",
-    "classify_galois",
-    "CLASS_LABELS",
     "WEYL_CLASSES",
-    "WeylClassInfo",
     "torus_order",
     "ReductionContext",
     "frobenius_class",
-    "BOUNDED_SUBGROUPS",
-    "VERDICT_CERTIFIED",
-    "CertificationReport",
     "Pair",
-    "ScanSummary",
     "certify_prime",
     "scan",
-    "PolyFile",
-    "parse_polyfile",
-    "load_polyfile",
     "bundled_polyfile",
 }
+
+README = Path(__file__).parents[1] / "README.md"
 
 # (module, attribute path) of every binding perfbench/tracing.py wraps that
 # exists; the tracer lists a missing one as absent instead of failing
@@ -78,6 +66,19 @@ def test_every_public_name_resolves():
 def test_public_api_is_pinned():
     assert len(g2cert.__all__) == len(set(g2cert.__all__))
     assert set(g2cert.__all__) == PUBLIC_API
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "g2cert"
+        for alias in node.names
+    }
+    assert imported and imported <= set(g2cert.__all__)
+    exec(compile(code, str(README), "exec"), {})
 
 
 def test_names_used_by_perfbench_exist(sextic_a):

@@ -22,26 +22,22 @@ from g2cert.errors import G2CertError, WitnessMismatchError
 from g2cert.poly import RatPoly
 from g2cert.reduction import ReductionContext
 from g2cert.weyl import WEYL_CLASSES
-from oracles import inflate_palindromic, naive_irreducibles, naive_legendre, naive_order_of_x
+from oracles import (
+    BOUNDED_SUBGROUP_ORDERS,
+    inflate_palindromic,
+    naive_irreducibles,
+    naive_legendre,
+    naive_order_of_x,
+)
 
 # the primes the certificate's proofs are checked over
 PROOF_PRIMES = [p for p in primes_up_to(2 * 10**5) if p >= 7]
 
 
 def test_subgroup_table_shape():
-    assert [(label, m) for label, m, _ in BOUNDED_SUBGROUPS] == [
-        ("2^3.L3(2)", 1344),
-        ("L2(13)", 1092),
-        ("G2(2)", 12096),
-        ("L2(8)", 504),
-        ("J1", 175560),
-    ]
-    # factorizations behind the Lagrange constants
-    assert 1344 == 2**6 * 3 * 7
-    assert 1092 == 2**2 * 3 * 7 * 13
-    assert 12096 == 2**6 * 3**3 * 7
-    assert 504 == 2**3 * 3**2 * 7
-    assert 175560 == 2**3 * 3 * 5 * 7 * 11 * 19
+    # the table's factored constants against the order formulas, row by row
+    assert [(label, m) for label, m, _ in BOUNDED_SUBGROUPS] == list(BOUNDED_SUBGROUP_ORDERS.items())
+    assert list(BOUNDED_SUBGROUP_ORDERS) == ["2^3.L3(2)", "L2(13)", "G2(2)", "L2(8)", "J1"]
 
 
 def test_subgroup_applicability():

@@ -15,7 +15,7 @@ from g2cert.arith import SIEVE_LIMIT
 from g2cert.certify import Pair, scan
 from g2cert.poly import RatPoly
 from g2cert.polyfile import PolyFile, bundled_polyfile, load_polyfile, serialize_polyfile
-from oracles import inflate_palindromic, rat_mul
+from oracles import inflate_palindromic, rat_mul, torus_cubic
 
 
 DATA = Path(__file__).parent / "data"
@@ -456,6 +456,33 @@ def test_lift_identity_file_rebuilds_from_its_cubic():
 def test_lift_identity_input_is_refused_in_bounded_time(argv):
     r = run_cli(*argv, timeout=5)
     assert (r.returncode, r.stdout, r.stderr) == (1, "", INCONCLUSIVE_REFUSAL)
+
+
+# A tempered D6 input near a torus element: oracles.torus_cubic(m1, m2,
+# 1/1000, 1/997) with m1 = (10^12 + 39)/(10^12 + 61) and
+# m2 = (10^12 + 3)/(3 10^12 + 7), in the file as (x - 1) x^3 Q(x + 1/x) with
+# Steinberg prime 5.  Its delta has 318 digits.  A CSV scan writes no head,
+# so it never factors them for parameters.excluded_primes.
+LARGE_D6 = str(DATA / "large-d6.json")
+
+
+def test_large_d6_file_rebuilds_from_its_closed_form():
+    m1, m2 = F(10**12 + 39, 10**12 + 61), F(10**12 + 3, 3 * 10**12 + 7)
+    q = RatPoly.from_coeffs([*torus_cubic(m1, m2, F(1, 1000), F(1, 997)), 1])
+    septic = rat_mul(inflate_palindromic(q), RatPoly.from_coeffs([-1, 1]))
+    want = serialize_polyfile(PolyFile("large-d6", 5, "x", tuple(septic.to_strings())))
+    assert Path(LARGE_D6).read_text() == want
+
+
+def test_large_d6_csv_scan_runs_in_bounded_time():
+    r = run_cli("scan", LARGE_D6, "frobenius3", "--limit", "100", "--format", "csv", timeout=5)
+    assert (r.returncode, r.stderr) == (0, "")
+    lines = r.stdout.splitlines()
+    summary = json.loads(lines[-1][2:])
+    assert (summary["scanned"], summary["excluded_count"], len(lines)) == (20, 5, 22)
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "c1ffdaeb1f2f25aab481f69be3bb38d8c3707c861ac4ac61b92071a11b33abcc"
+    )
 
 
 def test_scan_excludes_steinberg_prime_in_library_and_cli(tmp_path):

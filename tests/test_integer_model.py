@@ -15,16 +15,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from g2cert.errors import G2CertError
+from g2cert.errors import G2CertError, NotSeparableError
 from g2cert.palindromic import (
     _cubic_irreducible,
     classify_galois,
     g2_lift_check,
     palindromic_reduce,
+    scaled_discriminant,
     temperedness_check,
+    trace_values,
 )
 from g2cert.poly import RatPoly, deflate_root_one
+from g2cert.reduction import ReductionContext
 from oracles import (
+    FractionReduction,
     fraction_classify_galois,
     fraction_cubic_irreducible,
     fraction_deflate_root_one,
@@ -33,6 +37,7 @@ from oracles import (
     fraction_temperedness_check,
     inflate_palindromic,
     rat_mul,
+    torus_cubic,
 )
 
 SHARED_PRIMES = (2, 3, 5, 7, 11)
@@ -45,16 +50,6 @@ def rationals(height: int, shared_factors: int, other_den: int):
         st.integers(1, other_den),
     )
     return st.builds(F, numerators, denominators)
-
-
-def _torus(m1, m2, ea, eb):
-    # (cos t, sin t) = ((1 - m^2) / (1 + m^2), 2m / (1 + m^2)) for rational m;
-    # the roots 2 cos t1, 2 cos t2 and 2 cos(t1 + t2) satisfy the lift
-    # identity, and moving a and b by ea and eb with c = a^2 - 2b - 4 keeps it
-    (c1, s1), (c2, s2) = [((1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)) for m in (m1, m2)]
-    r1, r2, r3 = 2 * c1, 2 * c2, 2 * (c1 * c2 - s1 * s2)
-    a, b = r1 + r2 + r3 + ea, r1 * r2 + r1 * r3 + r2 * r3 + eb
-    return 4 + 2 * b - a * a, b, -a
 
 
 def cubics(height: int, shared_factors: int, other_den: int):
@@ -73,7 +68,7 @@ def cubics(height: int, shared_factors: int, other_den: int):
         lambda x, y, z, e: (e - x * y * z, x * y + x * z + y * z, -x - y - z),
         inner, inner, inner, small,
     )
-    torus = st.builds(_torus, r, r, small, small)
+    torus = st.builds(torus_cubic, r, r, small, small)
     # (y - a)^2 (y - b) = y^3 - (2a + b) y^2 + (a^2 + 2ab) y - a^2 b
     double = st.builds(lambda a, b: (-a * a * b, a * a + 2 * a * b, -2 * a - b), r, r)
     # (y - e)(y^2 + s y + t) = y^3 + (s - e) y^2 + (t - e s) y - e t
@@ -108,15 +103,28 @@ def outcome(f, *args):
 @settings(max_examples=400, deadline=None)
 def test_analysis_matches_the_fraction_oracle(q):
     sextic = inflate_palindromic(q)
-    pair, want = palindromic_reduce(sextic), fraction_palindromic_reduce(sextic)
-    # every field: poly, q, delta, delta', Q(2), Q(-2)
-    assert pair == want
-    c0, c1, c2, d = pair.model
+    model, want = palindromic_reduce(sextic), fraction_palindromic_reduce(sextic)
+    c0, c1, c2, d = model
     assert d == math.lcm(*(c.denominator for c in q.coeffs))
-    assert pair.q.coeffs == (F(c0, d), F(c1, d), F(c2, d), 1)
-    assert temperedness_check(pair) == fraction_temperedness_check(want)
-    assert g2_lift_check(pair.q) == fraction_g2_lift_check(q)
-    assert _cubic_irreducible(pair.model) == fraction_cubic_irreducible(q)
+    assert want.q.coeffs == (F(c0, d), F(c1, d), F(c2, d), 1)
+    at2, atm2 = trace_values(model)
+    assert (F(at2, d), F(atm2, d)) == (want.q_at_2, want.q_at_minus_2)
+    assert F(scaled_discriminant(model), d**6) == want.delta
+    assert temperedness_check(model) == fraction_temperedness_check(want)
+    assert g2_lift_check(model) == fraction_g2_lift_check(q)
+    assert _cubic_irreducible(model) == fraction_cubic_irreducible(q)
+    # the context keeps every field, q, delta, delta', Q(2), Q(-2), or
+    # refuses an inseparable input
+    got = outcome(ReductionContext, sextic)
+    if want.delta == 0:
+        assert got == (NotSeparableError, "disc(Q) = 0: the sextic has a repeated root")
+    elif want.delta_prime == 0:
+        assert got == (NotSeparableError, "Q(2)Q(-2) = 0: the sextic has a root at 1 or -1")
+    else:
+        assert FractionReduction(got.q, got.delta, got.delta_prime, got.q_at_2, got.q_at_minus_2) == want
+        assert (got.model, got.tempered, got.unit_product) == (
+            model, fraction_temperedness_check(want), fraction_g2_lift_check(q)
+        )
     septic = rat_mul(sextic, RatPoly.from_coeffs([-1, 1]))
     assert deflate_root_one(septic) == fraction_deflate_root_one(septic) == sextic
 
@@ -133,8 +141,13 @@ def test_classification_matches_the_fraction_oracle(q):
     # classify_galois reads squareness by integer square roots of num * den,
     # the oracle by integer square roots of numerator and denominator apart
     sextic = inflate_palindromic(q)
-    pair = palindromic_reduce(sextic)
-    assert classify_galois(pair) == fraction_classify_galois(fraction_palindromic_reduce(sextic))
+    a = fraction_palindromic_reduce(sextic)
+    classes = (a.delta.numerator * a.delta.denominator, a.delta_prime.numerator * a.delta_prime.denominator)
+    want = fraction_classify_galois(a)
+    assert classify_galois(palindromic_reduce(sextic), classes) == want
+    if a.delta != 0 and a.delta_prime != 0:
+        ctx = ReductionContext(sextic)
+        assert (ctx.square_classes, ctx.tag, ctx.evidence) == (classes, *want)
 
 
 @given(
@@ -155,6 +168,11 @@ def test_deflation_matches_the_fraction_oracle(f, shift):
         assert outcome(deflate_root_one, g) == outcome(fraction_deflate_root_one, g)
 
 
+def _cubic(model):
+    c0, c1, c2, d = model
+    return RatPoly((F(c0, d), F(c1, d), F(c2, d), F(1)))
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [
@@ -167,5 +185,5 @@ def test_deflation_matches_the_fraction_oracle(f, shift):
 )
 def test_reduce_refusals_match_the_fraction_oracle(coeffs):
     f = RatPoly.from_coeffs(coeffs)
-    got, want = outcome(palindromic_reduce, f), outcome(fraction_palindromic_reduce, f)
-    assert got == want
+    got = outcome(lambda g: _cubic(palindromic_reduce(g)), f)
+    assert got == outcome(lambda g: fraction_palindromic_reduce(g).q, f)

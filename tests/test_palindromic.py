@@ -8,22 +8,25 @@ from hypothesis import strategies as st
 
 from g2cert.arith import factor_integer
 from g2cert.certify import Pair
-from g2cert.errors import NotMonicError, NotPalindromicError
+from g2cert.errors import G2CertError, NotMonicError, NotPalindromicError, NotSeparableError
 from g2cert.palindromic import (
     TAG_D6,
-    PalindromicPair,
     _cubic_irreducible,
-    _cubic_model,
     classify_galois,
     g2_lift_check,
     palindromic_reduce,
     ramified_primes,
+    scaled_discriminant,
     separability_check,
+    square_class_exponents,
     square_kernels,
     temperedness_check,
+    trace_values,
 )
 from g2cert.poly import RatPoly
+from g2cert.reduction import ReductionContext
 from oracles import (
+    cubic_model,
     discriminant,
     inflate_palindromic,
     naive_has_rational_root,
@@ -36,21 +39,23 @@ from oracles import (
 F = Fraction
 
 
-def test_reduce_first_bundle_goldens(pair_a):
-    assert pair_a.q.coeffs == (F(-49, 16), F(-11, 4), F(5, 4), F(1))
-    assert pair_a.q_at_2 == F(71, 16)
-    assert pair_a.q_at_minus_2 == F(-9, 16)
-    assert pair_a.delta == F(71 * 199, 2**8)
-    assert pair_a.delta_prime == F(-639, 256)
-    assert pair_a.delta_prime == pair_a.q_at_2 * pair_a.q_at_minus_2
+def test_reduce_first_bundle_goldens(ctx_a):
+    assert ctx_a.model == (-49, -44, 20, 16)
+    assert ctx_a.q.coeffs == (F(-49, 16), F(-11, 4), F(5, 4), F(1))
+    assert ctx_a.q_at_2 == F(71, 16)
+    assert ctx_a.q_at_minus_2 == F(-9, 16)
+    assert ctx_a.delta == F(71 * 199, 2**8)
+    assert ctx_a.delta_prime == F(-639, 256)
+    assert ctx_a.delta_prime == ctx_a.q_at_2 * ctx_a.q_at_minus_2
+    assert ctx_a.square_classes == (71 * 199 * 2**8, -639 * 256)
 
 
-def test_reduce_second_bundle_goldens(pair_b):
-    assert pair_b.q.coeffs == (F(-520, 729), F(-572, 243), F(-2, 27), F(1))
-    assert pair_b.q_at_2 == F(2**7 * 13, 3**6)
-    assert pair_b.q_at_minus_2 == F(-(2**6) * 7**2, 3**6)
-    assert pair_b.delta == F(2**14 * 13 * 7321, 3**16)
-    assert pair_b.delta_prime == F(-(2**13) * 7**2 * 13, 3**12)
+def test_reduce_second_bundle_goldens(ctx_b):
+    assert ctx_b.q.coeffs == (F(-520, 729), F(-572, 243), F(-2, 27), F(1))
+    assert ctx_b.q_at_2 == F(2**7 * 13, 3**6)
+    assert ctx_b.q_at_minus_2 == F(-(2**6) * 7**2, 3**6)
+    assert ctx_b.delta == F(2**14 * 13 * 7321, 3**16)
+    assert ctx_b.delta_prime == F(-(2**13) * 7**2 * 13, 3**12)
 
 
 def test_inflate_reduce_roundtrip_explicit():
@@ -58,8 +63,8 @@ def test_inflate_reduce_roundtrip_explicit():
     sextic = inflate_palindromic(q)
     assert sextic.is_palindromic()
     assert sextic.is_monic()
-    back = palindromic_reduce(sextic)
-    assert back.q == q
+    assert palindromic_reduce(sextic) == cubic_model(q) == (-1, 2, 3, 1)
+    assert ReductionContext(sextic).q == q
 
 
 random_cubics = st.lists(
@@ -72,15 +77,17 @@ random_cubics = st.lists(
 @given(random_cubics)
 @settings(max_examples=200, deadline=None)
 def test_inflate_reduce_roundtrip(q):
-    back = palindromic_reduce(inflate_palindromic(q))
-    assert back.q == q
+    assert palindromic_reduce(inflate_palindromic(q)) == cubic_model(q)
 
 
 @given(random_cubics)
 @settings(max_examples=200, deadline=None)
 def test_closed_form_discriminant_matches_generic(q):
     # the closed-form cubic discriminant against the oracle's Euclidean resultant
-    assert palindromic_reduce(inflate_palindromic(q)).delta == discriminant(q)
+    model = palindromic_reduce(inflate_palindromic(q))
+    assert F(scaled_discriminant(model), model[3] ** 6) == discriminant(q)
+    at2, atm2 = trace_values(model)
+    assert (F(at2, model[3]), F(atm2, model[3])) == (rat_evaluate(q, 2), rat_evaluate(q, -2))
 
 
 def test_reduce_rejects_bad_inputs():
@@ -97,17 +104,19 @@ def test_reduce_rejects_bad_inputs():
 
 
 def test_separability():
-    good = palindromic_reduce(
-        inflate_palindromic(RatPoly.from_coeffs([F(-1), F(2), F(3), F(1)]))
-    )
-    assert separability_check(good)
+    good = ReductionContext(inflate_palindromic(RatPoly.from_coeffs([F(-1), F(2), F(3), F(1)])))
+    assert separability_check(good.square_classes)
     # (x^2 - 3x + 1)^2 (x^2 + x + 1) is monic palindromic with a repeated
     # root pair, so its reduction is (y - 3)^2 (y + 1) and the discriminant
     # vanishes
     f = RatPoly.from_coeffs([1, -3, 1])
-    pair = palindromic_reduce(rat_mul(rat_mul(f, f), RatPoly.from_coeffs([1, 1, 1])))
-    assert pair.q.coeffs == (F(9), F(3), F(-5), F(1))
-    assert not separability_check(pair)
+    sextic = rat_mul(rat_mul(f, f), RatPoly.from_coeffs([1, 1, 1]))
+    model = palindromic_reduce(sextic)
+    assert model == (9, 3, -5, 1)
+    at2, atm2 = trace_values(model)
+    assert not separability_check((scaled_discriminant(model), at2 * atm2))
+    with pytest.raises(NotSeparableError, match=r"^disc\(Q\) = 0"):
+        ReductionContext(sextic)
 
 
 @pytest.mark.parametrize(
@@ -121,35 +130,27 @@ def test_separability():
     ],
 )
 def test_hand_built_pairs_outside_monic_cubics_are_refused(q):
-    # palindromic_reduce only builds monic cubics, so these refusals are
-    # reached by a hand-built pair; the sign test would misread the first Q
-    at2, atm2 = rat_evaluate(q, 2), rat_evaluate(q, -2)
-    pair = PalindromicPair(
-        poly=RatPoly.from_coeffs([1, 0, 0, 0, 0, 0, 1]),  # not read by the checks
-        q=q,
-        delta=discriminant(q),
-        delta_prime=at2 * atm2,
-        q_at_2=at2,
-        q_at_minus_2=atm2,
-    )
-    with pytest.raises(ValueError):
-        classify_galois(pair)
-    with pytest.raises(ValueError):
-        temperedness_check(pair)
-    with pytest.raises(ValueError):
-        g2_lift_check(pair.q)
+    # the checks read the integer model of a monic cubic, and only
+    # palindromic_reduce builds one: the lift x^n Q(x + 1/x) of any other Q
+    # is refused before a check runs (the sign test would misread the first Q)
+    lead = q.coeffs[-1]
+    lift = inflate_palindromic(RatPoly.from_coeffs([c / lead for c in q.coeffs]))
+    lift = RatPoly.from_coeffs([lead * c for c in lift.coeffs])
+    with pytest.raises((NotMonicError, NotPalindromicError)):
+        palindromic_reduce(lift)
+    with pytest.raises((ValueError, G2CertError)):
+        ReductionContext(lift)
 
 
-def test_temperedness_true_for_bundles(pair_a, pair_b):
-    assert temperedness_check(pair_a)
-    assert temperedness_check(pair_b)
+def test_temperedness_true_for_bundles(ctx_a, ctx_b):
+    assert temperedness_check(ctx_a.model) and ctx_a.tempered
+    assert temperedness_check(ctx_b.model) and ctx_b.tempered
 
 
 def test_temperedness_false_for_root_outside_interval():
     # roots of q are 3, -1, 1: the root at 3 pulls x off the unit circle
     q = RatPoly.from_coeffs([F(3), F(-1), F(-3), F(1)])
-    pair = palindromic_reduce(inflate_palindromic(q))
-    assert not temperedness_check(pair)
+    assert not temperedness_check(palindromic_reduce(inflate_palindromic(q)))
 
 
 def test_temperedness_sign_chain_boundary():
@@ -158,15 +159,13 @@ def test_temperedness_sign_chain_boundary():
     # values at -2, 0, 2 alone would pass this; the derivative-sign condition
     # is what catches it.
     q = RatPoly.from_coeffs([F(0), F(90), F(19), F(1)])
-    pair = palindromic_reduce(inflate_palindromic(q))
-    assert not temperedness_check(pair)
+    assert not temperedness_check(palindromic_reduce(inflate_palindromic(q)))
 
 
 def test_temperedness_interior_roots_pass():
     # roots -3/2, 1/2, 1: all inside (-2, 2)
     q = RatPoly.from_coeffs([F(3, 4), F(-7, 4), F(0), F(1)])
-    pair = palindromic_reduce(inflate_palindromic(q))
-    assert temperedness_check(pair)
+    assert temperedness_check(palindromic_reduce(inflate_palindromic(q)))
 
 
 def test_temperedness_roots_on_one_side_of_zero():
@@ -178,11 +177,11 @@ def test_temperedness_roots_on_one_side_of_zero():
     assert [rat_evaluate(q, t) for t in (0, F(1, 2), F(3, 2), 2)] == [
         F(-1, 16), F(1, 4), F(-1, 4), F(7, 16)
     ]
-    assert g2_lift_check(q)
+    assert g2_lift_check(cubic_model(q))
     assert rat_evaluate(rat_derivative(q), 0) > 0
-    pair = palindromic_reduce(inflate_palindromic(q))
-    assert temperedness_check(pair)
-    assert classify_galois(pair).tag == TAG_D6
+    ctx = ReductionContext(inflate_palindromic(q))
+    assert temperedness_check(ctx.model)
+    assert ctx.tag == TAG_D6
 
 
 def _root_test_cubics() -> list[tuple[RatPoly, bool]]:
@@ -222,7 +221,7 @@ def test_cubic_root_test_matches_oracle():
         has_root = naive_has_rational_root(list(q.coeffs))
         if built_reducible:
             assert has_root, q
-        assert _cubic_irreducible(_cubic_model(q)) == (not has_root), q
+        assert _cubic_irreducible(cubic_model(q)) == (not has_root), q
         irreducible += not has_root
     assert 0 < irreducible < 121 + 2 * 15**3
 
@@ -232,36 +231,36 @@ def test_cubic_root_test_matches_sympy():
     y = sympy.Symbol("y")
     for q, _ in _root_test_cubics():
         expr = sum(sympy.Rational(c.numerator, c.denominator) * y**k for k, c in enumerate(q.coeffs))
-        assert _cubic_irreducible(_cubic_model(q)) == sympy.Poly(expr, y, domain="QQ").is_irreducible, q
+        assert _cubic_irreducible(cubic_model(q)) == sympy.Poly(expr, y, domain="QQ").is_irreducible, q
 
 
-def test_lift_identity_bundles(pair_a, pair_b):
-    assert g2_lift_check(pair_a.q)
-    assert g2_lift_check(pair_b.q)
+def test_lift_identity_bundles(ctx_a, ctx_b):
+    assert g2_lift_check(ctx_a.model) and ctx_a.unit_product
+    assert g2_lift_check(ctx_b.model) and ctx_b.unit_product
 
 
 def test_lift_identity_fails_generic():
     q = RatPoly.from_coeffs([F(1), F(1), F(1), F(1)])
-    assert not g2_lift_check(q)
+    assert not g2_lift_check(cubic_model(q))
 
 
-def test_classification_bundles(pair_a, pair_b):
-    assert classify_galois(pair_a).tag == TAG_D6
-    assert classify_galois(pair_b).tag == TAG_D6
+def test_classification_bundles(ctx_a, ctx_b):
+    for ctx in (ctx_a, ctx_b):
+        assert ctx.tag == TAG_D6
+        assert classify_galois(ctx.model, ctx.square_classes) == (ctx.tag, ctx.evidence)
 
 
 def test_classification_rejects_square_discriminant():
     # y^3 - 3y + 1 has discriminant 81, a square; Galois group C3, not S3
     q = RatPoly.from_coeffs([F(1), F(-3), F(0), F(1)])
-    pair = palindromic_reduce(inflate_palindromic(q))
-    cls = classify_galois(pair)
-    assert cls.tag != TAG_D6
-    assert cls.evidence["delta_nonsquare"] is False
+    ctx = ReductionContext(inflate_palindromic(q))
+    assert ctx.tag != TAG_D6
+    assert ctx.evidence["delta_nonsquare"] is False
 
 
-def test_ramified_primes_bundles(pair_a, pair_b):
-    assert ramified_primes(pair_a) == {2, 3, 71, 199}
-    assert ramified_primes(pair_b) == {2, 3, 7, 13, 7321}
+def test_ramified_primes_bundles(ctx_a, ctx_b):
+    assert ctx_a.ramified == ramified_primes(square_class_exponents(ctx_a.square_classes)) == {2, 3, 71, 199}
+    assert ctx_b.ramified == {2, 3, 7, 13, 7321}
 
 
 def test_independence_bundles(ctx_a, ctx_b):
@@ -280,16 +279,18 @@ def test_independence_bundles(ctx_a, ctx_b):
 @settings(max_examples=200, deadline=None)
 def test_square_evidence_matches_oracle(body):
     # squareness read off two kernels agrees with integer square roots
-    pair = palindromic_reduce(inflate_palindromic(RatPoly.from_coeffs(body + [F(1)])))
-    if not separability_check(pair):
+    try:
+        ctx = ReductionContext(inflate_palindromic(RatPoly.from_coeffs(body + [F(1)])))
+    except NotSeparableError:
         return
-    d, dp = pair.delta, pair.delta_prime
-    evidence = classify_galois(pair).evidence
+    d, dp = ctx.delta, ctx.delta_prime
+    evidence = ctx.evidence
     assert evidence["delta_nonsquare"] == (not naive_is_square(d))
     assert evidence["delta_prime_nonsquare"] == (not naive_is_square(dp))
     assert evidence["product_nonsquare"] == (not naive_is_square(d * dp))
     # the kernel of v is the one squarefree k with v / k a rational square
-    values, kernels = (d, dp, d * dp), square_kernels(pair)
+    values, kernels = (d, dp, d * dp), ctx.square_kernels
+    assert kernels == square_kernels(ctx.square_classes, ctx.exponents)
     assert all(all(e == 1 for e in factor_integer(k).values()) for k in kernels)
     assert all(any(naive_is_square(v / k) for k in kernels) for v in values)
     assert all(any(naive_is_square(v / k) for v in values) for k in kernels)

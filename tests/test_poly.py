@@ -359,9 +359,9 @@ def test_sextic_discriminant_identity_bundles(ctx_a, ctx_b):
     # Q(2)Q(-2) (nor a denominator) keeps P mod p separable, so a good prime
     # never reaches a separability refusal
     for ctx in (ctx_a, ctx_b):
-        assert ctx.sextic == inflate_palindromic(ctx.pair.q)
-        assert _lift_discriminant_holds(ctx.pair.q)
-        assert discriminant(ctx.sextic) == ctx.pair.delta**2 * ctx.pair.delta_prime
+        assert ctx.sextic == inflate_palindromic(ctx.q)
+        assert _lift_discriminant_holds(ctx.q)
+        assert discriminant(ctx.sextic) == ctx.delta**2 * ctx.delta_prime
 
 
 @given(small_cubics)

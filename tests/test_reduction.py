@@ -62,11 +62,11 @@ def test_frozen_classification_table(sextic_a, ctx_a):
 
 def test_frozen_table_against_oracle(ctx_a):
     for p, (label, pattern, chi_dp, chi_d, torus, order) in FROZEN_A.items():
-        cubic = reduce_rational_coeffs(list(ctx_a.pair.q.coeffs), p)
+        cubic = reduce_rational_coeffs(list(ctx_a.q.coeffs), p)
         assert naive_degree_pattern(cubic, p) == pattern, p
-        dp = ctx_a.pair.delta_prime
+        dp = ctx_a.delta_prime
         assert naive_legendre(dp.numerator * dp.denominator, p) == chi_dp, p
-        d = ctx_a.pair.delta
+        d = ctx_a.delta
         assert naive_legendre(d.numerator * d.denominator, p) == chi_d, p
         sextic = reduce_rational_coeffs(list(ctx_a.sextic.coeffs), p)
         assert naive_order_of_x(sextic, p, (p + 1) ** 2 + 1) == order, p
@@ -79,11 +79,11 @@ def test_classify_returns_the_verified_table_row(ctx_a, ctx_b):
     by_witnesses = {(c.pattern_on_y, c.epsilon_prime): label for label, c in derive_weyl_classes().items()}
     cases = 0
     for ctx in (ctx_a, ctx_b):
-        dp = ctx.pair.delta_prime
+        dp = ctx.delta_prime
         for p in primes_up_to(10**4):
             if p == 2 or ctx.exclusion(p) is not None:
                 continue
-            cubic = reduce_rational_coeffs(list(ctx.pair.q.coeffs), p)
+            cubic = reduce_rational_coeffs(list(ctx.q.coeffs), p)
             chi_dp = naive_legendre(dp.numerator * dp.denominator, p)
             label = by_witnesses[(naive_degree_pattern(cubic, p), chi_dp)]
             assert ctx.classify(p) is WEYL_CLASSES[label], p
@@ -107,9 +107,9 @@ def test_classify_at_3_and_5_on_a_real_input():
     a, b = F(-7, 4), F(-11, 4)
     q = RatPoly.from_coeffs([-(a * a - 2 * b - 4), b, -a, 1])
     ctx = ReductionContext(inflate_palindromic(q))
-    assert ctx.classification.tag == "D6" and ctx.tempered
+    assert ctx.tag == "D6" and ctx.tempered
     assert tuple(ctx.excluded) == (2, 11, 79)
-    d, dp = ctx.pair.delta, ctx.pair.delta_prime
+    d, dp = ctx.delta, ctx.delta_prime
     for p, label in ((3, "6a"), (5, "3a")):
         cls = ctx.classify(p)
         assert cls.weyl_class == label, p
@@ -173,7 +173,7 @@ def test_bad_primes_raise_typed_errors(sextic_a):
     # needs an odd prime
     q = RatPoly.from_coeffs([F(-37, 9), F(-4, 3), F(7, 3), 1])
     ctx = ReductionContext(inflate_palindromic(q))
-    assert ctx.classification.tag == "D6"
+    assert ctx.tag == "D6"
     assert tuple(ctx.excluded) == (3, 5, 19)
     with pytest.raises(ExcludedPrimeError) as exc_even:
         ctx.classify(2)
@@ -227,7 +227,7 @@ def test_rejects_non_d6_inputs():
     # the analysis exists; the per-prime methods refuse it
     q = RatPoly.from_coeffs([1, -3, 0, 1])
     ctx = ReductionContext(inflate_palindromic(q))
-    assert ctx.classification.tag != "D6"
+    assert ctx.tag != "D6"
     with pytest.raises(G2CertError):
         ctx.classify(7)
     with pytest.raises(G2CertError):
@@ -320,7 +320,7 @@ def test_order_report_raises_on_each_shape_of_wrong_torus(ctx_a, wrong, monkeypa
     with pytest.raises(WitnessMismatchError, match=message) as raised:
         ctx_a.order_report(p, cls)
     # actual is V_T itself: the ladder from y to the wrong T lands on it
-    f = reduce_rational_coeffs(list(ctx_a.pair.q.coeffs), p)
+    f = reduce_rational_coeffs(list(ctx_a.q.coeffs), p)
     v_t = _dickson(p, f, (0, 1, 0), wrong)
     e = raised.value
     assert (e.p, e.witness, e.expected, e.actual) == (p, "torus", (2, 0, 0), v_t)
@@ -336,7 +336,7 @@ def test_split_chain_equals_the_per_factor_descent(ctx_a, ctx_b):
         large = [p for start in (10**9, 10**12) for p in _good_primes_from(ctx, start, 50)]
         for p in small + large:
             cls = ctx.classify(p)
-            f = reduce_rational_coeffs(list(ctx.pair.q.coeffs), p)
+            f = reduce_rational_coeffs(list(ctx.q.coeffs), p)
             torus = torus_order(cls.weyl_class, p)
             factors = factor_integer(torus)
             assert ctx.order_report(p, cls) == cofactor_descent_order(p, f, torus, factors), p
@@ -363,7 +363,7 @@ def test_shared_frobenius_gives_each_witness_its_own_pattern(ctx_a, ctx_b):
         large = [p for start in (10**6, 10**9, 10**12) for p in _good_primes_from(ctx, start, 50)]
         for p in small + large:
             cls = ctx.classify(p)
-            q = mod_poly(p, reduce_rational_coeffs(list(ctx.pair.q.coeffs), p))
+            q = mod_poly(p, reduce_rational_coeffs(list(ctx.q.coeffs), p))
             sextic = mod_poly(p, reduce_rational_coeffs(list(ctx.sextic.coeffs), p))
             want = (_degree_pattern(p, q), _degree_pattern(p, sextic))
             assert (cls.y_pattern, cls.x_pattern) == want, p
@@ -396,8 +396,8 @@ def test_classify_checks_the_trace_cubic_of_p_against_q(bundle_a, shift):
         with pytest.raises(WitnessMismatchError, match=f"p={p}: P mod p has trace cubic") as raised:
             ctx.classify(p)
         e = raised.value
-        want = tuple(reduce_rational_coeffs(list(ctx.pair.q.coeffs), p))
-        f = [c * pow(ctx.y_den, -1, p) % p for c in ctx.x_num]
+        want = tuple(reduce_rational_coeffs(list(ctx.q.coeffs), p))
+        f = [c * pow(ctx.model[3], -1, p) % p for c in ctx.x_num]
         got = ((f[3] - 2 * f[5]) % p, (f[4] - 3) % p, f[5], 1)
         assert (e.p, e.witness, e.expected, e.actual) == (p, "trace_cubic", want, got)
         assert got != want
@@ -411,7 +411,7 @@ def test_classify_refuses_p_mod_p_off_the_trace_cubic(bundle_a, index, reason):
     # check on P mod p is what ties classify to f0, f1, f2 and f6, so a
     # change to one of them alone is refused at every prime
     ctx = ReductionContext.from_polyfile(bundle_a)
-    ctx.x_num = tuple(c + ctx.y_den * (i == index) for i, c in enumerate(ctx.x_num))
+    ctx.x_num = tuple(c + ctx.model[3] * (i == index) for i, c in enumerate(ctx.x_num))
     for p in (7, 101, 999983, 10**12 + 39):
         with pytest.raises(ValueError, match=f"need a {reason} .* \\(mod {p}\\)$"):
             ctx.classify(p)
@@ -427,7 +427,8 @@ def test_classify_checks_chi_delta_against_the_class(bundle_a, p):
     # off the y-pattern and chi(delta'), still requires the true symbol
     ctx = ReductionContext.from_polyfile(bundle_a)
     cls = ctx.classify(p)
-    ctx.delta_nd *= _nonresidue(p)
+    nd, nd_prime = ctx.square_classes
+    ctx.square_classes = (nd * _nonresidue(p), nd_prime)
     message = rf"^p={p}: chi\(delta\) = {-cls.chi_delta} but class"
     with pytest.raises(WitnessMismatchError, match=message) as raised:
         ctx.classify(p)
@@ -442,7 +443,8 @@ def test_classify_checks_the_x_pattern_against_the_class(bundle_a, p):
     # sextic's own pattern, from P mod p, no longer fits it
     ctx = ReductionContext.from_polyfile(bundle_a)
     cls = ctx.classify(p)
-    ctx.delta_prime_nd *= _nonresidue(p)
+    nd, nd_prime = ctx.square_classes
+    ctx.square_classes = (nd, nd_prime * _nonresidue(p))
     with pytest.raises(WitnessMismatchError, match=rf"^p={p}: sextic splits as") as raised:
         ctx.classify(p)
     e = raised.value

@@ -14,7 +14,14 @@ from g2cert.weyl import (
     torus_order,
     torus_poly_str,
 )
-from oracles import WeylElement, derive_weyl_classes, enumerate_weyl, inflate_palindromic, rat_mul
+from oracles import (
+    WeylElement,
+    cubic_model,
+    derive_weyl_classes,
+    enumerate_weyl,
+    inflate_palindromic,
+    rat_mul,
+)
 
 elements = st.sampled_from(enumerate_weyl())
 
@@ -167,12 +174,12 @@ def test_conjugacy_classes_are_closed():
     assert sorted(sizes) == [1, 1, 2, 2, 3, 3]
 
 
-def test_characteristic_poly_lift(pair_a, bundle_a):
+def test_characteristic_poly_lift(ctx_a, bundle_a):
     # lifting the reduced cubic rebuilds the original degree-7 input exactly
     # as (x - 1) x^3 Q(x + 1/x), since Q satisfies the unit-product constraint
-    assert g2_lift_check(pair_a.q)
-    lifted = rat_mul(inflate_palindromic(pair_a.q), RatPoly.from_coeffs([-1, 1]))
+    assert g2_lift_check(ctx_a.model)
+    lifted = rat_mul(inflate_palindromic(ctx_a.q), RatPoly.from_coeffs([-1, 1]))
     assert lifted.degree == 7
     assert lifted == bundle_a.poly()
     # y^3 violates the unit-product constraint (0 != 4)
-    assert not g2_lift_check(RatPoly.from_coeffs([0, 0, 0, 1]))
+    assert not g2_lift_check(cubic_model(RatPoly.from_coeffs([0, 0, 0, 1])))
