@@ -16,6 +16,8 @@ tests/test_certify.py checks both steps exhaustively: the unbounded
 families against their standard orders over every prime up to 2*10^5,
 that the orders in the two classes are at least 7, and that among the
 bounded rows only L2(13) can ever contain both elements.
+
+sweep is the one loop over primes, for scan and for the frobenius command.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from .arith import is_square, primes_up_to, require_proven_prime
 from .errors import G2CertError, WitnessMismatchError
@@ -183,9 +185,34 @@ class ScanSummary:
     pattern_density: Fraction
 
 
-def _scan_chunk(args: tuple[Pair, list[int]]) -> list[CertificationReport]:
-    pair, primes = args
-    return [_certify_good_prime(pair, p) for p in primes]
+def sweep(primes: list[int], work: Callable[[int], Any], sink: Callable[[Any], None], jobs: int = 1) -> None:
+    """Call sink(work(p)) for every p in primes, in order.
+
+    jobs > 1 fans the primes out in batches over at most jobs processes, no
+    more than there are batches or CPUs.  Batch boundaries are fixed by the
+    primes alone and batches are sunk in order, so the sink sees what a
+    serial run gives it, or a prefix of that when work raises.  Each batch
+    pickles work: a module-level function, or a functools.partial of one.
+    """
+    if jobs > 1 and len(primes) > 1000:
+        chunk = max(1000, len(primes) // (jobs * 8))
+        batches = [(work, primes[i : i + chunk]) for i in range(0, len(primes), chunk)]
+        workers = min(jobs, len(batches), os.cpu_count() or 1)
+        # imported here, so that a process that never pools never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for results in pool.map(_run_batch, batches):
+                for result in results:
+                    sink(result)
+    else:
+        for p in primes:
+            sink(work(p))
+
+
+def _run_batch(batch: tuple[Callable[[int], Any], list[int]]) -> list:
+    work, primes = batch
+    return [work(p) for p in primes]
 
 
 def scan(
@@ -198,10 +225,7 @@ def scan(
     """Certify every prime p > 5 up to limit that the pair does not exclude, ascending.
 
     The record sink, when given, sees one report per scanned prime in
-    ascending order.  jobs > 1 fans the prime ranges out over at most
-    jobs processes, no more than there are batches or CPUs; chunk
-    boundaries are fixed by the input alone, so the merged output is
-    identical to a serial run.
+    ascending order.  jobs is sweep's: the output does not depend on it.
     """
     all_primes = primes_up_to(limit)
     scan_primes = [p for p in all_primes if p > 5 and pair.exclusion(p) is None]
@@ -225,20 +249,7 @@ def scan(
         if record_sink is not None:
             record_sink(report)
 
-    if jobs > 1 and len(scan_primes) > 1000:
-        chunk = max(1000, len(scan_primes) // (jobs * 8))
-        batches = [scan_primes[i : i + chunk] for i in range(0, len(scan_primes), chunk)]
-        workers = min(jobs, len(batches), os.cpu_count() or 1)
-        # imported here, so that a process that never pools never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for reports in pool.map(_scan_chunk, [(pair, batch) for batch in batches]):
-                for report in reports:
-                    consume(report)
-    else:
-        for p in scan_primes:
-            consume(_certify_good_prime(pair, p))
+    sweep(scan_primes, functools.partial(_certify_good_prime, pair), consume, jobs)
 
     scanned = len(scan_primes)
     certified_n = len(certified)

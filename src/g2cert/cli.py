@@ -4,14 +4,16 @@ Subcommands: reduce, frobenius, certify, scan, torus-orders, reproduce.
 All output is exact (rationals as strings, densities as fraction plus a
 decimal rendering) and deterministic: the same inputs and flags produce
 byte-identical bytes.  Exit codes: 0 all checks pass, 1 mathematical
-precondition or certification failure, 2 usage or I/O error.
+precondition or certification failure, 2 usage or I/O error, and 2 with no
+message when the reader of stdout goes away.
 
-`frobenius` and `scan` stream records through one writer, `_Report`.  JSON
-is `{`, a line per head field, `"records": [`, the records joined by
-`,\n    `, `\n  ]` (`]` if none), a line per tail field, `}`; each value is
-json.dumps(value, indent=indent) with its newlines padded to its depth
-(indent=2 gives json.dumps(doc, indent=2), indent=None a compact line per
-value).  CSV is the column names, a row per record, `# <json>` per tail value.
+`frobenius` and `scan` walk their primes in one loop, `certify.sweep`, and
+stream records through one writer, `_Report`.  JSON is `{`, a line per head
+field, `"records": [`, the records joined by `,\n    `, `\n  ]` (`]` if
+none), a line per tail field, `}`; each value is json.dumps(value,
+indent=indent) with its newlines padded to its depth (indent=2 gives
+json.dumps(doc, indent=2), indent=None a compact line per value).  CSV is
+the column names, a row per record, `# <json>` per tail value.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -34,6 +37,7 @@ from .certify import (
     Pair,
     certify_prime,
     scan,
+    sweep,
 )
 from .errors import G2CertError
 from .golden import EXPECTED, INDEPENDENT, TORUS_TABLE
@@ -94,6 +98,7 @@ def _output(path: str | None):
     """stdout for no path or "-", else the file at path, closed on exit."""
     if path is None or path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a closed reader raises here, in main, not at interpreter exit
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -233,8 +238,7 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
     render = _frobenius_row if args.format == "csv" else (lambda r: r)
     with _output(args.out) as out:
         report = _Report(out, args.format, head, _FROBENIUS_COLUMNS, render, indent=2)
-        for p in primes:
-            report.record(_frobenius_record(ctx, p))
+        sweep(primes, functools.partial(_frobenius_record, ctx), report.record)
         report.close({})
     return 0
 
@@ -500,6 +504,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader went away: a quiet exit.  If stdout's buffer still holds
+        # bytes, they go to devnull, or the interpreter's last flush fails on them
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (PolyFileError, OSError) as e:
         print(f"g2cert: {e}", file=sys.stderr)
         return 2

@@ -288,27 +288,3 @@ def _require_pattern_input(p: int, c: tuple[int, ...]) -> None:
         raise ValueError(f"degree patterns need a monic polynomial, got {_mod_str(p, c)}")
     if len(c) == 7 and ((c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p):
         raise ValueError(f"sextic degree patterns need a palindromic sextic, got {_mod_str(p, c)}")
-
-
-def _degree_pattern(p: int, c: tuple[int, ...]) -> DegreePattern:
-    """Degrees of the irreducible factors of a squarefree monic cubic, or of a
-    squarefree monic palindromic sextic, mod an odd p, sorted.
-
-    Both read one Frobenius pass in F_p[y]/(Q), Q = f itself (cubic) or the
-    trace cubic (f3 - 2 f5, f4 - 3, f5, 1) of f = x^3 Q(x + 1/x) (sextic).
-
-    Raises NotSeparableError for a repeated factor, and ValueError that
-    names the reason for any other input: a degree other than 3 or 6, an
-    even p, a leading coefficient other than 1, or a sextic that is not
-    palindromic.  No package code calls it: classify runs the same steps on
-    its own pass, and the tests check the kernels against the oracle here.
-    """
-    _require_pattern_input(p, c)
-    q = c if len(c) == 4 else (c[3] - 2 * c[5], c[4] - 3, c[5], 1)  # P = x^3 Q(x + 1/x)
-    v, u = _frobenius(p, q)
-    mul = _cubic_ring(p, q)
-    w = mul(v, v)
-    pattern = _cubic_pattern(p, q, v, w) if len(c) == 4 else _sextic_pattern(p, q, mul, v, w, u)
-    if pattern is None:
-        raise NotSeparableError(f"{_mod_str(p, c)} has a repeated factor")
-    return pattern

@@ -4,7 +4,9 @@ Everything here is written the slow, obvious way on purpose: trial
 division, root sweeps, multiply-until-identity loops, the Euclidean
 resultant, and the Weyl group of G2 enumerated element by element.  None
 of it shares code with the fast paths in the package, so agreement is
-meaningful.  There are two exceptions.  cofactor_descent_order, an
+meaningful.  There are exceptions.  _degree_pattern is the package's
+own factor-pattern kernels behind one call, the seam at which the tests
+check them against naive_degree_pattern.  cofactor_descent_order, an
 exact-order descent with one ladder per prime factor of the torus order,
 takes the factorization from the caller and reuses the package's Dickson
 ladder (checked on its own against the three-term recurrence), so it
@@ -30,9 +32,17 @@ from fractions import Fraction
 import numpy as np
 
 from g2cert.arith import factor_integer
-from g2cert.errors import NotMonicError, NotPalindromicError
+from g2cert.errors import NotMonicError, NotPalindromicError, NotSeparableError
 from g2cert.palindromic import TAG_D6, TAG_INCONCLUSIVE, TAG_OTHER, TAG_WEYL_BC
-from g2cert.poly import RatPoly
+from g2cert.poly import (
+    RatPoly,
+    _cubic_pattern,
+    _cubic_ring,
+    _frobenius,
+    _mod_str,
+    _require_pattern_input,
+    _sextic_pattern,
+)
 from g2cert.reduction import (
     REASON_DENOMINATOR,
     REASON_RAMIFIED,
@@ -292,6 +302,29 @@ def naive_degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
     assert rest in (0, 4, 5, 6), (f, p, n1, n2, n3)
     pattern = [1] * n1 + [2] * n2 + [3] * n3 + ([rest] if rest else [])
     return tuple(sorted(pattern))
+
+
+def _degree_pattern(p: int, c: tuple[int, ...]) -> tuple[int, ...]:
+    """Degrees of the irreducible factors of a squarefree monic cubic, or of a
+    squarefree monic palindromic sextic, mod an odd p, sorted.
+
+    Both read one Frobenius pass in F_p[y]/(Q), Q = f itself (cubic) or the
+    trace cubic (f3 - 2 f5, f4 - 3, f5, 1) of f = x^3 Q(x + 1/x) (sextic).
+
+    Raises NotSeparableError for a repeated factor, and ValueError that
+    names the reason for any other input: a degree other than 3 or 6, an
+    even p, a leading coefficient other than 1, or a sextic that is not
+    palindromic.  classify runs the same steps on its own pass.
+    """
+    _require_pattern_input(p, c)
+    q = c if len(c) == 4 else (c[3] - 2 * c[5], c[4] - 3, c[5], 1)  # P = x^3 Q(x + 1/x)
+    v, u = _frobenius(p, q)
+    mul = _cubic_ring(p, q)
+    w = mul(v, v)
+    pattern = _cubic_pattern(p, q, v, w) if len(c) == 4 else _sextic_pattern(p, q, mul, v, w, u)
+    if pattern is None:
+        raise NotSeparableError(f"{_mod_str(p, c)} has a repeated factor")
+    return pattern
 
 
 def _trial_divisors(n: int) -> list[int]:

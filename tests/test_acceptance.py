@@ -14,9 +14,9 @@ from g2cert.arith import primes_up_to
 from g2cert.certify import VERDICT_CERTIFIED, Pair, scan
 from g2cert.errors import ExcludedPrimeError, NotSeparableError, WitnessMismatchError
 from g2cert.palindromic import TAG_D6, classify_galois, g2_lift_check, temperedness_check
-from g2cert.poly import _degree_pattern
 from g2cert.weyl import CLASS_LABELS, WEYL_CLASSES, torus_order
 from oracles import (
+    _degree_pattern,
     derive_weyl_classes,
     mod_poly,
     naive_degree_pattern,

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import math
 import pickle
 from fractions import Fraction
@@ -262,6 +263,31 @@ def test_scan_pool_size_is_clamped(bundled_pair, monkeypatch):
         summary = scan(bundled_pair, 20000, record_sink=records.append, jobs=jobs)
         assert asked[-1] == want, (jobs, cpus)
         assert len(records) == summary.scanned == 2254
+
+
+def _witness_fails_at(pair, bad, p):
+    # module-level, so that a worker started by spawn or forkserver imports it
+    if p == bad:
+        raise WitnessMismatchError(f"p={p}: planted", p=p, witness="planted", expected=7, actual=(3, 3))
+    return certify._certify_good_prime(pair, p)
+
+
+def test_sweep_returns_a_worker_error_after_the_batches_before_it(bundled_pair):
+    # below 20000 the pair scans 2254 primes, in batches of at most 1000 at
+    # jobs=2; the error is planted in a real worker, in the second batch
+    primes = [p for p in primes_up_to(20000) if p > 5 and bundled_pair.exclusion(p) is None]
+    bad = primes[1500]
+    work = functools.partial(_witness_fails_at, bundled_pair, bad)
+    serial, pooled = [], []
+    with pytest.raises(WitnessMismatchError):
+        certify.sweep(primes, work, serial.append)
+    with pytest.raises(WitnessMismatchError) as raised:
+        certify.sweep(primes, work, pooled.append, jobs=2)
+    e = raised.value
+    assert type(e) is WitnessMismatchError
+    assert (e.p, e.witness, e.expected, e.actual) == (bad, "planted", 7, (3, 3))
+    assert [r.p for r in serial] == primes[:1500]
+    assert 1000 <= len(pooled) <= 1500 and pooled == serial[: len(pooled)]
 
 
 def test_scan_certified_orders_present(bundled_pair):

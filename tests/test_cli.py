@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -677,3 +678,37 @@ def test_limit_above_the_sieve_bound_is_refused_before_output(tmp_path, capsys, 
     assert capsys.readouterr() == (
         "", f"g2cert: limit {limit} is above the sieve bound {SIEVE_LIMIT}\n"
     )
+
+
+# block-buffered stdout, as under a shell, whatever the environment sets
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("frobenius", "frobenius2"),
+    ("scan", "frobenius2", "frobenius3"),
+])
+def test_a_reader_that_goes_away_ends_the_command_quietly(argv):
+    # the reader takes one line and closes the pipe while the command still
+    # writes: both reports to 10^5 are several times what a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "g2cert", *argv, "--limit", "100000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV,
+    )
+    assert proc.stdout.readline().startswith(b"p,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(), stderr) == (2, b"")
+
+
+def test_a_pipe_without_a_reader_fails_quietly_at_the_last_flush():
+    # the whole report fits in stdout's buffer, so its first write to the
+    # pipe is the command's own flush at the end, before interpreter exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "g2cert", "frobenius", "frobenius2", "--prime", "7"],
+                           stdout=write_end, stderr=subprocess.PIPE, env=BUFFERED_ENV)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (2, b"")

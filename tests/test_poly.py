@@ -9,7 +9,6 @@ from g2cert.poly import (
     RatPoly,
     _cubic_pattern,
     _cubic_ring,
-    _degree_pattern,
     _frobenius,
     _sextic_pattern,
     cubic_discriminant,
@@ -18,6 +17,7 @@ from g2cert.poly import (
 )
 from oracles import (
     KERNEL_PRIMES,
+    _degree_pattern,
     discriminant,
     inflate_palindromic,
     mod_poly,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from g2cert import reduction
 from g2cert.arith import factor_integer, is_prime, primes_up_to
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
-from g2cert.poly import RatPoly, _degree_pattern
+from g2cert.poly import RatPoly
 from g2cert.reduction import (
     REASON_DENOMINATOR,
     REASON_EVEN,
@@ -22,6 +22,7 @@ from g2cert.reduction import (
 from g2cert.weyl import FROBENIUS_LOOKUP, WEYL_CLASSES, torus_order
 from oracles import (
     KERNEL_PRIMES,
+    _degree_pattern,
     cofactor_descent_order,
     derive_weyl_classes,
     inflate_palindromic,
