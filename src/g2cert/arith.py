@@ -14,11 +14,18 @@ from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
-# The first 13 primes as Miller-Rabin witnesses admit no strong pseudoprime
-# below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); the first 12
-# stop at psi_12 = 318665857834031151167461, itself a pseudoprime to them.
+# psi_k is the least strong pseudoprime to each of the first k primes, so
+# below psi_k those k Miller-Rabin witnesses decide primality.  _MR_TIERS
+# holds (psi_k, k) for the least k of each distinct value: psi_1 to psi_4
+# from Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980), psi_5 to
+# psi_8 = psi_7 from Jaeschke (Math. Comp. 61, 1993), psi_9 = psi_10 =
+# psi_11 from Jiang and Deng (Math. Comp. 83, 2014), psi_12 and psi_13 from
+# Sorenson and Webster (Math. Comp. 86, 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_PROOF_BOUND = 3317044064679887385961981  # psi_13
+_MR_TIERS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+             (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+             (318665857834031151167461, 12), (PRIME_PROOF_BOUND, 13))
 
 _TRIAL_BOUND = 1000
 
@@ -38,23 +45,13 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    # smallest witness sets with no pseudoprime below the stated bounds
-    if n < 2047:
-        witnesses: tuple[int, ...] = (2,)
-    elif n < 1373653:
-        witnesses = (2, 3)
-    elif n < 3215031751:
-        witnesses = (2, 3, 5, 7)
-    elif n < 3474749660383:
-        witnesses = (2, 3, 5, 7, 11, 13)
-    else:
-        witnesses = _MR_WITNESSES
+    count = next((k for bound, k in _MR_TIERS if n < bound), len(_MR_WITNESSES))
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in witnesses:
+    for a in _MR_WITNESSES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

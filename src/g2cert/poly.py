@@ -18,16 +18,17 @@ and r1 + 2 n2 = tr M^2 = sum of M_ij M_ji.
 
 P is worked in a tower.  y -> x + 1/x (x is a unit, P(0) = 1) maps
 R[x]/(x^2 - yx + 1), R = F_p[y]/(Q), onto F_p[x]/(P), and both have
-dimension 6, so the map is an isomorphism.  With z = x - 1/x, z^2 = y^2 - 4
-and 2x = y + z, so in characteristic p x^p = (y^p + z^p)/2 = (V + zU)/2 =
-(V - yU)/2 + U x, where V = y^p and U = (y^2 - 4)^((p-1)/2) come from
-one pass over the bits of p (_frobenius).  V is also the Frobenius image
-that Q's own pattern reads, so one pass and one V^2 serve both patterns,
-as in reduction.classify.  Frobenius acts on R by phi, whose matrix M_Q
-has columns 1, V, V^2.  Write x^p = A + B x; then phi(r + s x) = phi(r) +
-phi(s) A + phi(s) B x, so in the basis 1, y, y^2, x, xy, xy^2, M =
-[[M_Q, M_A M_Q], [0, N]] with N = M_B M_Q, whose columns are B, BV, BV^2.
-Traces do not depend on the basis, so tr M^k = tr M_Q^k + tr N^k.
+dimension 6, so the map is an isomorphism.  With z = x - 1/x, 2x = y + z
+and z^2 = y^2 - 4; 2 is a unit, so 1, z is an R-basis as 1, x is.  In
+characteristic p, z^p = z (z^2)^((p-1)/2) = U z, where V = y^p and U =
+(y^2 - 4)^((p-1)/2) come from one pass over the bits of p (_frobenius).
+V is also the Frobenius image that Q's own pattern reads, so one pass and
+one V^2 serve both patterns, as in reduction.classify.  Frobenius acts on
+R by phi, whose matrix M_Q has columns 1, V, V^2, and phi(r + s z) =
+phi(r) + phi(s) U z, so in the basis 1, y, y^2, z, zy, zy^2 its matrix is
+block-diagonal, M = diag(M_Q, N), with N: t -> U phi(t), whose columns are
+U, UV, UV^2.  Traces do not depend on the basis, so tr M^k = tr M_Q^k +
+tr N^k.
 
 Counts are at most 6, so for p >= 7 the residues are the counts.  The
 roots of a squarefree palindromic P pair off as t, 1/t with t != +-1:
@@ -40,14 +41,15 @@ m <= 5 is one factor, and m = 6 is (3, 3) when x^(p^3) = x, else (6).
 x^(p^k) - x has derivative -1, so it is squarefree, the product of the
 monic irreducibles of degree dividing k: x^(p^L) = x mod f exactly when
 f is squarefree with all factor degrees dividing L.  The sextic's pattern
-is checked that way, L the lcm of its degrees, in the tower: with
-x^(p^k) = A_k + B_k x, A_(k+1) = phi(A_k) + phi(B_k) A and B_(k+1) =
-phi(B_k) B, and the check is (A_L, B_L) = (0, 1).  Through the
-isomorphism, if the check holds P is squarefree, so the traces were read
-right; if P is squarefree, they were and it holds.  A failed check, or
-traces no pattern fits, proves a repeated factor.  For (6) the check
-is read at x^(p^3) = 1/x (_sextic_pattern), so a squarefree P takes at
-most 4 tower steps, the 4 for a factor of degree 4.  The cubic is
+is checked that way, L the lcm of its degrees, in the tower:
+x^(p^k) = (phi^k(y) + U_k z)/2 with U_1 = U and U_(k+1) = phi(U_k) U, so
+the check is (phi^L(y), U_L) = (y, 1), one product in R per tower step.
+Through the isomorphism, if the check holds P is squarefree, so the traces
+were read right; if P is squarefree, they were and it holds.  A failed
+check, or traces no pattern fits, proves a repeated factor.  For (6) the
+check is read at x^(p^3) = 1/x = (y - z)/2, i.e. (phi^3(y), U_3) = (y, -1)
+(_sextic_pattern), so a squarefree P takes at most 3 tower steps from
+(V, U), the 3 to x^(p^4) for a factor of degree 4.  The cubic is
 squarefree by its discriminant, and once x^p != x its r1 = tr M =
 1 + (x^p)_1 + (x^(2p))_2 is 1 or 0.
 """
@@ -228,43 +230,29 @@ def _cubic_pattern(p: int, f: tuple[int, ...], v: tuple, w: tuple) -> DegreePatt
     return (1, 2) if (1 + v[1] + w[2]) % p == 1 else (3,)
 
 
-def _sextic_pattern(p: int, q: Sequence[int], mul, v, w, b) -> DegreePattern | None:
+def _sextic_pattern(p: int, mul, v, w, u) -> DegreePattern | None:
     """Pattern of the monic palindromic sextic x^3 Q(x + 1/x), None for a repeated factor,
-    given Q = q, mul of R = F_p[y]/(Q), and V = y^p, V^2 and U = (y^2 - 4)^((p-1)/2) in R.
+    given mul of R = F_p[y]/(Q), and V = y^p, V^2 and U = (y^2 - 4)^((p-1)/2) in R.
 
-    When the traces leave one factor of degree 6 and x^(p^3) != x, (6)
-    holds exactly when x^(p^3) = 1/x = y - x.  If P is irreducible, sigma^3 :
-    a -> a^(p^3) is the involution of F_(p^6)/F_(p^3), so it fixes y, a root
-    of the cubic Q, and sends x, not in F_(p^3), to the other root 1/x of
-    t^2 - y t + 1.  Conversely x^(p^3) = 1/x gives x^(p^6) = x, the check
-    for L = 6.
+    Frobenius is diag(M_Q, N) in the basis 1, y, y^2, z, zy, zy^2, z = x - 1/x,
+    and a tower step maps (phi^k(y), U_k) to (phi^(k+1)(y), phi(U_k) U), one
+    product in R.  When the traces leave one factor of degree 6 and
+    x^(p^3) != x, (6) holds exactly when x^(p^3) = 1/x = (y - z)/2, i.e.
+    (phi^3(y), U_3) = (y, -1).  If P is irreducible, sigma^3 : a -> a^(p^3)
+    is the involution of F_(p^6)/F_(p^3), so it fixes y, a root of the cubic
+    Q, and sends x, not in F_(p^3), to the other root 1/x of t^2 - y t + 1.
+    Conversely x^(p^3) = 1/x gives x^(p^6) = x, the check for L = 6.
     """
-    # V and V^2 give phi; x^p = A + B x with B = U
-    (v0, v1, v2), (w0, w1, w2), (b0, b1, b2) = v, w, b
-    h = (p + 1) // 2  # 1/2; y B = (-q0 b2, b0 - q1 b2, b1 - q2 b2)
-    a = ((v0 + q[0] * b2) * h % p, (v1 - b0 + q[1] * b2) * h % p, (v2 - b1 + q[2] * b2) * h % p)
-    c0, c1, c2 = mul(b, v)  # N has columns B, B V, B V^2
-    d0, d1, d2 = mul(b, w)
-    powers = [((0, 0, 0), (1, 0, 0)), (a, b)]  # powers[k] = (A_k, B_k), x^(p^k) = A_k + B_k x
-
-    def fixed(k: int) -> bool:  # x^(p^k) = x
-        while len(powers) <= k:  # x^(p^(k+1)) = phi(A_k) + phi(B_k) (A + B x)
-            (s0, s1, s2), (t0, t1, t2) = powers[-1]
-            g = (t0 + t1 * v0 + t2 * w0, t1 * v1 + t2 * w1, t1 * v2 + t2 * w2)
-            e0, e1, e2 = mul(g, a)
-            powers.append((
-                ((s0 + s1 * v0 + s2 * w0 + e0) % p, (s1 * v1 + s2 * w1 + e1) % p,
-                 (s1 * v2 + s2 * w2 + e2) % p),
-                mul(g, b),
-            ))
-        return powers[k] == powers[0]
-
+    (v0, v1, v2), (w0, w1, w2), (u0, u1, u2) = v, w, u
+    c0, c1, c2 = mul(u, v)  # N has columns U, U V, U V^2
+    d0, d1, d2 = mul(u, w)
     # tr M^k = tr M_Q^k + tr N^k; tr M^2 = r1 + 2 n2
-    r1 = (1 + v1 + w2 + b0 + c1 + d2) % p
+    r1 = (1 + v1 + w2 + u0 + c1 + d2) % p
     trace2 = (1 + v1 * v1 + w2 * w2 + 2 * v2 * w1
-              + b0 * b0 + c1 * c1 + d2 * d2 + 2 * (b1 * c0 + b2 * d0 + c2 * d1))
+              + u0 * u0 + c1 * c1 + d2 * d2 + 2 * (u1 * c0 + u2 * d0 + c2 * d1))
     evens = [e for e in range(0, 7 - r1, 2) if (trace2 - r1 - e) % p == 0]
-    if len(evens) == 2 and fixed(2):
+    x = ((0, 1, 0), (1, 0, 0))  # (y, 1): x^(p^k) = x exactly when _tower gives it
+    if len(evens) == 2 and _tower(p, mul, v, w, u, 2) == x:
         return (2, 2, 2)
     if not evens:
         return None
@@ -272,11 +260,23 @@ def _sextic_pattern(p: int, q: Sequence[int], mul, v, w, b) -> DegreePattern | N
     if rest in (1, 2):  # a factor of degree 1 or 2 would have been counted
         return None
     if rest == 6:
-        if fixed(3):
+        cubed = _tower(p, mul, v, w, u, 3)
+        if cubed == x:
             return (3, 3)
-        return (6,) if powers[3] == ((0, 1, 0), (p - 1, 0, 0)) else None
+        return (6,) if cubed == ((0, 1, 0), (p - 1, 0, 0)) else None
     pattern = tuple(sorted((1,) * r1 + (2,) * (evens[0] // 2) + ((rest,) if rest else ())))
-    return pattern if fixed(math.lcm(*pattern)) else None
+    return pattern if _tower(p, mul, v, w, u, math.lcm(*pattern)) == x else None
+
+
+def _tower(p: int, mul, v, w, u, k: int) -> tuple[tuple, tuple]:
+    """(phi^k(y), U_k) for k >= 1, x^(p^k) = (phi^k(y) + U_k z)/2: k - 1 steps from (V, U)."""
+    (v0, v1, v2), (w0, w1, w2) = v, w
+    s, t = v, u
+    for _ in range(k - 1):  # (phi^(k+1)(y), U_(k+1)) = (phi(phi^k(y)), phi(U_k) U)
+        (s0, s1, s2), (t0, t1, t2) = s, t
+        s = (s0 + s1 * v0 + s2 * w0) % p, (s1 * v1 + s2 * w1) % p, (s1 * v2 + s2 * w2) % p
+        t = mul((t0 + t1 * v0 + t2 * w0, t1 * v1 + t2 * w1, t1 * v2 + t2 * w2), u)
+    return s, t
 
 
 def _require_pattern_input(p: int, c: tuple[int, ...]) -> None:

@@ -222,7 +222,7 @@ class ReductionContext:
                 p=p, witness="chi_delta", expected=row.chi_delta, actual=chi_d,
             )
         _require_pattern_input(p, sextic)
-        x_pattern = _sextic_pattern(p, q, mul, v, w, u)
+        x_pattern = _sextic_pattern(p, mul, v, w, u)
         if x_pattern is None:
             raise NotSeparableError(f"{_mod_str(p, sextic)} has a repeated factor")
         if x_pattern != row.x_pattern:

@@ -321,7 +321,7 @@ def _degree_pattern(p: int, c: tuple[int, ...]) -> tuple[int, ...]:
     v, u = _frobenius(p, q)
     mul = _cubic_ring(p, q)
     w = mul(v, v)
-    pattern = _cubic_pattern(p, q, v, w) if len(c) == 4 else _sextic_pattern(p, q, mul, v, w, u)
+    pattern = _cubic_pattern(p, q, v, w) if len(c) == 4 else _sextic_pattern(p, mul, v, w, u)
     if pattern is None:
         raise NotSeparableError(f"{_mod_str(p, c)} has a repeated factor")
     return pattern

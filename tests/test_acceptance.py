@@ -5,7 +5,9 @@ PASS line carrying the measured numbers, so a verbose run reads as the
 acceptance report.
 """
 
+import hashlib
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -118,12 +120,41 @@ def test_a4_torus_table():
     print("PASS torus polynomial table, class sizes (1,3,3,1,2,2), orders (1,2,2,2,3,6)")
 
 
+# sha256 of the 10^6 scan's rows (p, class_a, class_b, order_a, order_b,
+# verdict), each as a line of the scan's CSV, computed before the sextic
+# tower moved to the basis 1, z
+SCAN_1E6_ROWS_SHA256 = "7ff88f134392287b82c3f460915c56f41fb3c434e224868ab890f3cb0a3bb0c0"
+
+# the 0.999 quantile of chi^2 with 35 degrees of freedom is about 66.6
+JOINT_CHI2_BOUND = 70
+
+
+def _joint_chi2(class_pairs, sizes: dict[str, int]) -> Fraction:
+    """chi^2 of the joint class table against independence, n |C_A| |C_B| / 144, exactly."""
+    n = len(class_pairs)
+    observed = Counter(class_pairs)
+    return sum(
+        (Fraction(observed[a, b]) - Fraction(n * sizes[a] * sizes[b], 144)) ** 2
+        / Fraction(n * sizes[a] * sizes[b], 144)
+        for a in CLASS_LABELS
+        for b in CLASS_LABELS
+    )
+
+
 def test_a5_chebotarev_statistics(bundled_pair):
+    rows = []
     t0 = time.perf_counter()
-    summary = scan(bundled_pair, 10**6)
+    summary = scan(bundled_pair, 10**6, record_sink=lambda r: rows.append(
+        (r.p, r.class_a, r.class_b, r.order_a, r.order_b, r.verdict)))
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"scan took {elapsed:.1f}s, budget is 120s"
+    text = "".join(",".join("" if v is None else str(v) for v in row) + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_1E6_ROWS_SHA256
     sizes = {label: cls.size for label, cls in derive_weyl_classes().items()}
+    # a fault that correlates the two inputs' classes (a shared cache, a
+    # swapped context, batches merged out of order) can keep both marginals
+    chi2 = _joint_chi2([(a, b) for _, a, b, *_ in rows], sizes)
+    assert chi2 < JOINT_CHI2_BOUND, float(chi2)
     worst = 0.0
     for counts in (summary.class_counts_a, summary.class_counts_b):
         assert sum(counts.values()) == summary.scanned
@@ -137,8 +168,20 @@ def test_a5_chebotarev_statistics(bundled_pair):
     print(
         f"PASS p<=1e6 scan in {elapsed:.1f}s: worst class frequency error "
         f"{worst:.5f} <= 0.01, pattern density {float(summary.pattern_density):.5f} "
-        f"vs 1/18 (err {pattern_err:.5f} <= 0.006)"
+        f"vs 1/18 (err {pattern_err:.5f} <= 0.006), joint chi^2 {float(chi2):.1f} "
+        f"< {JOINT_CHI2_BOUND}, rows digest pinned"
     )
+
+
+def test_a5_joint_table_refutes_a_dependent_pair(ctx_a):
+    # the control: frobenius2 classified twice at every good prime up to
+    # 10^5, a pair that Pair refuses, must fail the joint-table bound
+    good = [p for p in primes_up_to(10**5) if p > 5 and ctx_a.exclusion(p) is None]
+    class_pairs = [(ctx_a.classify(p).weyl_class, ctx_a.classify(p).weyl_class) for p in good]
+    sizes = {label: cls.size for label, cls in derive_weyl_classes().items()}
+    chi2 = _joint_chi2(class_pairs, sizes)
+    assert chi2 >= JOINT_CHI2_BOUND, float(chi2)
+    print(f"PASS dependent control, {len(good)} primes: joint chi^2 {float(chi2):.0f} >= {JOINT_CHI2_BOUND}")
 
 
 def test_a6_triple_witness_and_order_divisibility(witness_sweep):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2cert.arith import (
+    _MR_TIERS,
+    _MR_WITNESSES,
     factor_integer,
     PRIME_PROOF_BOUND,
     SIEVE_LIMIT,
@@ -55,6 +57,46 @@ def test_is_prime_refuses_the_pseudoprime_at_each_witness_bound():
     for n in (2047, 1373653, 3215031751, 3474749660383, psi_12):
         assert not is_prime(n), n
     assert PRIME_PROOF_BOUND == 3317044064679887385961981 > 33 * 10**23
+
+
+# psi_k with a nontrivial factorization, as the sources of _MR_TIERS give it
+PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    # n - 1 = 2^r d with d odd: a^d = 1, or a^(2^i d) = -1 for some i < r
+    r = (n - 1 & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> r
+    return pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r))
+
+
+def test_each_witness_tier_stops_at_a_strong_pseudoprime_to_its_witnesses():
+    # each bound of the table is composite and passes every one of its k
+    # witnesses, so no tier can be stretched past its bound; that nothing
+    # below the bound passes them all is the cited search.  is_prime reads
+    # each bound with the next tier, which refutes it, except psi_13, which
+    # passes all 13 witnesses: require_proven_prime refuses it
+    assert [bound for bound, _ in _MR_TIERS] == sorted(PSI_FACTORS)
+    assert _MR_TIERS[-1] == (PRIME_PROOF_BOUND, len(_MR_WITNESSES))
+    assert _MR_WITNESSES == tuple(primes_up_to(41))
+    for bound, k in _MR_TIERS:
+        factors = PSI_FACTORS[bound]
+        assert math.prod(factors) == bound and min(factors) > 1, bound
+        assert all(_strong_probable_prime(bound, a) for a in _MR_WITNESSES[:k]), bound
+        assert is_prime(bound) == (bound == PRIME_PROOF_BOUND), bound
+    # psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so counts 8, 10 and 11 add nothing
+    assert [k for _, k in _MR_TIERS] == [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
 
 
 @given(st.integers(min_value=2, max_value=10**9))

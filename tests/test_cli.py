@@ -322,6 +322,19 @@ PINNED_OUTPUTS = {
         "bfaefd1290120ae2983ec2b30d3e4832f0ff933b88bba5a388daf97ad70dd0c0",
         0,
     ),
+    # every one of the 36 class pairs occurs below 20000, 34 of them in
+    # records with no orders, whose JSON the report encodes once per pair
+    "scan-json-20000": (
+        ("scan", "frobenius2", "frobenius3", "--limit", "20000"),
+        "f0cc3a7cb58839acf8a26eeb2b6367a6b9adb1cdf3020971f32b43ebbdc4abc6",
+        0,
+    ),
+    # the blocked pair below: all three verdicts a scan reaches, in JSON
+    "scan-json-blocked": (
+        ("scan", str(DATA / "blocked-a.json"), str(DATA / "blocked-b.json"), "--limit", "100"),
+        "9394661f980721077085bd8689988279df9dbe5bf8affb30ef628eae4486bb58",
+        0,
+    ),
     "scan-json-empty": (
         ("scan", "frobenius2", "frobenius3", "--limit", "5"),
         "1d4d9eb8a3d5d8d97d0e3c402a3dbf0e7511344bfa185e2f58bbd30a690d45e4",

@@ -125,14 +125,14 @@ def _pad(a: list[int], n: int) -> tuple[int, ...]:
 
 
 def _naive_power(base: list[int], e: int, f: list[int], p: int) -> tuple[int, ...]:
-    """base^e mod monic cubic f by binary powering on schoolbook products."""
+    """base^e mod monic f by binary powering on schoolbook products, deg f coefficients."""
     acc = [1]
     while e:
         if e & 1:
             acc = naive_poly_mod(naive_poly_mul(acc, base, p), f, p)
         base = naive_poly_mod(naive_poly_mul(base, base, p), f, p)
         e >>= 1
-    return _pad(acc, 3)
+    return _pad(acc, len(f) - 1)
 
 
 def _naive_frobenius(f: list[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -185,9 +185,9 @@ def test_frobenius_every_cubic_mod_small_primes(p):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_tower_frobenius_is_x_to_the_p(data):
-    # in R[x]/(x^2 - yx + 1), R = F_p[y]/(Q), x^p = (V - yU)/2 + U x with
-    # V = y^p and U = (y^2 - 4)^((p-1)/2); mapped back to F_p[x]/(P) by
-    # y -> x + 1/x it is x^p mod P
+    # in R[x]/(x^2 - yx + 1), R = F_p[y]/(Q), with V = y^p, U = (y^2 - 4)^((p-1)/2)
+    # and z = x - 1/x: z^p = U z, so x^p = (V + U z)/2 = (V - yU)/2 + U x;
+    # mapped back to F_p[x]/(P) by y -> x + 1/x these are z^p and x^p mod P
     p = data.draw(st.sampled_from(KERNEL_PRIMES))
     q = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(3)] + [1]
     sextic = _palindromic_mod(q, p)
@@ -195,8 +195,11 @@ def test_tower_frobenius_is_x_to_the_p(data):
     yu = _pad(naive_poly_mod(naive_poly_mul([0, 1], list(u), p), q, p), 3)
     a = [(vi - yi) * pow(2, -1, p) % p for vi, yi in zip(v, yu)]
     # 1/x = -(f1 + f2 x + ... + x^5), as P = 1 + x (f1 + f2 x + ... + x^5)
-    y = [-c % p for c in sextic[1:]]
+    inverse = [-c % p for c in sextic[1:]]
+    y = list(inverse)
     y[1] = (y[1] + 1) % p
+    z = [-c % p for c in inverse]
+    z[1] = (z[1] + 1) % p
 
     def at_y(r):  # r(x + 1/x) mod P, by Horner
         acc = [0]
@@ -205,9 +208,14 @@ def test_tower_frobenius_is_x_to_the_p(data):
             acc[0] = (acc[0] + c) % p
         return _pad(acc, 6)
 
+    uz = _pad(naive_poly_mod(naive_poly_mul(list(at_y(u)), z, p), sextic, p), 6)
+    assert _naive_power(z, p, sextic, p) == uz, (p, q)
+    x_p = _pad(naive_pow_x_mod(sextic, p, p), 6)
+    half = pow(2, -1, p)
+    assert tuple((s + t) * half % p for s, t in zip(at_y(v), uz)) == x_p, (p, q)
     ux = _pad(naive_poly_mod(naive_poly_mul(list(at_y(u)), [0, 1], p), sextic, p), 6)
     got = tuple((s + t) % p for s, t in zip(at_y(a), ux))
-    assert got == _pad(naive_pow_x_mod(sextic, p, p), 6), (p, q)
+    assert got == x_p, (p, q)
 
 
 # a squarefree palindromic sextic has its roots in pairs x, 1/x with x != +-1
@@ -237,7 +245,7 @@ def test_degree_pattern_every_palindromic_sextic(p):
         # once through _degree_pattern and once from the oracle's V, V^2 and U
         v, u = _naive_frobenius(q, p)
         mul = _cubic_ring(p, q)
-        given = _sextic_pattern(p, q, mul, v, mul(v, v), u)
+        given = _sextic_pattern(p, mul, v, mul(v, v), u)
         try:
             got = _degree_pattern(p, mod_poly(p, f))
         except NotSeparableError:

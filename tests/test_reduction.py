@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from g2cert import reduction
 from g2cert.arith import factor_integer, is_prime, primes_up_to
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
-from g2cert.poly import RatPoly
+from g2cert.poly import RatPoly, _cubic_ring, _frobenius, _sextic_pattern
 from g2cert.reduction import (
     REASON_DENOMINATOR,
     REASON_EVEN,
@@ -384,6 +384,32 @@ def test_sextic_in_6a_has_x_to_the_p_cubed_equal_to_its_inverse(ctx_a, ctx_b):
             assert naive_poly_mod(naive_poly_mul(power, [0, 1], p), sextic, p) == [1], p
             checked += 1
     assert checked == 755  # pinned, so a silently skipped prime cannot hide
+
+
+def test_only_the_tower_tells_3a_from_6a_on_the_sextic(ctx_a, ctx_b):
+    # at a 3a or 6a prime, tr N = tr N^2 = 0 for N: t -> U phi(t), so the
+    # traces read one factor of degree 6 whatever scalar c multiplies U;
+    # only (phi^3(y), U_3) = (y, 1) or (y, -1) tells (3, 3) from (6), and
+    # c U gives c^3 U_3: -U swaps the two, and 2U (8 != +-1 mod p > 7)
+    # leaves neither, a repeated factor as far as the tower can tell
+    checked = 0
+    for ctx in (ctx_a, ctx_b):
+        for p in primes_up_to(3000):
+            if p < 11 or p in ctx.excluded:
+                continue
+            x_pattern = ctx.classify(p).x_pattern
+            if x_pattern not in ((3, 3), (6,)):
+                continue
+            q = mod_poly(p, reduce_rational_coeffs(list(ctx.q.coeffs), p))
+            v, u = _frobenius(p, q)
+            mul = _cubic_ring(p, q)
+            w = mul(v, v)
+            assert _sextic_pattern(p, mul, v, w, u) == x_pattern, p
+            swapped = (6,) if x_pattern == (3, 3) else (3, 3)
+            assert _sextic_pattern(p, mul, v, w, tuple(-c % p for c in u)) == swapped, p
+            assert _sextic_pattern(p, mul, v, w, tuple(2 * c % p for c in u)) is None, p
+            checked += 1
+    assert checked == 309  # pinned, so a silently skipped prime cannot hide
 
 
 @pytest.mark.parametrize("shift", [{3: 1}, {4: 1}, {5: 1}, {3: 2, 5: 1}])
