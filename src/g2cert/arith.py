@@ -101,8 +101,6 @@ _SMALL_PRIMES = primes_up_to(_TRIAL_BOUND)
 def _brent_rho(n: int) -> int:
     # Brent's cycle variant with batched gcds; deterministic parameter
     # sequence so factorizations are reproducible.
-    from math import gcd
-
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -117,15 +115,15 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
                 k += m
             r *= 2
         if g == n:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")

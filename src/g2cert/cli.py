@@ -288,9 +288,10 @@ def _record_doc(r: CertificationReport) -> dict:
 
 
 def _record_key(r: CertificationReport) -> tuple | None:
-    """What fixes a record's _record_doc besides p, when no order and no reason is in it."""
+    """What fixes a record's _record_doc besides p, when no order and no reason is in it;
+    a class label fixes its row, as WEYL_CLASSES is keyed by label."""
     if r.order_a is None and r.order_b is None and not r.excluded_subgroups:
-        return r.verdict, r.evidence_a, r.evidence_b
+        return r.verdict, r.class_a, r.class_b
     return None
 
 

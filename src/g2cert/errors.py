@@ -50,7 +50,6 @@ class WitnessMismatchError(G2CertError):
     Carries the prime, the name of the witness that failed, the value it
     required and the value it found:
 
-    - "trace_cubic": Q mod p, and the trace cubic read off P mod p;
     - "chi_delta": the residue symbol of delta that the class requires,
       and the one computed;
     - "x_pattern": the sextic pattern the class requires, and the one found;

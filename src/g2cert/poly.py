@@ -278,13 +278,3 @@ def _tower(p: int, mul, v, w, u, k: int) -> tuple[tuple, tuple]:
         t = mul((t0 + t1 * v0 + t2 * w0, t1 * v1 + t2 * w1, t1 * v2 + t2 * w2), u)
     return s, t
 
-
-def _require_pattern_input(p: int, c: tuple[int, ...]) -> None:
-    """ValueError naming the reason unless c is a monic cubic or monic palindromic sextic, p odd."""
-    if len(c) not in (4, 7) or p < 3 or p % 2 == 0:
-        raise ValueError(
-            f"degree patterns are computed for degrees 3 and 6 mod odd p, got {_mod_str(p, c)}")
-    if (c[-1] - 1) % p:
-        raise ValueError(f"degree patterns need a monic polynomial, got {_mod_str(p, c)}")
-    if len(c) == 7 and ((c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p):
-        raise ValueError(f"sextic degree patterns need a palindromic sextic, got {_mod_str(p, c)}")

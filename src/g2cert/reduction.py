@@ -13,9 +13,10 @@ factor pattern of P mod p itself; both are recomputed and compared on
 every call, and the row comes back only once every witness agrees with
 it, so a single inconsistent witness anywhere is a hard error rather than
 a wrong answer.  The row's torus polynomial gives the order of the finite
-torus the reduced element lives in, which order_report checks.  Once the
-trace cubic of P mod p is checked equal to Q mod p, both factor patterns
-read one Frobenius pass in F_p[y]/(Q) (see ReductionContext.classify).
+torus the reduced element lives in, which order_report checks.  Only Q is
+reduced mod p: P = x^3 Q(x + 1/x) holds over Z on the integer models, so
+P mod p is Q mod p's lift, and both factor patterns read one Frobenius
+pass in F_p[y]/(Q) (see ReductionContext.classify).
 
 Element orders are computed on the trace side: x^m = 1 for every root x
 of P mod p exactly when the trace sequence V_m (V_0 = 2, V_1 = y,
@@ -59,11 +60,8 @@ from .poly import (
     _cubic_ring,
     _frobenius,
     _mod_str,
-    _require_pattern_input,
     _sextic_pattern,
     deflate_root_one,
-    format_poly,
-    integer_model,
 )
 from .polyfile import PolyFile
 from .weyl import FROBENIUS_LOOKUP, WeylClassInfo, torus_order
@@ -112,9 +110,6 @@ class ReductionContext:
         self.tag, self.evidence = classify_galois(self.model, self.square_classes)
         self.tempered = self.evidence["roots_in_interval"]
         self.unit_product = g2_lift_check(self.model)
-        # P's integer model, read off the sextic itself so that classify's
-        # trace-cubic check compares two independent reductions
-        self.x_num = tuple(integer_model(sextic.coeffs)[0])
 
     @functools.cached_property
     def exponents(self) -> tuple[dict[int, int], ...]:
@@ -172,26 +167,31 @@ class ReductionContext:
         if reason is not None:
             raise ExcludedPrimeError(p, reason)
 
-    def _residues(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(Q mod p, P mod p), both monic; P's denominator is D, so one inverse serves both."""
+    def _q_mod(self, p: int) -> tuple[int, ...]:
+        """Q mod p, monic: its integer model over D, reduced."""
         inv = pow(self.model[3] % p, -1, p)
-        q = tuple([c % p * inv % p for c in self.model])
-        return q, tuple([c % p * inv % p for c in self.x_num])
+        return tuple([c % p * inv % p for c in self.model])
 
     def classify(self, p: int, *, checked: bool = False) -> WeylClassInfo:
-        """The Weyl class of Frobenius at p, read off Q mod p and checked against P mod p.
+        """The Weyl class of Frobenius at p, read off Q mod p.
 
         The result is the class's WEYL_CLASSES row, returned only once
-        every witness has passed: P's trace cubic equals Q mod p, and
-        chi(delta) and the x-pattern of P mod p equal the row's columns.
+        every witness has passed: the y-pattern of Q mod p and chi(delta')
+        pick the row, and chi(delta) and the x-pattern of P mod p must
+        equal its columns.
 
-        Both Q and P are reduced mod p, and P's trace cubic (f3 - 2 f5,
-        f4 - 3, f5, 1) must equal Q mod p coefficient by coefficient.  One
-        Frobenius pass in F_p[y]/(Q) then serves both witnesses: it is a
-        pure function of p and the cubic's residues, so once the cubics
-        agree, the x-pattern, still read off P mod p (checked monic and
-        palindromic), is unchanged.  Sharing drops no witness; it adds the
-        equality check.
+        Only Q is reduced mod p.  palindromic_reduce accepts only a monic
+        palindromic sextic, and reads Q's model (c0, c1, c2, D) off P's
+        coefficients f3, f4, f5 over their least common denominator, which
+        is P's own (f6 = 1, f_i = f_(6-i)).  So P's integer model is
+        exactly (D, c2, c1 + 3D, c0 + 2 c2, c1 + 3D, c2, D), and as
+        reduction mod p is a ring map, at every p not dividing D, P mod p
+        is (1, q2, q1 + 3, q0 + 2 q2, q1 + 3, q2, 1) for Q mod p =
+        (q0, q1, q2, 1): monic, palindromic, with trace cubic Q mod p.  A
+        check of P mod p against Q mod p would compare two reductions of
+        the same integers, which no input __init__ accepts can fail, so
+        none is made.  One Frobenius pass in F_p[y]/(Q) serves both
+        patterns.
 
         checked=True skips ensure_good, for a caller that has already
         established that p is a prime with no exclusion and that the input
@@ -199,14 +199,7 @@ class ReductionContext:
         """
         if not checked:
             self.ensure_good(p)
-        q, sextic = self._residues(p)
-        trace_cubic = ((sextic[3] - 2 * sextic[5]) % p, (sextic[4] - 3) % p, sextic[5], 1)
-        if trace_cubic != q:
-            raise WitnessMismatchError(
-                f"p={p}: P mod p has trace cubic {format_poly(trace_cubic, 'y')} "
-                f"but Q mod p is {format_poly(q, 'y')}",
-                p=p, witness="trace_cubic", expected=q, actual=trace_cubic,
-            )
+        q = self._q_mod(p)
         v, u = _frobenius(p, q)
         mul = _cubic_ring(p, q)
         w = mul(v, v)
@@ -221,9 +214,10 @@ class ReductionContext:
                 f"requires {row.chi_delta}",
                 p=p, witness="chi_delta", expected=row.chi_delta, actual=chi_d,
             )
-        _require_pattern_input(p, sextic)
         x_pattern = _sextic_pattern(p, mul, v, w, u)
         if x_pattern is None:
+            q0, q1, q2, _ = q
+            sextic = (1, q2, (q1 + 3) % p, (q0 + 2 * q2) % p, (q1 + 3) % p, q2, 1)
             raise NotSeparableError(f"{_mod_str(p, sextic)} has a repeated factor")
         if x_pattern != row.x_pattern:
             raise WitnessMismatchError(
@@ -260,7 +254,7 @@ class ReductionContext:
         """
         if not checked:
             self.ensure_good(p)
-        f = self._residues(p)[0]
+        f = self._q_mod(p)
         torus = torus_order(cls.weyl_class, p)
         parts = sorted((q**e, q) for q, e in factor_integer(torus).items())
         g, m = (0, 1, 0), torus
@@ -329,13 +323,8 @@ def _dickson(p: int, f: tuple[int, ...], s: tuple[int, int, int], m: int) -> tup
     return v0, v1, v2
 
 
-@functools.lru_cache(maxsize=8)
-def _context(sextic: RatPoly) -> ReductionContext:
-    # kept for frobenius_class, which perfbench's certify-coxeter sampler
-    # imports; a few recent analyses are kept so each is built once
-    return ReductionContext(sextic)
-
-
 def frobenius_class(sextic: RatPoly, p: int) -> WeylClassInfo:
-    """Weyl class of Frobenius at a good odd prime, triple-witnessed: its WEYL_CLASSES row."""
-    return _context(sextic).classify(p)
+    """Weyl class of Frobenius at a good odd prime, triple-witnessed: its WEYL_CLASSES row.
+
+    Builds a new analysis on every call; to classify at many primes, hold a ReductionContext."""
+    return ReductionContext(sextic).classify(p)

@@ -40,7 +40,6 @@ from g2cert.poly import (
     _cubic_ring,
     _frobenius,
     _mod_str,
-    _require_pattern_input,
     _sextic_pattern,
 )
 from g2cert.reduction import (
@@ -304,6 +303,17 @@ def naive_degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
     return tuple(sorted(pattern))
 
 
+def _require_pattern_input(p: int, c: tuple[int, ...]) -> None:
+    """ValueError naming the reason unless c is a monic cubic or monic palindromic sextic, p odd."""
+    if len(c) not in (4, 7) or p < 3 or p % 2 == 0:
+        raise ValueError(
+            f"degree patterns are computed for degrees 3 and 6 mod odd p, got {_mod_str(p, c)}")
+    if (c[-1] - 1) % p:
+        raise ValueError(f"degree patterns need a monic polynomial, got {_mod_str(p, c)}")
+    if len(c) == 7 and ((c[0] - c[6]) % p or (c[1] - c[5]) % p or (c[2] - c[4]) % p):
+        raise ValueError(f"sextic degree patterns need a palindromic sextic, got {_mod_str(p, c)}")
+
+
 def _degree_pattern(p: int, c: tuple[int, ...]) -> tuple[int, ...]:
     """Degrees of the irreducible factors of a squarefree monic cubic, or of a
     squarefree monic palindromic sextic, mod an odd p, sorted.
@@ -314,7 +324,8 @@ def _degree_pattern(p: int, c: tuple[int, ...]) -> tuple[int, ...]:
     Raises NotSeparableError for a repeated factor, and ValueError that
     names the reason for any other input: a degree other than 3 or 6, an
     even p, a leading coefficient other than 1, or a sextic that is not
-    palindromic.  classify runs the same steps on its own pass.
+    palindromic.  classify runs the same kernels on Q mod p alone: the
+    sextic it reads is Q mod p's lift, which passes these checks.
     """
     _require_pattern_input(p, c)
     q = c if len(c) == 4 else (c[3] - 2 * c[5], c[4] - 3, c[5], 1)  # P = x^3 Q(x + 1/x)
@@ -456,6 +467,13 @@ def torus_cubic(m1: Fraction, m2: Fraction, ea: Fraction, eb: Fraction) -> tuple
     r1, r2, r3 = 2 * c1, 2 * c2, 2 * (c1 * c2 - s1 * s2)
     a, b = r1 + r2 + r3 + ea, r1 * r2 + r1 * r3 + r2 * r3 + eb
     return 4 + 2 * b - a * a, b, -a
+
+
+def lifted_model(model: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """P's integer numerators over D for Q's model (c0, c1, c2, D), P = x^3 Q(x + 1/x):
+    Q's coefficients are c_i / D, so P's x^5, x^4, x^3 are q2, q1 + 3, q0 + 2 q2."""
+    c0, c1, c2, d = model
+    return d, c2, c1 + 3 * d, c0 + 2 * c2, c1 + 3 * d, c2, d
 
 
 def inflate_palindromic(q: RatPoly) -> RatPoly:

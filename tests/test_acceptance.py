@@ -125,6 +125,10 @@ def test_a4_torus_table():
 # tower moved to the basis 1, z
 SCAN_1E6_ROWS_SHA256 = "7ff88f134392287b82c3f460915c56f41fb3c434e224868ab890f3cb0a3bb0c0"
 
+# the same digest of the 10^5 scan's rows, computed with jobs=1 before the
+# trace-cubic re-check of P mod p left classify
+SCAN_1E5_ROWS_SHA256 = "80afebfbab20fb2cea6dc3e7fbbe43362f9f7c4446e8c2b874aaae4ebc7511eb"
+
 # the 0.999 quantile of chi^2 with 35 degrees of freedom is about 66.6
 JOINT_CHI2_BOUND = 70
 
@@ -141,15 +145,26 @@ def _joint_chi2(class_pairs, sizes: dict[str, int]) -> Fraction:
     )
 
 
-def test_a5_chebotarev_statistics(bundled_pair):
+def _scan_rows(pair, limit: int, jobs: int = 1):
+    """The scan's summary and its rows (p, class_a, class_b, order_a, order_b, verdict)."""
     rows = []
-    t0 = time.perf_counter()
-    summary = scan(bundled_pair, 10**6, record_sink=lambda r: rows.append(
+    summary = scan(pair, limit, jobs=jobs, record_sink=lambda r: rows.append(
         (r.p, r.class_a, r.class_b, r.order_a, r.order_b, r.verdict)))
+    return summary, rows
+
+
+def _rows_sha256(rows) -> str:
+    """sha256 of the rows, each as a line of the scan's CSV."""
+    text = "".join(",".join("" if v is None else str(v) for v in row) + "\n" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_a5_chebotarev_statistics(bundled_pair):
+    t0 = time.perf_counter()
+    summary, rows = _scan_rows(bundled_pair, 10**6)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"scan took {elapsed:.1f}s, budget is 120s"
-    text = "".join(",".join("" if v is None else str(v) for v in row) + "\n" for row in rows)
-    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_1E6_ROWS_SHA256
+    assert _rows_sha256(rows) == SCAN_1E6_ROWS_SHA256
     sizes = {label: cls.size for label, cls in derive_weyl_classes().items()}
     # a fault that correlates the two inputs' classes (a shared cache, a
     # swapped context, batches merged out of order) can keep both marginals
@@ -182,6 +197,19 @@ def test_a5_joint_table_refutes_a_dependent_pair(ctx_a):
     chi2 = _joint_chi2(class_pairs, sizes)
     assert chi2 >= JOINT_CHI2_BOUND, float(chi2)
     print(f"PASS dependent control, {len(good)} primes: joint chi^2 {float(chi2):.0f} >= {JOINT_CHI2_BOUND}")
+
+
+def test_a5_pooled_scan_keeps_the_rows_and_the_joint_table(bundled_pair):
+    # jobs=2 cuts the 9,584 primes into batches over a real pool; a batch
+    # merged out of order or a context swapped in a worker changes the digest,
+    # and one that correlates the two inputs' classes fails the table too
+    summary, rows = _scan_rows(bundled_pair, 10**5, jobs=2)
+    assert len(rows) == summary.scanned == 9584
+    assert _rows_sha256(rows) == SCAN_1E5_ROWS_SHA256
+    sizes = {label: cls.size for label, cls in derive_weyl_classes().items()}
+    chi2 = _joint_chi2([(a, b) for _, a, b, *_ in rows], sizes)
+    assert chi2 < JOINT_CHI2_BOUND, float(chi2)
+    print(f"PASS pooled p<=1e5 scan: rows digest pinned, joint chi^2 {float(chi2):.1f} < {JOINT_CHI2_BOUND}")
 
 
 def test_a6_triple_witness_and_order_divisibility(witness_sweep):

@@ -25,7 +25,7 @@ from g2cert.palindromic import (
     temperedness_check,
     trace_values,
 )
-from g2cert.poly import RatPoly, deflate_root_one
+from g2cert.poly import RatPoly, deflate_root_one, integer_model
 from g2cert.reduction import ReductionContext
 from oracles import (
     FractionReduction,
@@ -36,6 +36,7 @@ from oracles import (
     fraction_palindromic_reduce,
     fraction_temperedness_check,
     inflate_palindromic,
+    lifted_model,
     rat_mul,
     torus_cubic,
 )
@@ -125,6 +126,8 @@ def test_analysis_matches_the_fraction_oracle(q):
         assert (got.model, got.tempered, got.unit_product) == (
             model, fraction_temperedness_check(want), fraction_g2_lift_check(q)
         )
+        # P's own integer model is Q's lifted: classify reduces only Q
+        assert tuple(integer_model(got.sextic.coeffs)[0]) == lifted_model(model)
     septic = rat_mul(sextic, RatPoly.from_coeffs([-1, 1]))
     assert deflate_root_one(septic) == fraction_deflate_root_one(septic) == sextic
 

@@ -1,6 +1,7 @@
 import pickle
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from g2cert import reduction
 from g2cert.arith import factor_integer, is_prime, primes_up_to
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
-from g2cert.poly import RatPoly, _cubic_ring, _frobenius, _sextic_pattern
+from g2cert.palindromic import TAG_D6
+from g2cert.poly import RatPoly, _cubic_ring, _frobenius, _sextic_pattern, integer_model
+from g2cert.polyfile import load_polyfile
 from g2cert.reduction import (
     REASON_DENOMINATOR,
     REASON_EVEN,
@@ -26,6 +29,7 @@ from oracles import (
     cofactor_descent_order,
     derive_weyl_classes,
     inflate_palindromic,
+    lifted_model,
     mod_poly,
     naive_degree_pattern,
     naive_legendre,
@@ -35,6 +39,8 @@ from oracles import (
     naive_pow_x_mod,
     reduce_rational_coeffs,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # classification table for the first bundle, frozen after being computed
 # once and cross-checked below against the exhaustive oracle
@@ -412,36 +418,19 @@ def test_only_the_tower_tells_3a_from_6a_on_the_sextic(ctx_a, ctx_b):
     assert checked == 309  # pinned, so a silently skipped prime cannot hide
 
 
-@pytest.mark.parametrize("shift", [{3: 1}, {4: 1}, {5: 1}, {3: 2, 5: 1}])
-def test_classify_checks_the_trace_cubic_of_p_against_q(bundle_a, shift):
-    # P = x^3 Q(x + 1/x) over Q, so the trace cubic (f3 - 2 f5, f4 - 3, f5, 1)
-    # read off P mod p is Q mod p; a change to the coefficients it reads
-    # breaks that at every prime (the last shift changes q2 = f5 alone)
-    ctx = ReductionContext.from_polyfile(bundle_a)
-    ctx.x_num = tuple(c + shift.get(i, 0) for i, c in enumerate(ctx.x_num))
-    for p in (7, 101, 999983, 10**12 + 39):
-        with pytest.raises(WitnessMismatchError, match=f"p={p}: P mod p has trace cubic") as raised:
-            ctx.classify(p)
-        e = raised.value
-        want = tuple(reduce_rational_coeffs(list(ctx.q.coeffs), p))
-        f = [c * pow(ctx.model[3], -1, p) % p for c in ctx.x_num]
-        got = ((f[3] - 2 * f[5]) % p, (f[4] - 3) % p, f[5], 1)
-        assert (e.p, e.witness, e.expected, e.actual) == (p, "trace_cubic", want, got)
-        assert got != want
-
-
-@pytest.mark.parametrize("index, reason", [
-    (0, "palindromic"), (1, "palindromic"), (2, "palindromic"), (6, "monic"),
-])
-def test_classify_refuses_p_mod_p_off_the_trace_cubic(bundle_a, index, reason):
-    # the trace cubic reads only f3, f4 and f5; the monic and palindromic
-    # check on P mod p is what ties classify to f0, f1, f2 and f6, so a
-    # change to one of them alone is refused at every prime
-    ctx = ReductionContext.from_polyfile(bundle_a)
-    ctx.x_num = tuple(c + ctx.model[3] * (i == index) for i, c in enumerate(ctx.x_num))
-    for p in (7, 101, 999983, 10**12 + 39):
-        with pytest.raises(ValueError, match=f"need a {reason} .* \\(mod {p}\\)$"):
-            ctx.classify(p)
+def test_p_is_the_lift_of_q_over_the_integers(ctx_a, ctx_b):
+    # classify reduces only Q: P's integer model, read off the sextic alone,
+    # must be Q's model lifted, so that P mod p is Q mod p's lift at every
+    # p not dividing D; every input that has an analysis, D6 or not
+    contexts = [ctx_a, ctx_b]
+    for path in sorted(DATA.glob("*.json")):
+        try:
+            contexts.append(ReductionContext.from_polyfile(load_polyfile(str(path))))
+        except G2CertError:
+            assert path.stem == "no-root-at-one"
+    for ctx in contexts:
+        assert tuple(integer_model(ctx.sextic.coeffs)[0]) == lifted_model(ctx.model), ctx.sextic
+    assert [ctx.tag for ctx in contexts].count(TAG_D6) == 6
 
 
 def _nonresidue(p):
