@@ -12,6 +12,8 @@ import math
 import re
 from fractions import Fraction
 
+from .errors import FactoringBudgetError
+
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 # psi_k is the least strong pseudoprime to each of the first k primes, so
@@ -98,21 +100,29 @@ def primes_up_to(n: int) -> list[int]:
 _SMALL_PRIMES = primes_up_to(_TRIAL_BOUND)
 
 
-def _brent_rho(n: int) -> int:
+def _brent_rho(n: int, steps: float) -> tuple[int | None, float]:
     # Brent's cycle variant with batched gcds; deterministic parameter
-    # sequence so factorizations are reproducible.
+    # sequence so factorizations are reproducible.  (factor, steps left), or
+    # None once a block of steps y -> y^2 + c would spend more than steps; a
+    # backtrack after a gcd of n retraces at most m = 128 of them uncounted.
     if n % 2 == 0:
-        return 2
+        return 2, steps
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
             x = y
+            steps -= r
+            if steps < 0:
+                return None, steps
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
+                steps -= min(m, r - k)
+                if steps < 0:
+                    return None, steps
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
@@ -125,16 +135,18 @@ def _brent_rho(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
         if g != n:
-            return g
+            return g, steps
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-def factor_integer(n: int) -> dict[int, int]:
+def factor_integer(n: int, max_steps: int | None = None) -> dict[int, int]:
     """Complete factorization of |n| as {prime: exponent}, primes ascending.
 
     Trial division by small primes first, then Pollard-Brent rho on what
     remains.  Every recorded prime passes is_prime: proven below
-    PRIME_PROOF_BOUND, probable above it.
+    PRIME_PROOF_BOUND, probable above it.  With max_steps, rho takes at
+    most that many steps in all, and FactoringBudgetError names the digit
+    count of the cofactor it leaves unsplit.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -147,14 +159,23 @@ def factor_integer(n: int) -> dict[int, int]:
             counts[p] = counts.get(p, 0) + 1
             m //= p
     stack = [m] if m > 1 else []
+    steps = math.inf if max_steps is None else max_steps
     while stack:
         m = stack.pop()
         if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        d = _brent_rho(m)
+        d, steps = _brent_rho(m, steps)
+        if d is None:
+            digits = len(str(m))
+            raise FactoringBudgetError(f"no factor of a {digits}-digit cofactor within {max_steps} rho steps")
+        m //= d
         stack.append(d)
-        stack.append(m // d)
+        while m % d == 0:  # a repeated factor: split off every copy at once
+            m //= d
+            stack.append(d)
+        if m > 1:
+            stack.append(m)
     return dict(sorted(counts.items()))
 
 

@@ -25,6 +25,15 @@ class NotSeparableError(G2CertError):
     """A polynomial that must be squarefree has a repeated factor."""
 
 
+class FactoringBudgetError(G2CertError):
+    """A displayed factorization ran out of its fixed Brent-rho step budget.
+
+    The message names the field and the digit count of the cofactor left
+    unsplit.  The budget counts steps, not time, so the same input fails
+    the same way on every host.
+    """
+
+
 class ExcludedPrimeError(G2CertError):
     """Reduction attempted at a prime of bad reduction.
 
@@ -52,7 +61,7 @@ class WitnessMismatchError(G2CertError):
 
     - "chi_delta": the residue symbol of delta that the class requires,
       and the one computed;
-    - "x_pattern": the sextic pattern the class requires, and the one found;
+    - "x_pattern": the sextic pattern the class requires, and the one found or None;
     - "torus": (2, 0, 0), and V_T for the torus order T, both in F_p[y]/(Q);
     - "element_orders": 7, the least order allowed in classes 3a and 6a,
       and the two orders found.

@@ -11,16 +11,15 @@ which palindromic_reduce returns.  Everything here is a pure function of
 that model, or of the square classes n and n', num * den of
 delta = disc(Q) and delta' = Q(2)Q(-2); reduction.ReductionContext holds
 their values, one analysis per input.  Every decision is an integer sign,
-equality, root search or square root on c0, c1, c2, D, n and n'; none
-factors.  Only square_class_exponents factors, for the displayed
-square_kernels and ramified_primes.
+equality, root search or square root on c0, c1, c2, D, n and n'.  Nothing
+here factors: the displayed fields that do are ReductionContext's.
 """
 
 from __future__ import annotations
 
 import math
 
-from .arith import factor_integer, is_square, squarefree_kernel
+from .arith import is_square
 from .errors import NotMonicError, NotPalindromicError
 from .poly import RatPoly, cubic_discriminant, integer_model
 
@@ -73,17 +72,6 @@ def separability_check(square_classes: tuple[int, int]) -> bool:
     """True iff P has six distinct roots, none at +-1: delta and delta' nonzero."""
     nd, nd_prime = square_classes
     return nd != 0 and nd_prime != 0
-
-
-def square_class_exponents(square_classes: tuple[int, int]) -> tuple[dict[int, int], ...]:
-    """Prime exponents of the square classes of delta and delta', which must be nonzero."""
-    nd, nd_prime = square_classes
-    return factor_integer(nd), factor_integer(nd_prime)
-
-
-def ramified_primes(exponents: tuple[dict[int, int], ...]) -> frozenset[int]:
-    """Primes dividing a numerator or denominator of delta or delta', from the square classes' exponents."""
-    return frozenset(exponents[0].keys() | exponents[1].keys())
 
 
 def temperedness_check(model: Model) -> bool:
@@ -236,16 +224,3 @@ def classify_galois(model: Model, square_classes: tuple[int, int]) -> tuple[str,
     else:
         tag = TAG_D6 if g2_lift_check(model) else TAG_WEYL_BC
     return tag, evidence
-
-
-def square_kernels(square_classes: tuple[int, int], exponents: tuple[dict[int, int], ...]) -> frozenset[int]:
-    """Squarefree kernels of delta, delta' and their product, from the square classes' exponents.
-
-    The quadratic subfields of the splitting field are cut out by these
-    three kernels.  The product's kernel is k k' / gcd(k, k')^2, since k
-    and k' are squarefree.
-    """
-    (nd, nd_prime), (exps, exps_prime) = square_classes, exponents
-    k, k_prime = squarefree_kernel(nd, exps), squarefree_kernel(nd_prime, exps_prime)
-    g = math.gcd(k, k_prime)
-    return frozenset((k, k_prime, k * k_prime // (g * g)))

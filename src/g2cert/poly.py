@@ -49,9 +49,9 @@ were read right; if P is squarefree, they were and it holds.  A failed
 check, or traces no pattern fits, proves a repeated factor.  For (6) the
 check is read at x^(p^3) = 1/x = (y - z)/2, i.e. (phi^3(y), U_3) = (y, -1)
 (_sextic_pattern), so a squarefree P takes at most 3 tower steps from
-(V, U), the 3 to x^(p^4) for a factor of degree 4.  The cubic is
-squarefree by its discriminant, and once x^p != x its r1 = tr M =
-1 + (x^p)_1 + (x^(2p))_2 is 1 or 0.
+(V, U), the 3 to x^(p^4) for a factor of degree 4.  The cubic's pattern
+assumes it squarefree, which its caller establishes, and once x^p != x
+its r1 = tr M = 1 + (x^p)_1 + (x^(2p))_2 is 1 or 0.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .errors import NotSeparableError
 
 DegreePattern = tuple[int, ...]
 
@@ -157,11 +155,6 @@ def cubic_discriminant(c, b, a):
     return 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
 
 
-def _mod_str(p: int, coeffs: Sequence[int]) -> str:
-    """A polynomial over F_p as error messages name it: "x^3 + 2*x + 1 (mod 7)"."""
-    return format_poly(coeffs, "x") + f" (mod {p})"
-
-
 # ---------------------------------------------------------------------------
 # the cubic kernel over F_p
 #
@@ -220,11 +213,8 @@ def _frobenius(p: int, q: Sequence[int]) -> tuple[tuple[int, int, int], tuple[in
 
 
 def _cubic_pattern(p: int, f: tuple[int, ...], v: tuple, w: tuple) -> DegreePattern:
-    """Pattern of a monic cubic f, given v = x^p and w = x^2p mod f: squarefree by the
-    discriminant, else NotSeparableError; then (1, 1, 1) iff x^p = x, else
-    r1 = tr M = 1 + (x^p)_1 + (x^2p)_2."""
-    if not cubic_discriminant(*f[:3]) % p:
-        raise NotSeparableError(f"{_mod_str(p, f)} has a repeated factor")
+    """Pattern of a monic cubic f that the caller knows squarefree, given v = x^p and
+    w = x^2p mod f: (1, 1, 1) iff x^p = x, else r1 = tr M = 1 + (x^p)_1 + (x^2p)_2."""
     if v == (0, 1, 0):
         return (1, 1, 1)
     return (1, 2) if (1 + v[1] + w[2]) % p == 1 else (3,)
@@ -242,6 +232,7 @@ def _sextic_pattern(p: int, mul, v, w, u) -> DegreePattern | None:
     is the involution of F_(p^6)/F_(p^3), so it fixes y, a root of the cubic
     Q, and sends x, not in F_(p^3), to the other root 1/x of t^2 - y t + 1.
     Conversely x^(p^3) = 1/x gives x^(p^6) = x, the check for L = 6.
+    Unlike _cubic_pattern it proves squarefreeness itself, for any Q.
     """
     (v0, v1, v2), (w0, w1, w2), (u0, u1, u2) = v, w, u
     c0, c1, c2 = mul(u, v)  # N has columns U, U V, U V^2

@@ -1,8 +1,8 @@
 """The analysis of one input sextic, and its Frobenius data at good primes.
 
 ReductionContext is the one object that holds the whole analysis of an
-input; palindromic.py holds the pure functions on the integer model of Q
-that compute its fields.
+input, and the only one that factors; palindromic.py holds the pure
+functions on the integer model of Q that compute its decided fields.
 
 For a sextic P with dihedral (order 12) splitting field, the conjugacy
 class of Frobenius at a good prime p is pinned down by two cheap residue
@@ -33,11 +33,13 @@ length log q (see ReductionContext.order_report).
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
-from .arith import factor_integer, is_prime, require_proven_prime
+from .arith import factor_integer, is_prime, require_proven_prime, squarefree_kernel
 from .errors import (
     ExcludedPrimeError,
+    FactoringBudgetError,
     G2CertError,
     NotPalindromicError,
     NotSeparableError,
@@ -48,21 +50,10 @@ from .palindromic import (
     classify_galois,
     g2_lift_check,
     palindromic_reduce,
-    ramified_primes,
     scaled_discriminant,
-    square_class_exponents,
-    square_kernels,
     trace_values,
 )
-from .poly import (
-    RatPoly,
-    _cubic_pattern,
-    _cubic_ring,
-    _frobenius,
-    _mod_str,
-    _sextic_pattern,
-    deflate_root_one,
-)
+from .poly import RatPoly, _cubic_pattern, _cubic_ring, _frobenius, _sextic_pattern, deflate_root_one
 from .polyfile import PolyFile
 from .weyl import FROBENIUS_LOOKUP, WeylClassInfo, torus_order
 
@@ -70,6 +61,19 @@ REASON_DENOMINATOR = "DenominatorVanishes"
 REASON_RAMIFIED = "RamifiedDiscriminant"
 REASON_STEINBERG = "SteinbergPrime"
 REASON_EVEN = "EvenPrime"
+
+# Brent-rho steps per factorization for the displayed fields, a count and
+# not a time so the bytes do not depend on the host.  The pinned inputs need
+# none; the worst of 12,000 seeded reduce-corpus files needs 1,022.
+DISPLAY_RHO_STEPS = 2**14
+
+
+def _displayed_factors(field: str, n: int) -> dict[int, int]:
+    """factor_integer(n) within DISPLAY_RHO_STEPS, for a field that only display reads."""
+    try:
+        return factor_integer(n, DISPLAY_RHO_STEPS)
+    except FactoringBudgetError as e:
+        raise FactoringBudgetError(f"{field}: {e}") from None
 
 
 class ReductionContext:
@@ -81,7 +85,9 @@ class ReductionContext:
     refuses an inseparable input, and records the Galois tag and its
     evidence, temperedness and the lift identity.  None of that factors;
     nor does exclusion(p).  The displayed square_kernels, ramified and
-    excluded primes factor on first use.  Any separable sextic gets an
+    excluded primes factor on first use, each factorization within
+    DISPLAY_RHO_STEPS rho steps, else FactoringBudgetError; no other module
+    factors.  Any separable sextic gets an
     analysis; only the per-prime methods, which need the order-12 dihedral
     splitting field, refuse other tags.
     """
@@ -114,20 +120,26 @@ class ReductionContext:
     @functools.cached_property
     def exponents(self) -> tuple[dict[int, int], ...]:
         """Prime exponents of the square classes; only the displayed fields read them."""
-        return square_class_exponents(self.square_classes)
+        return tuple(_displayed_factors("exponents", n) for n in self.square_classes)
 
     @functools.cached_property
     def square_kernels(self) -> frozenset[int]:
-        return square_kernels(self.square_classes, self.exponents)
+        """Squarefree kernels k, k' of delta, delta', which cut out the quadratic
+        subfields, and of their product, k k' / gcd(k, k')^2."""
+        k, k_prime = map(squarefree_kernel, self.square_classes, self.exponents)
+        g = math.gcd(k, k_prime)
+        return frozenset((k, k_prime, k * k_prime // (g * g)))
 
     @functools.cached_property
     def ramified(self) -> frozenset[int]:
-        return ramified_primes(self.exponents)
+        """Primes dividing a numerator or denominator of delta or delta'."""
+        return frozenset(self.exponents[0].keys() | self.exponents[1].keys())
 
     @functools.cached_property
     def excluded(self) -> dict[int, str]:
         """exclusion(q) over the primes of D, the ramified primes and the Steinberg prime, ascending."""
-        primes = {*factor_integer(self.model[3]), *self.ramified, self.steinberg_prime} - {None}
+        d_primes = _displayed_factors("excluded", self.model[3])
+        primes = {*d_primes, *self.ramified, self.steinberg_prime} - {None}
         return {q: self.exclusion(q) for q in sorted(primes)}
 
     @classmethod
@@ -193,6 +205,11 @@ class ReductionContext:
         none is made.  One Frobenius pass in F_p[y]/(Q) serves both
         patterns.
 
+        Nor is separability decided again: for odd p not dividing D n n',
+        disc(Q mod p) = delta mod p != 0 and Q(+-2) != 0 mod p.  P mod p is
+        squarefree exactly then, as its roots pair as t, 1/t with t + 1/t a
+        root of Q and t != +-1.  So a None x-pattern fails its witness.
+
         checked=True skips ensure_good, for a caller that has already
         established that p is a prime with no exclusion and that the input
         is D6 (certify and the frobenius command do).
@@ -215,10 +232,6 @@ class ReductionContext:
                 p=p, witness="chi_delta", expected=row.chi_delta, actual=chi_d,
             )
         x_pattern = _sextic_pattern(p, mul, v, w, u)
-        if x_pattern is None:
-            q0, q1, q2, _ = q
-            sextic = (1, q2, (q1 + 3) % p, (q0 + 2 * q2) % p, (q1 + 3) % p, q2, 1)
-            raise NotSeparableError(f"{_mod_str(p, sextic)} has a repeated factor")
         if x_pattern != row.x_pattern:
             raise WitnessMismatchError(
                 f"p={p}: sextic splits as {x_pattern} but class {row.weyl_class} "

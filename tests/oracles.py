@@ -39,8 +39,9 @@ from g2cert.poly import (
     _cubic_pattern,
     _cubic_ring,
     _frobenius,
-    _mod_str,
     _sextic_pattern,
+    cubic_discriminant,
+    format_poly,
 )
 from g2cert.reduction import (
     REASON_DENOMINATOR,
@@ -303,6 +304,11 @@ def naive_degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
     return tuple(sorted(pattern))
 
 
+def _mod_str(p: int, coeffs: tuple[int, ...]) -> str:
+    """A polynomial over F_p as error messages name it: "x^3 + 2*x + 1 (mod 7)"."""
+    return format_poly(coeffs, "x") + f" (mod {p})"
+
+
 def _require_pattern_input(p: int, c: tuple[int, ...]) -> None:
     """ValueError naming the reason unless c is a monic cubic or monic palindromic sextic, p odd."""
     if len(c) not in (4, 7) or p < 3 or p % 2 == 0:
@@ -320,6 +326,7 @@ def _degree_pattern(p: int, c: tuple[int, ...]) -> tuple[int, ...]:
 
     Both read one Frobenius pass in F_p[y]/(Q), Q = f itself (cubic) or the
     trace cubic (f3 - 2 f5, f4 - 3, f5, 1) of f = x^3 Q(x + 1/x) (sextic).
+    A cubic is squarefree by its discriminant, a sextic by _sextic_pattern.
 
     Raises NotSeparableError for a repeated factor, and ValueError that
     names the reason for any other input: a degree other than 3 or 6, an
@@ -332,7 +339,10 @@ def _degree_pattern(p: int, c: tuple[int, ...]) -> tuple[int, ...]:
     v, u = _frobenius(p, q)
     mul = _cubic_ring(p, q)
     w = mul(v, v)
-    pattern = _cubic_pattern(p, q, v, w) if len(c) == 4 else _sextic_pattern(p, mul, v, w, u)
+    if len(c) == 4:  # _cubic_pattern takes a squarefree cubic
+        pattern = _cubic_pattern(p, q, v, w) if cubic_discriminant(*q[:3]) % p else None
+    else:
+        pattern = _sextic_pattern(p, mul, v, w, u)
     if pattern is None:
         raise NotSeparableError(f"{_mod_str(p, c)} has a repeated factor")
     return pattern

@@ -46,13 +46,10 @@ TRACED_BINDINGS = (
     ("g2cert.certify", "primes_up_to"),
     ("g2cert.reduction", "palindromic_reduce"),
     ("g2cert.reduction", "classify_galois"),
-    ("g2cert.reduction", "ramified_primes"),
     ("g2cert.reduction", "factor_integer"),
     ("g2cert.reduction", "ReductionContext.classify"),
     ("g2cert.reduction", "ReductionContext.order_report"),
     ("g2cert.palindromic", "classify_galois"),
-    ("g2cert.palindromic", "factor_integer"),
-    ("g2cert.palindromic", "squarefree_kernel"),
     ("g2cert.arith", "factor_integer"),
     ("g2cert.arith", "squarefree_kernel"),
 )

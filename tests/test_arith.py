@@ -17,6 +17,7 @@ from g2cert.arith import (
     require_sievable,
     squarefree_kernel,
 )
+from g2cert.errors import FactoringBudgetError, G2CertError
 from oracles import naive_is_prime
 
 
@@ -125,6 +126,17 @@ def test_prime_factorization_value():
     f = factor_integer(1000003 * 999983 * 40)
     assert math.prod(p**e for p, e in f.items()) == 1000003 * 999983 * 40
     assert list(f.items()) == [(2, 3), (5, 1), (999983, 1), (1000003, 1)]
+
+
+def test_factor_integer_step_cap():
+    # the cap counts rho steps over the whole call, never time: the same n
+    # fails the same way, and a cap it fits under changes nothing
+    n = 1000003 * 999983 * 40
+    assert factor_integer(n, 2**14) == factor_integer(n)
+    with pytest.raises(FactoringBudgetError) as raised:
+        factor_integer(n, 8)
+    assert isinstance(raised.value, G2CertError)
+    assert str(raised.value) == "no factor of a 12-digit cofactor within 8 rho steps"
 
 
 def _kernel(r: Fraction) -> int:

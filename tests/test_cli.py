@@ -499,6 +499,36 @@ def test_large_d6_csv_scan_runs_in_bounded_time():
     )
 
 
+# The displayed fields of lift-identity and large-d6 (square_kernels and
+# ramified_primes from the exponents, and a JSON scan's excluded_primes from
+# D) need more rho steps than reduction.DISPLAY_RHO_STEPS allows: each of
+# these commands ends at once in the typed error, with nothing on stdout.
+BUDGET_PINS = {
+    "reduce-lift-identity": (
+        ("reduce", LIFT_IDENTITY),
+        (hashlib.sha256(b"").hexdigest(), 1,
+         "g2cert: exponents: no factor of a 192-digit cofactor within 16384 rho steps\n"),
+    ),
+    "reduce-large-d6": (
+        ("reduce", LARGE_D6),
+        (hashlib.sha256(b"").hexdigest(), 1,
+         "g2cert: exponents: no factor of a 469-digit cofactor within 16384 rho steps\n"),
+    ),
+    "scan-large-d6": (
+        ("scan", LARGE_D6, "frobenius3", "--limit", "100"),
+        (hashlib.sha256(b"").hexdigest(), 1,
+         "g2cert: excluded: no factor of a 54-digit cofactor within 16384 rho steps\n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUDGET_PINS)
+def test_displayed_factoring_stops_at_its_budget(name):
+    argv, pin = BUDGET_PINS[name]
+    r = run_cli(*argv, timeout=5)
+    assert (hashlib.sha256(r.stdout.encode()).hexdigest(), r.returncode, r.stderr) == pin
+
+
 def test_scan_excludes_steinberg_prime_in_library_and_cli(tmp_path):
     path = steinberg29_file(tmp_path)
     records = []

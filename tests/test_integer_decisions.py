@@ -33,9 +33,9 @@ from oracles import factored_exclusions, factored_square_kernels
 DATA = Path(__file__).parent / "data"
 BUNDLED = ("frobenius2", "frobenius3")
 # no-root-at-one has no analysis (its deflation fails); the displayed fields
-# of lift-identity and large-d6 factor a 201- and a 318-digit delta, which
-# has no time bound yet, so only their decisions are tested (below and in
-# test_cli.py)
+# of lift-identity and large-d6 need more rho steps on a 201- and a 318-digit
+# delta than the display budget allows, so only their decisions are tested
+# (below and in test_cli.py)
 NOT_COMPARED = {"no-root-at-one", "lift-identity", "large-d6"}
 DATA_NAMES = sorted(path.stem for path in DATA.glob("*.json") if path.stem not in NOT_COMPARED)
 LIFT_IDENTITY = DATA / "lift-identity.json"
@@ -59,11 +59,18 @@ class Factored(Exception):
 def no_factoring(monkeypatch):
     """factor_integer raises, at every binding the input analysis reaches it by."""
 
-    def refuse(n):
+    def refuse(n, max_steps=None):
         raise Factored(n)
 
-    for module in (g2cert.arith, g2cert.palindromic, g2cert.reduction):
+    for module in (g2cert.arith, g2cert.reduction):
         monkeypatch.setattr(module, "factor_integer", refuse)
+
+
+def test_palindromic_has_no_factoring_binding():
+    # the decisions' module cannot factor; ReductionContext owns every
+    # displayed factorization
+    assert not hasattr(g2cert.palindromic, "factor_integer")
+    assert not hasattr(g2cert.palindromic, "squarefree_kernel")
 
 
 def _primes_to_check(excluded: dict[int, str]) -> list[int]:

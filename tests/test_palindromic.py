@@ -15,11 +15,8 @@ from g2cert.palindromic import (
     classify_galois,
     g2_lift_check,
     palindromic_reduce,
-    ramified_primes,
     scaled_discriminant,
     separability_check,
-    square_class_exponents,
-    square_kernels,
     temperedness_check,
     trace_values,
 )
@@ -28,6 +25,7 @@ from g2cert.reduction import ReductionContext
 from oracles import (
     cubic_model,
     discriminant,
+    factored_square_kernels,
     inflate_palindromic,
     naive_has_rational_root,
     naive_is_square,
@@ -259,7 +257,7 @@ def test_classification_rejects_square_discriminant():
 
 
 def test_ramified_primes_bundles(ctx_a, ctx_b):
-    assert ctx_a.ramified == ramified_primes(square_class_exponents(ctx_a.square_classes)) == {2, 3, 71, 199}
+    assert ctx_a.ramified == {q for n in ctx_a.square_classes for q in factor_integer(n)} == {2, 3, 71, 199}
     assert ctx_b.ramified == {2, 3, 7, 13, 7321}
 
 
@@ -290,7 +288,7 @@ def test_square_evidence_matches_oracle(body):
     assert evidence["product_nonsquare"] == (not naive_is_square(d * dp))
     # the kernel of v is the one squarefree k with v / k a rational square
     values, kernels = (d, dp, d * dp), ctx.square_kernels
-    assert kernels == square_kernels(ctx.square_classes, ctx.exponents)
+    assert kernels == factored_square_kernels(ctx)
     assert all(all(e == 1 for e in factor_integer(k).values()) for k in kernels)
     assert all(any(naive_is_square(v / k) for k in kernels) for v in values)
     assert all(any(naive_is_square(v / k) for v in values) for k in kernels)

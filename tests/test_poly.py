@@ -308,15 +308,14 @@ def test_degree_pattern_all_cubics_mod_5():
         for b in range(p):
             for c in range(p):
                 f = mod_poly(p, [c, b, a, 1])
+                if naive_gcd_degree(f, naive_derivative(f, p), p):
+                    with pytest.raises(NotSeparableError):
+                        _degree_pattern(p, f)
+                    continue
                 # once through _degree_pattern and once from the oracle's V and V^2
                 v = _naive_frobenius([c, b, a, 1], p)[0]
                 w = _cubic_ring(p, f)(v, v)
-                try:
-                    got = _degree_pattern(p, f)
-                except NotSeparableError:
-                    with pytest.raises(NotSeparableError):
-                        _cubic_pattern(p, f, v, w)
-                    continue
+                got = _degree_pattern(p, f)
                 want = naive_degree_pattern([c, b, a, 1], p)
                 assert got == want, (a, b, c)
                 assert _cubic_pattern(p, f, v, w) == want, (a, b, c)
