@@ -14,6 +14,11 @@ none), a line per tail field, `}`; each value is json.dumps(value,
 indent=indent) with its newlines padded to its depth (indent=2 gives
 json.dumps(doc, indent=2), indent=None a compact line per value).  CSV is
 the column names, a row per record, `# <json>` per tail value.
+
+One input at one prime has one evidence shape, `_evidence`.  A `frobenius`
+record is p and that evidence; a `certify` report carries each side's under
+the same names with an `_a`/`_b` suffix (`class_a`, `order_evidence_a` for
+the class and the order keys), a `scan` record its y-pattern and symbols.
 """
 
 from __future__ import annotations
@@ -52,9 +57,10 @@ from .polyfile import (
     load_polyfile,
 )
 from .reduction import ReductionContext
-from .weyl import CLASS_LABELS, torus_order, torus_poly_str
+from .weyl import CLASS_LABELS, WeylClassInfo, torus_order, torus_poly_str
 
 SCHEMA = "g2cert-report-1"
+_ORDER_KEYS = ("exact_order", "order_divides_torus", "exceeds")  # _evidence's, given an order
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +173,18 @@ def _excluded_doc(excluded: dict[int, str]) -> list[dict]:
     return [{"p": p, "reason": why} for p, why in excluded.items()]
 
 
-def _exceeds(order: int) -> dict[str, bool]:
-    """Whether the exact order is above 3 and above 19, strictly."""
-    return {str(b): order > b for b in (3, 19)}
-
-
-def _order_doc(order: int) -> dict:
-    """The order evidence of one element, as frobenius and certify print it."""
-    # always true: order_report raises WitnessMismatchError unless V_torus = 2,
-    # so every order it returns divides the torus order
-    return {"exact_order": order, "order_divides_torus": True, "exceeds": _exceeds(order)}
+def _evidence(row: WeylClassInfo, p: int, order: int | None = None) -> dict:
+    """One input's evidence at p, from the WEYL_CLASSES row classify verified; given
+    the exact order, also the _ORDER_KEYS (exceeds: strictly above 3, above 19)."""
+    ev = {"y_pattern": list(row.y_pattern), "chi_delta_prime": row.chi_delta_prime,
+          "chi_delta": row.chi_delta, "weyl_class": row.weyl_class,
+          "torus_order": torus_order(row.weyl_class, p), "x_pattern": list(row.x_pattern)}
+    if order is not None:
+        # always true: order_report raises WitnessMismatchError unless V_torus = 2,
+        # so every order it returns divides the torus order
+        ev.update(exact_order=order, order_divides_torus=True,
+                  exceeds={str(b): order > b for b in (3, 19)})
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +233,7 @@ def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
     if why is not None:
         return {"p": p, "excluded": why}
     cls = ctx.classify(p, checked=True)
-    return {
-        "p": p,
-        "y_pattern": list(cls.y_pattern),
-        "chi_delta_prime": cls.chi_delta_prime,
-        "chi_delta": cls.chi_delta,
-        "weyl_class": cls.weyl_class,
-        "torus_order": torus_order(cls.weyl_class, p),
-        "x_pattern": list(cls.x_pattern),
-        **_order_doc(ctx.order_report(p, cls, checked=True)),
-    }
+    return {"p": p, **_evidence(cls, p, ctx.order_report(p, cls, checked=True))}
 
 
 def _frobenius_row(r: dict) -> list:
@@ -267,21 +266,11 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 
 def _record_doc(r: CertificationReport) -> dict:
     """One prime of a pair: a scan record, and the body of a certify report."""
-    doc: dict[str, Any] = {
-        "p": r.p,
-        "class_a": r.class_a,
-        "class_b": r.class_b,
-        "order_a": r.order_a,
-        "order_b": r.order_b,
-        "verdict": r.verdict,
-    }
+    doc: dict[str, Any] = {"p": r.p, "class_a": r.class_a, "class_b": r.class_b,
+                           "order_a": r.order_a, "order_b": r.order_b, "verdict": r.verdict}
     if r.evidence_a is not None and r.evidence_b is not None:
-        doc["y_pattern_a"] = list(r.evidence_a.y_pattern)
-        doc["y_pattern_b"] = list(r.evidence_b.y_pattern)
-        doc["chi_delta_a"] = r.evidence_a.chi_delta
-        doc["chi_delta_b"] = r.evidence_b.chi_delta
-        doc["chi_delta_prime_a"] = r.evidence_a.chi_delta_prime
-        doc["chi_delta_prime_b"] = r.evidence_b.chi_delta_prime
+        for k in ("y_pattern", "chi_delta", "chi_delta_prime"):  # _evidence's names
+            doc[f"{k}_a"], doc[f"{k}_b"] = getattr(r.evidence_a, k), getattr(r.evidence_b, k)
     if r.excluded_subgroups:
         doc["reasons"] = [f"{label}: {why}" for label, why in r.excluded_subgroups]
     return doc
@@ -303,15 +292,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
     doc.update(_record_doc(report))
     if report.note:
         doc["note"] = report.note
-    for side, ev, order in (
-        ("a", report.evidence_a, report.order_a),
-        ("b", report.evidence_b, report.order_b),
-    ):
-        if ev is not None:
-            doc[f"x_pattern_{side}"] = list(ev.x_pattern)
-            doc[f"torus_order_{side}"] = torus_order(ev.weyl_class, report.p)
-        if order is not None:
-            doc[f"order_evidence_{side}"] = _order_doc(order)
+    for s in ("a", "b"):
+        row, order = getattr(report, f"evidence_{s}"), getattr(report, f"order_{s}")
+        if row is not None:
+            ev = _evidence(row, report.p, order)
+            doc[f"x_pattern_{s}"], doc[f"torus_order_{s}"] = ev["x_pattern"], ev["torus_order"]
+            if order is not None:
+                doc[f"order_evidence_{s}"] = {k: ev[k] for k in _ORDER_KEYS}
     _write_json(doc, args.out)
     return 0 if report.verdict == VERDICT_CERTIFIED else 1
 
@@ -371,8 +358,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_torus_orders(args: argparse.Namespace) -> int:
-    if args.q is not None and args.q < 2:
-        raise ValueError("q must be at least 2")
     rows = []
     for label in CLASS_LABELS:
         row: dict[str, Any] = {"class": label, "polynomial": torus_poly_str(label)}

@@ -68,12 +68,6 @@ def scaled_discriminant(model: Model) -> int:
     return cubic_discriminant(c0 * d * d, c1 * d, c2)
 
 
-def separability_check(square_classes: tuple[int, int]) -> bool:
-    """True iff P has six distinct roots, none at +-1: delta and delta' nonzero."""
-    nd, nd_prime = square_classes
-    return nd != 0 and nd_prime != 0
-
-
 def temperedness_check(model: Model) -> bool:
     """Exact sign test confining the roots of Q to (-2, 2).
 
@@ -201,15 +195,16 @@ def classify_galois(model: Model, square_classes: tuple[int, int]) -> tuple[str,
     temperedness nothing more can be claimed (Inconclusive).
 
     Squareness is an integer square root of the square classes num * den.
+    Precondition: P is separable, delta and delta' nonzero, which
+    ReductionContext checks first (NotSeparableError).
     """
-    separable = separability_check(square_classes)
     nd, nd_prime = square_classes
     evidence = {
         "q_irreducible": _cubic_irreducible(model),
-        "delta_nonsquare": separable and not is_square(nd),
-        "delta_prime_nonsquare": separable and not is_square(nd_prime),
-        "product_nonsquare": separable and not is_square(nd * nd_prime),
-        "roots_in_interval": separable and temperedness_check(model),
+        "delta_nonsquare": not is_square(nd),
+        "delta_prime_nonsquare": not is_square(nd_prime),
+        "product_nonsquare": not is_square(nd * nd_prime),
+        "roots_in_interval": temperedness_check(model),
     }
     algebraic = (
         evidence["q_irreducible"]

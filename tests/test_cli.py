@@ -16,6 +16,7 @@ from g2cert.arith import SIEVE_LIMIT
 from g2cert.certify import Pair, scan
 from g2cert.poly import RatPoly
 from g2cert.polyfile import PolyFile, bundled_polyfile, load_polyfile, serialize_polyfile
+from g2cert.weyl import WEYL_CLASSES
 from oracles import inflate_palindromic, rat_mul, torus_cubic
 
 
@@ -128,10 +129,33 @@ def test_frobenius_single_prime():
 
 def test_frobenius_exceeds_boundary():
     # "exceeds" compares strictly against exactly the thresholds 3 and 19
-    assert cli._exceeds(3) == {"3": False, "19": False}
-    assert cli._exceeds(4) == {"3": True, "19": False}
-    assert cli._exceeds(19) == {"3": True, "19": False}
-    assert cli._exceeds(20) == {"3": True, "19": True}
+    exceeds = {n: cli._evidence(WEYL_CLASSES["6a"], 7, n)["exceeds"] for n in (3, 4, 19, 20)}
+    assert exceeds == {
+        3: {"3": False, "19": False},
+        4: {"3": True, "19": False},
+        19: {"3": True, "19": False},
+        20: {"3": True, "19": True},
+    }
+
+
+EVIDENCE_KEYS = ("y_pattern", "chi_delta_prime", "chi_delta", "weyl_class", "torus_order", "x_pattern")
+ORDER_KEYS = ("exact_order", "order_divides_torus", "exceeds")
+
+
+@pytest.mark.parametrize("p", [11, 29, 999983])
+def test_frobenius_record_is_certify_side_a(p):
+    # one evidence shape: input a's frobenius record at p is certify's side
+    # a under the same names, suffixed _a (the class as class_a), and its
+    # order keys are order_evidence_a wherever certify has orders
+    rec = no_floats(run_cli("frobenius", "frobenius2", "--prime", str(p)).stdout)["records"][0]
+    doc = no_floats(run_cli("certify", "frobenius2", "frobenius3", "--prime", str(p)).stdout)
+    assert list(rec) == ["p", *EVIDENCE_KEYS, *ORDER_KEYS]
+    for k in EVIDENCE_KEYS:
+        assert rec[k] == doc["class_a" if k == "weyl_class" else f"{k}_a"], k
+    if "order_evidence_a" in doc:
+        assert doc["order_evidence_a"] == {k: rec[k] for k in ORDER_KEYS}
+    else:
+        assert doc["verdict"] == "NotCoxeterPair"
 
 
 def test_frobenius_non_prime_is_a_usage_error():
@@ -315,6 +339,19 @@ PINNED_OUTPUTS = {
     "certify-71": (
         ("certify", "frobenius2", "frobenius3", "--prime", "71"),
         "4450cbef2cb3ad7672176908a259251002922835538040795f0297c2b482b696",
+        1,
+    ),
+    # the two certify shapes with evidence and exit 1, hashed before the
+    # three record builders shared cli._evidence: evidence with no orders,
+    # and orders with reasons
+    "certify-11": (
+        ("certify", "frobenius2", "frobenius3", "--prime", "11"),
+        "23abe42deb65e586f1e91e5a659dc14b9f42a34fd44da4b843aad0b4798f5b0a",
+        1,
+    ),
+    "certify-blocked-23": (
+        ("certify", str(DATA / "blocked-a.json"), str(DATA / "blocked-b.json"), "--prime", "23"),
+        "b2ffe51ded7056a1b6326750da4c56c9ab813cf35b3789e9bb113029ae308c61",
         1,
     ),
     "scan-json": (
