@@ -32,7 +32,7 @@ from .arith import is_square, primes_up_to, require_proven_prime
 from .errors import G2CertError, WitnessMismatchError
 from .polyfile import PolyFile
 from .reduction import REASON_EVEN, ReductionContext
-from .weyl import CLASS_LABELS, WeylClassInfo
+from .weyl import CLASS_LABELS
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_NOT_COXETER = "NotCoxeterPair"
@@ -103,24 +103,16 @@ class Pair:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """One prime's verdict; evidence_a/evidence_b are the WEYL_CLASSES rows classify verified."""
+    """One prime's verdict; class_a/class_b label the WEYL_CLASSES rows classify verified."""
 
     p: int
     verdict: str
-    evidence_a: WeylClassInfo | None = None
-    evidence_b: WeylClassInfo | None = None
+    class_a: str | None = None
+    class_b: str | None = None
     order_a: int | None = None
     order_b: int | None = None
     excluded_subgroups: tuple[tuple[str, str], ...] = ()
     note: str = ""
-
-    @property
-    def class_a(self) -> str | None:
-        return None if self.evidence_a is None else self.evidence_a.weyl_class
-
-    @property
-    def class_b(self) -> str | None:
-        return None if self.evidence_b is None else self.evidence_b.weyl_class
 
 
 def certify_prime(pair: Pair, p: int) -> CertificationReport:
@@ -140,19 +132,20 @@ def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
     # p is a prime above 5 with no exclusion, and Pair checked D6
     cls_a = pair.a.classify(p, checked=True)
     cls_b = pair.b.classify(p, checked=True)
-    if {cls_a.weyl_class, cls_b.weyl_class} != {"3a", "6a"}:
-        return CertificationReport(p=p, verdict=VERDICT_NOT_COXETER, evidence_a=cls_a, evidence_b=cls_b)
+    class_a, class_b = cls_a.weyl_class, cls_b.weyl_class
+    if {class_a, class_b} != {"3a", "6a"}:
+        return CertificationReport(p=p, verdict=VERDICT_NOT_COXETER, class_a=class_a, class_b=class_b)
     order_a = pair.a.order_report(p, cls_a, checked=True)
     order_b = pair.b.order_report(p, cls_b, checked=True)
-    common = dict(p=p, evidence_a=cls_a, evidence_b=cls_b, order_a=order_a, order_b=order_b)
-    if cls_a.weyl_class == "3a":
+    common = dict(p=p, class_a=class_a, class_b=class_b, order_a=order_a, order_b=order_b)
+    if class_a == "3a":
         order_u, order_t = order_a, order_b
     else:
         order_u, order_t = order_b, order_a
     if order_u <= 3 or order_t <= 3:
         raise WitnessMismatchError(
             f"p={p}: element orders ({order_a}, {order_b}) in classes "
-            f"({cls_a.weyl_class}, {cls_b.weyl_class}), but both must be at least 7",
+            f"({class_a}, {class_b}), but both must be at least 7",
             p=p, witness="element_orders", expected=7, actual=(order_a, order_b),
         )
     checks: list[tuple[str, str]] = []
@@ -234,16 +227,12 @@ def scan(
     verdict_counts = {v: 0 for v in VERDICTS}
     class_counts_a = {c: 0 for c in CLASS_LABELS}
     class_counts_b = {c: 0 for c in CLASS_LABELS}
-    pattern_count = 0
     certified: list[int] = []
 
     def consume(report: CertificationReport) -> None:
-        nonlocal pattern_count
         verdict_counts[report.verdict] += 1
         class_counts_a[report.class_a] += 1
         class_counts_b[report.class_b] += 1
-        if {report.class_a, report.class_b} == {"3a", "6a"}:
-            pattern_count += 1
         if report.verdict == VERDICT_CERTIFIED:
             certified.append(report.p)
         if record_sink is not None:
@@ -252,6 +241,7 @@ def scan(
     sweep(scan_primes, functools.partial(_certify_good_prime, pair), consume, jobs)
 
     scanned = len(scan_primes)
+    pattern_count = scanned - verdict_counts[VERDICT_NOT_COXETER]  # every other verdict is a {3a, 6a} pair
     certified_n = len(certified)
     return ScanSummary(
         limit=limit,

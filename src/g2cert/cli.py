@@ -57,7 +57,7 @@ from .polyfile import (
     load_polyfile,
 )
 from .reduction import ReductionContext
-from .weyl import CLASS_LABELS, WeylClassInfo, torus_order, torus_poly_str
+from .weyl import CLASS_LABELS, WEYL_CLASSES, WeylClassInfo, torus_order, torus_poly_str
 
 SCHEMA = "g2cert-report-1"
 _ORDER_KEYS = ("exact_order", "order_divides_torus", "exceeds")  # _evidence's, given an order
@@ -268,17 +268,18 @@ def _record_doc(r: CertificationReport) -> dict:
     """One prime of a pair: a scan record, and the body of a certify report."""
     doc: dict[str, Any] = {"p": r.p, "class_a": r.class_a, "class_b": r.class_b,
                            "order_a": r.order_a, "order_b": r.order_b, "verdict": r.verdict}
-    if r.evidence_a is not None and r.evidence_b is not None:
+    if r.class_a is not None and r.class_b is not None:
+        row_a, row_b = WEYL_CLASSES[r.class_a], WEYL_CLASSES[r.class_b]
         for k in ("y_pattern", "chi_delta", "chi_delta_prime"):  # _evidence's names
-            doc[f"{k}_a"], doc[f"{k}_b"] = getattr(r.evidence_a, k), getattr(r.evidence_b, k)
+            doc[f"{k}_a"], doc[f"{k}_b"] = getattr(row_a, k), getattr(row_b, k)
     if r.excluded_subgroups:
         doc["reasons"] = [f"{label}: {why}" for label, why in r.excluded_subgroups]
     return doc
 
 
 def _record_key(r: CertificationReport) -> tuple | None:
-    """What fixes a record's _record_doc besides p, when no order and no reason is in it;
-    a class label fixes its row, as WEYL_CLASSES is keyed by label."""
+    """What fixes a record's _record_doc besides p, when no order and no reason is in it:
+    the verdict and the class labels, as _record_doc reads each row from WEYL_CLASSES[label]."""
     if r.order_a is None and r.order_b is None and not r.excluded_subgroups:
         return r.verdict, r.class_a, r.class_b
     return None
@@ -293,9 +294,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if report.note:
         doc["note"] = report.note
     for s in ("a", "b"):
-        row, order = getattr(report, f"evidence_{s}"), getattr(report, f"order_{s}")
-        if row is not None:
-            ev = _evidence(row, report.p, order)
+        label, order = getattr(report, f"class_{s}"), getattr(report, f"order_{s}")
+        if label is not None:
+            ev = _evidence(WEYL_CLASSES[label], report.p, order)
             doc[f"x_pattern_{s}"], doc[f"torus_order_{s}"] = ev["x_pattern"], ev["torus_order"]
             if order is not None:
                 doc[f"order_evidence_{s}"] = {k: ev[k] for k in _ORDER_KEYS}
@@ -523,13 +524,10 @@ def main(argv: list[str] | None = None) -> int:
         except BrokenPipeError:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (PolyFileError, OSError) as e:
-        print(f"g2cert: {e}", file=sys.stderr)
-        return 2
     except G2CertError as e:
         print(f"g2cert: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # PolyFileError is a ValueError
         print(f"g2cert: {e}", file=sys.stderr)
         return 2
 

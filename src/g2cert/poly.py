@@ -212,8 +212,8 @@ def _frobenius(p: int, q: Sequence[int]) -> tuple[tuple[int, int, int], tuple[in
     return (a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p), (b0, b1, b2)
 
 
-def _cubic_pattern(p: int, f: tuple[int, ...], v: tuple, w: tuple) -> DegreePattern:
-    """Pattern of a monic cubic f that the caller knows squarefree, given v = x^p and
+def _cubic_pattern(p: int, v: tuple, w: tuple) -> DegreePattern:
+    """Pattern of the monic cubic f that the caller knows squarefree, given v = x^p and
     w = x^2p mod f: (1, 1, 1) iff x^p = x, else r1 = tr M = 1 + (x^p)_1 + (x^2p)_2."""
     if v == (0, 1, 0):
         return (1, 1, 1)

@@ -220,7 +220,7 @@ class ReductionContext:
         v, u = _frobenius(p, q)
         mul = _cubic_ring(p, q)
         w = mul(v, v)
-        y_pattern = _cubic_pattern(p, q, v, w)
+        y_pattern = _cubic_pattern(p, v, w)
         nd, nd_prime = self.square_classes
         chi_dp = -1 if pow(nd_prime % p, p >> 1, p) == p - 1 else 1
         chi_d = -1 if pow(nd % p, p >> 1, p) == p - 1 else 1

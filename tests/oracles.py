@@ -212,8 +212,9 @@ def naive_derivative(f: list[int], p: int) -> list[int]:
     return [i * c % p for i, c in enumerate(f)][1:]
 
 
-def naive_gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    """Degree of gcd(a, b) over F_p by plain Euclid on coefficient lists."""
+def naive_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """gcd(a, b) over F_p by plain Euclid on coefficient lists: monic unless b = 0,
+    when it is a mod p without leading zeros."""
 
     def trim(v: list[int]) -> list[int]:
         v = [c % p for c in v]
@@ -226,7 +227,24 @@ def naive_gcd_degree(a: list[int], b: list[int], p: int) -> int:
         inv = pow(b[-1], -1, p)
         bm = [c * inv % p for c in b]
         a, b = bm, trim(naive_poly_mod(a, bm, p))
-    return len(a) - 1
+    return a
+
+
+def naive_gcd_degree(a: list[int], b: list[int], p: int) -> int:
+    """Degree of gcd(a, b) over F_p by plain Euclid on coefficient lists."""
+    return len(naive_gcd(a, b, p)) - 1
+
+
+def naive_poly_div(a: list[int], f: list[int], p: int) -> list[int]:
+    """Quotient of a by a monic f that divides it over F_p, coefficients ascending."""
+    a, n = [c % p for c in a], len(f) - 1
+    q = [0] * (len(a) - n)
+    for shift in reversed(range(len(q))):
+        q[shift] = lead = a[shift + n]
+        for i, fi in enumerate(f):
+            a[shift + i] = (a[shift + i] - lead * fi) % p
+    assert not any(a), "the divisor leaves a remainder"
+    return q
 
 
 def _root_count(f: list[int], p: int) -> int:
@@ -304,6 +322,40 @@ def naive_degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
     return tuple(sorted(pattern))
 
 
+def ddf_degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
+    """Factorization degree pattern of a monic f over F_p by schoolbook
+    distinct-degree factorization (Knuth, TAOCP vol. 2, 4.6.2).
+
+    For d = 1, 2, ... the product of f's factors of degree d is
+    g = gcd(f, x^(p^d) - x), once the factors of lower degree are divided
+    out; x^(p^d) mod f is plain binary powering.  When 2d exceeds the degree
+    of what is left, that is one irreducible factor.  Raises
+    NotSeparableError for a repeated factor, which the gcds do not see.
+    Unlike naive_degree_pattern it costs O(d log p) products, not a sweep of
+    F_p, so it reaches the heights a scan runs at.
+    """
+    f = list(mod_poly(p, f))
+    assert f[-1] == 1, "f must be monic"
+    if naive_gcd_degree(f, naive_derivative(f, p), p) > 0:
+        raise NotSeparableError(f"{_mod_str(p, tuple(f))} has a repeated factor")
+    pattern: list[int] = []
+    d = 0
+    while len(f) > 1:
+        d += 1
+        if 2 * d > len(f) - 1:
+            pattern.append(len(f) - 1)
+            break
+        h = naive_pow_x_mod(f, p**d, p) + [0, 0]
+        h[1] -= 1
+        g = naive_gcd(f, h, p)
+        count, rest = divmod(len(g) - 1, d)
+        assert rest == 0, (p, f, d, g)
+        if count:
+            pattern += [d] * count
+            f = naive_poly_div(f, g, p)
+    return tuple(sorted(pattern))
+
+
 def _mod_str(p: int, coeffs: tuple[int, ...]) -> str:
     """A polynomial over F_p as error messages name it: "x^3 + 2*x + 1 (mod 7)"."""
     return format_poly(coeffs, "x") + f" (mod {p})"
@@ -340,7 +392,7 @@ def _degree_pattern(p: int, c: tuple[int, ...]) -> tuple[int, ...]:
     mul = _cubic_ring(p, q)
     w = mul(v, v)
     if len(c) == 4:  # _cubic_pattern takes a squarefree cubic
-        pattern = _cubic_pattern(p, q, v, w) if cubic_discriminant(*q[:3]) % p else None
+        pattern = _cubic_pattern(p, v, w) if cubic_discriminant(*q[:3]) % p else None
     else:
         pattern = _sextic_pattern(p, mul, v, w, u)
     if pattern is None:

@@ -5,20 +5,23 @@ PASS line carrying the measured numbers, so a verbose run reads as the
 acceptance report.
 """
 
+import functools
 import hashlib
+import itertools
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from g2cert.arith import primes_up_to
+from g2cert.arith import is_prime, primes_up_to
 from g2cert.certify import VERDICT_CERTIFIED, Pair, scan
 from g2cert.errors import ExcludedPrimeError, NotSeparableError, WitnessMismatchError
 from g2cert.palindromic import TAG_D6, classify_galois, g2_lift_check, temperedness_check
 from g2cert.weyl import CLASS_LABELS, WEYL_CLASSES, torus_order
 from oracles import (
     _degree_pattern,
+    ddf_degree_pattern,
     derive_weyl_classes,
     mod_poly,
     naive_degree_pattern,
@@ -31,6 +34,15 @@ from oracles import (
 F = Fraction
 
 WITNESS_PRIME_COUNT = 10**4
+
+# (base, count): the DDF oracle's primes, the first count good primes above base
+DDF_HEIGHTS = ((2 * 10**4, 100), (10**6, 100), (10**9, 50), (10**12, 50))
+
+
+@functools.cache
+def _naive_pattern(p: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """naive_degree_pattern, computed once per case for the two tests that read it."""
+    return naive_degree_pattern(list(coeffs), p)
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +264,7 @@ def test_a7_oracle_equivalence(ctx_a, ctx_b):
                     assert naive_gcd_degree(coeffs, d, p) > 0, (p, coeffs)
                     inseparable_checks += 1
                     continue
-                assert got == naive_degree_pattern(coeffs, p), (p, coeffs)
+                assert got == _naive_pattern(p, tuple(coeffs)), (p, coeffs)
                 pattern_checks += 1
     # 43 primes in [7, 199] x 2 polynomials x (cubic + sextic); the split
     # is pinned so a silently skipped case cannot hide
@@ -277,6 +289,41 @@ def test_a7_oracle_equivalence(ctx_a, ctx_b):
         f"{inseparable_checks} inseparable refusals, {order_checks} exact orders, "
         "zero mismatches"
     )
+
+
+def test_a7_ddf_oracle_at_scan_heights(ctx_a, ctx_b):
+    # the schoolbook DDF first meets the exhaustive oracle on test_a7's cases
+    separable = 0
+    for ctx in (ctx_a, ctx_b):
+        for p in primes_up_to(199):
+            if p < 7:
+                continue
+            for coeffs in (reduce_rational_coeffs(list(f.coeffs), p) for f in (ctx.q, ctx.sextic)):
+                if naive_gcd_degree(coeffs, naive_derivative(coeffs, p), p) > 0:
+                    with pytest.raises(NotSeparableError):
+                        ddf_degree_pattern(coeffs, p)
+                    continue
+                assert ddf_degree_pattern(coeffs, p) == _naive_pattern(p, tuple(coeffs)), (p, coeffs)
+                separable += 1
+    assert separable == 165
+    # then it referees classify's row where the exhaustive oracle cannot go:
+    # the y-pattern of Q mod p and the x-pattern of P mod p, from the Fractions
+    checks = 0
+    for ctx in (ctx_a, ctx_b):
+        seen = Counter()
+        for base, count in DDF_HEIGHTS:
+            good = (p for p in itertools.count(base + 1) if is_prime(p) and ctx.exclusion(p) is None)
+            for p in itertools.islice(good, count):
+                row = ctx.classify(p)
+                q_mod = reduce_rational_coeffs(list(ctx.q.coeffs), p)
+                p_mod = reduce_rational_coeffs(list(ctx.sextic.coeffs), p)
+                assert ddf_degree_pattern(q_mod, p) == row.y_pattern, (p, row.weyl_class)
+                assert ddf_degree_pattern(p_mod, p) == row.x_pattern, (p, row.weyl_class)
+                seen[row.weyl_class] += 1
+        assert set(seen) == set(CLASS_LABELS), seen
+        checks += sum(seen.values())
+    assert checks == 2 * sum(count for _, count in DDF_HEIGHTS)
+    print(f"PASS DDF oracle: {separable} patterns at p <= 199, {checks} good primes above 2*10^4 to 10^12")
 
 
 def test_a8_stickelberger_parity(witness_sweep):

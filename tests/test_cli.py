@@ -458,15 +458,30 @@ def test_blocked_pair_certify_reaches_bounded_subgroup_not_excluded():
     ]
 
 
-def test_blocked_pair_scan_byte_identical_across_jobs():
-    # 1,429 scanned primes: above the 1,000 at which --jobs 2 runs the pool
-    outs = [run_cli("scan", *BLOCKED, "--limit", "12000", "--format", "csv", "--jobs", jobs)
+# the blocked pair's JSON scan to 12,000, at --jobs 1 and 2
+BLOCKED_SCAN_JSON_SHA256 = "6b2b4a0d44a89b0669591d7db6446affb5ac528a7f049e918a5bf076a6b780e0"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_blocked_pair_scan_byte_identical_across_jobs(fmt):
+    # 1,429 scanned primes: above the 1,000 at which --jobs 2 runs the pool.
+    # The only pair whose pooled records carry reasons.
+    outs = [run_cli("scan", *BLOCKED, "--limit", "12000", "--format", fmt, "--jobs", jobs)
             for jobs in ("1", "2")]
     assert [(r.returncode, r.stderr) for r in outs] == [(0, "")] * 2
     assert outs[0].stdout == outs[1].stdout
-    lines = outs[0].stdout.splitlines()
-    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
-    summary = json.loads(lines[-1][2:])
+    if fmt == "csv":
+        lines = outs[0].stdout.splitlines()
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+        summary = json.loads(lines[-1][2:])
+    else:
+        assert hashlib.sha256(outs[0].stdout.encode()).hexdigest() == BLOCKED_SCAN_JSON_SHA256
+        doc = no_floats(outs[0].stdout)
+        keys = ("p", "class_a", "class_b", "order_a", "order_b", "verdict")
+        rows = [["" if r[k] is None else str(r[k]) for k in keys] for r in doc["records"]]
+        summary = doc["summary"]
+        (blocked,) = [r for r in doc["records"] if r["verdict"] == "BoundedSubgroupNotExcluded"]
+        assert "L2(13): not excluded: both element orders divide |M| = 1092" in blocked["reasons"]
     assert summary["scanned"] == len(rows) == 1429
     assert Counter(row[-1] for row in rows) == {
         "Certified": 86, "NotCoxeterPair": 1342, "BoundedSubgroupNotExcluded": 1

@@ -318,7 +318,7 @@ def test_degree_pattern_all_cubics_mod_5():
                 got = _degree_pattern(p, f)
                 want = naive_degree_pattern([c, b, a, 1], p)
                 assert got == want, (a, b, c)
-                assert _cubic_pattern(p, f, v, w) == want, (a, b, c)
+                assert _cubic_pattern(p, v, w) == want, (a, b, c)
                 checked += 1
     assert checked > 50
 
