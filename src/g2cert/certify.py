@@ -23,6 +23,7 @@ sweep is the one loop over primes, for scan and for the frobenius command.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,31 +182,25 @@ class ScanSummary:
 def sweep(primes: list[int], work: Callable[[int], Any], sink: Callable[[Any], None], jobs: int = 1) -> None:
     """Call sink(work(p)) for every p in primes, in order.
 
-    jobs > 1 fans the primes out in batches over at most jobs processes, no
-    more than there are batches or CPUs.  Batch boundaries are fixed by the
-    primes alone and batches are sunk in order, so the sink sees what a
-    serial run gives it, or a prefix of that when work raises.  Each batch
-    pickles work: a module-level function, or a functools.partial of one.
+    jobs > 1 fans the primes out in batches (ProcessPoolExecutor.map's chunks)
+    over at most jobs processes, no more than there are batches or CPUs.
+    Batch boundaries are fixed by the primes alone and batches are sunk in
+    order, so the sink sees what a serial run gives it, or a prefix of that
+    when work raises.  Each batch pickles work: a module-level function, or a
+    functools.partial of one.
     """
     if jobs > 1 and len(primes) > 1000:
         chunk = max(1000, len(primes) // (jobs * 8))
-        batches = [(work, primes[i : i + chunk]) for i in range(0, len(primes), chunk)]
-        workers = min(jobs, len(batches), os.cpu_count() or 1)
+        workers = min(jobs, math.ceil(len(primes) / chunk), os.cpu_count() or 1)
         # imported here, so that a process that never pools never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for results in pool.map(_run_batch, batches):
-                for result in results:
-                    sink(result)
+            for result in pool.map(work, primes, chunksize=chunk):
+                sink(result)
     else:
         for p in primes:
             sink(work(p))
-
-
-def _run_batch(batch: tuple[Callable[[int], Any], list[int]]) -> list:
-    work, primes = batch
-    return [work(p) for p in primes]
 
 
 def scan(

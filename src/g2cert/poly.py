@@ -7,9 +7,10 @@ a plain tuple of ints mod p.
 
 Over F_p only the trace cubic Q and the palindromic sextic
 P = x^3 Q(x + 1/x) occur, and both run on one cubic kernel: a
-straight-line product on int tuples and one ladder over the bits of p
-that squares (6 coefficient products) and steps on local ints, with no
-call and no tuple per step.  Factor patterns are read off the matrix M of
+straight-line product on int tuples, and every ladder over F_p[y]/(Q),
+on local ints with no call per step: the Frobenius pass over the bits of
+p (_frobenius) and the Dickson ladder (_dickson).  No other module
+multiplies in F_p[y]/(Q).  Factor patterns are read off the matrix M of
 the Frobenius a -> a^p of F_p[x]/(f) (Berlekamp 1967), with no gcd.  For
 squarefree f, F_p[x]/(f) is the product of fields F_(p^d), on which the
 k-th Frobenius power fixes a normal basis if d | k and moves all of it
@@ -52,6 +53,18 @@ check is read at x^(p^3) = 1/x = (y - z)/2, i.e. (phi^3(y), U_3) = (y, -1)
 (V, U), the 3 to x^(p^4) for a factor of degree 4.  The cubic's pattern
 assumes it squarefree, which its caller establishes, and once x^p != x
 its r1 = tr M = 1 + (x^p)_1 + (x^(2p))_2 is 1 or 0.
+
+Element orders are computed on the trace side: x^m = 1 for every root x
+of P mod p exactly when the trace sequence V_m (V_0 = 2, V_1 = y,
+V satisfies the x + 1/x doubling rules) equals the constant 2 in
+F_p[y]/(Q).  That turns an order computation in degree-6 extensions into
+cubic arithmetic with a logarithmic ladder (_dickson).  V_m(y) is the
+Dickson polynomial D_m(y), and D_a(D_b(y)) = D_ab(y), so the exact order
+descends from the torus order T along one split chain: about
+log T + log(T/q_max) bits of ladder for the cofactors V_(T/q^e) of all the
+prime-power parts q^e of T, one check of V_T = 2, then short ladders of
+length log q (see reduction.ReductionContext.order_report).  At m = p the
+two ladders meet: D_p(y) = y^p in characteristic p, the V of _frobenius.
 """
 
 from __future__ import annotations
@@ -210,6 +223,42 @@ def _frobenius(p: int, q: Sequence[int]) -> tuple[tuple[int, int, int], tuple[in
     a0, a1, a2 = ((a0 * a0 + t3 * r0) % p, (d0 * a1 + t4 * r0 + t3 * r1) % p,
                   (d0 * a2 + a1 * a1 + t4 * r1 + t3 * r2) % p)
     return (a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p), (b0, b1, b2)
+
+
+def _dickson(p: int, f: Sequence[int], s: tuple[int, int, int], m: int) -> tuple[int, int, int]:
+    """D_m(s) = V_m for V_0 = 2, V_1 = s, in F_p[y]/(f), f monic cubic; m >= 1.
+
+    With s = y = x + 1/x, V_m = x^m + x^-m, and (x^m - 1)^2 = x^m (V_m - 2),
+    so V_m = 2 exactly when x^m = 1 for every root x of P: over each
+    component field the test is exact, and the ring checks them all at
+    once.  The ladder keeps (V_k, V_(k+1)) in the locals v0, v1, v2, w0, w1,
+    w2 from (V_0, V_1) = (2, s) and walks every bit of m.  A step forms
+    c = V_k V_(k+1) - s = V_(2k+1), squares the V_j that the bit selects,
+    V_2j = V_j^2 - 2, and takes (V_2k, c) for a 0 bit and (c, V_(2k+2)) for
+    a 1.  The leading bit gives (V_1, V_2) = (s, s^2 - 2), as 2 s - s = s.
+    """
+    r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p  # y^3 = r2 y^2 + r1 y + r0
+    s0, s1, s2 = s
+    v0, v1, v2, w0, w1, w2 = 2, 0, 0, s0, s1, s2
+    for bit in bin(m)[2:]:
+        t4 = v2 * w2 % p  # c = V_k V_(k+1) - s
+        t3 = (v1 * w2 + v2 * w1 + t4 * r2) % p
+        c0 = (v0 * w0 + t3 * r0 - s0) % p
+        c1 = (v0 * w1 + v1 * w0 + t4 * r0 + t3 * r1 - s1) % p
+        c2 = (v0 * w2 + v1 * w1 + v2 * w0 + t4 * r1 + t3 * r2 - s2) % p
+        if bit == "1":  # (V_(2k+1), V_(2k+2)) = (c, V_(k+1)^2 - 2)
+            a0, a1, a2, v0, v1, v2 = w0, w1, w2, c0, c1, c2
+        else:  # (V_2k, V_(2k+1)) = (V_k^2 - 2, c)
+            a0, a1, a2, w0, w1, w2 = v0, v1, v2, c0, c1, c2
+        d0, t4 = a0 + a0, a2 * a2 % p  # a = V_j^2 - 2 for the selected V_j
+        t3 = ((a1 + a1) * a2 + t4 * r2) % p
+        a0, a1, a2 = ((a0 * a0 + t3 * r0 - 2) % p, (d0 * a1 + t4 * r0 + t3 * r1) % p,
+                      (d0 * a2 + a1 * a1 + t4 * r1 + t3 * r2) % p)
+        if bit == "1":
+            w0, w1, w2 = a0, a1, a2
+        else:
+            v0, v1, v2 = a0, a1, a2
+    return v0, v1, v2
 
 
 def _cubic_pattern(p: int, v: tuple, w: tuple) -> DegreePattern:

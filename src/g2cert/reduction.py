@@ -13,21 +13,11 @@ factor pattern of P mod p itself; both are recomputed and compared on
 every call, and the row comes back only once every witness agrees with
 it, so a single inconsistent witness anywhere is a hard error rather than
 a wrong answer.  The row's torus polynomial gives the order of the finite
-torus the reduced element lives in, which order_report checks.  Only Q is
-reduced mod p: P = x^3 Q(x + 1/x) holds over Z on the integer models, so
-P mod p is Q mod p's lift, and both factor patterns read one Frobenius
-pass in F_p[y]/(Q) (see ReductionContext.classify).
-
-Element orders are computed on the trace side: x^m = 1 for every root x
-of P mod p exactly when the trace sequence V_m (V_0 = 2, V_1 = y,
-V satisfies the x + 1/x doubling rules) equals the constant 2 in
-F_p[y]/(Q).  That turns an order computation in degree-6 extensions into
-cubic arithmetic with a logarithmic ladder on the cubic kernel of poly.py.
-V_m(y) is the Dickson polynomial D_m(y), and D_a(D_b(y)) = D_ab(y), so the
-exact order descends from the torus order T along one split chain: about
-log T + log(T/q_max) bits of ladder for the cofactors V_(T/q^e) of all the
-prime-power parts q^e of T, one check of V_T = 2, then short ladders of
-length log q (see ReductionContext.order_report).
+torus the reduced element lives in, which order_report checks on the
+Dickson ladder of poly.py.  Only Q is reduced mod p: P = x^3 Q(x + 1/x)
+holds over Z on the integer models, so P mod p is Q mod p's lift, and
+both factor patterns read one Frobenius pass in F_p[y]/(Q) (see
+ReductionContext.classify).
 """
 
 from __future__ import annotations
@@ -53,7 +43,7 @@ from .palindromic import (
     scaled_discriminant,
     trace_values,
 )
-from .poly import RatPoly, _cubic_pattern, _cubic_ring, _frobenius, _sextic_pattern, deflate_root_one
+from .poly import RatPoly, _cubic_pattern, _cubic_ring, _dickson, _frobenius, _sextic_pattern, deflate_root_one
 from .polyfile import PolyFile
 from .weyl import FROBENIUS_LOOKUP, WeylClassInfo, torus_order
 
@@ -296,44 +286,6 @@ class ReductionContext:
                 w = _dickson(p, f, w, q)
             order *= part
         return order
-
-
-def _dickson(p: int, f: tuple[int, ...], s: tuple[int, int, int], m: int) -> tuple[int, int, int]:
-    """D_m(s) = V_m for V_0 = 2, V_1 = s, in F_p[y]/(f), f monic cubic; m >= 1.
-
-    With s = y = x + 1/x, V_m = x^m + x^-m, and (x^m - 1)^2 = x^m (V_m - 2),
-    so V_m = 2 exactly when x^m = 1 for every root x of P: over each
-    component field the test is exact, and the ring checks them all at
-    once.  The ladder keeps (V_k, V_(k+1)) in the locals v0, v1, v2, w0, w1,
-    w2, with V_2k = V_k^2 - 2 and V_(2k+1) = V_k V_(k+1) - s, by the cubic
-    kernel's product and square written out (poly.py).
-    """
-    r0, r1, r2 = -f[0] % p, -f[1] % p, -f[2] % p  # y^3 = r2 y^2 + r1 y + r0
-    v0, v1, v2 = s0, s1, s2 = s[0] % p, s[1] % p, s[2] % p
-    d0, t4 = s0 + s0, s2 * s2 % p
-    t3 = ((s1 + s1) * s2 + t4 * r2) % p
-    w0, w1, w2 = ((s0 * s0 + t3 * r0 - 2) % p, (d0 * s1 + t4 * r0 + t3 * r1) % p,
-                  (d0 * s2 + s1 * s1 + t4 * r1 + t3 * r2) % p)
-    for bit in bin(m)[3:]:
-        # c = V_k V_(k+1) - s
-        t4 = v2 * w2 % p
-        t3 = (v1 * w2 + v2 * w1 + t4 * r2) % p
-        c0 = (v0 * w0 + t3 * r0 - s0) % p
-        c1 = (v0 * w1 + v1 * w0 + t4 * r0 + t3 * r1 - s1) % p
-        c2 = (v0 * w2 + v1 * w1 + v2 * w0 + t4 * r1 + t3 * r2 - s2) % p
-        if bit == "0":  # (V_2k, V_(2k+1)) = (V_k^2 - 2, c)
-            d0, t4 = v0 + v0, v2 * v2 % p
-            t3 = ((v1 + v1) * v2 + t4 * r2) % p
-            v0, v1, v2 = ((v0 * v0 + t3 * r0 - 2) % p, (d0 * v1 + t4 * r0 + t3 * r1) % p,
-                          (d0 * v2 + v1 * v1 + t4 * r1 + t3 * r2) % p)
-            w0, w1, w2 = c0, c1, c2
-        else:  # (V_(2k+1), V_(2k+2)) = (c, V_(k+1)^2 - 2)
-            d0, t4 = w0 + w0, w2 * w2 % p
-            t3 = ((w1 + w1) * w2 + t4 * r2) % p
-            w0, w1, w2 = ((w0 * w0 + t3 * r0 - 2) % p, (d0 * w1 + t4 * r0 + t3 * r1) % p,
-                          (d0 * w2 + w1 * w1 + t4 * r1 + t3 * r2) % p)
-            v0, v1, v2 = c0, c1, c2
-    return v0, v1, v2
 
 
 def frobenius_class(sextic: RatPoly, p: int) -> WeylClassInfo:

@@ -38,18 +38,13 @@ from g2cert.poly import (
     RatPoly,
     _cubic_pattern,
     _cubic_ring,
+    _dickson,
     _frobenius,
     _sextic_pattern,
     cubic_discriminant,
     format_poly,
 )
-from g2cert.reduction import (
-    REASON_DENOMINATOR,
-    REASON_RAMIFIED,
-    REASON_STEINBERG,
-    ReductionContext,
-    _dickson,
-)
+from g2cert.reduction import REASON_DENOMINATOR, REASON_RAMIFIED, REASON_STEINBERG, ReductionContext
 
 # primes the F_p kernels are checked at, up to the largest prime below
 # 10^12, where products of residues exceed 2^64
@@ -662,15 +657,15 @@ def fraction_cubic_irreducible(q: RatPoly) -> bool:
 
 
 def fraction_classify_galois(pair: FractionReduction) -> tuple[str, dict[str, bool]]:
-    """(tag, evidence), as classify_galois returns them."""
-    separable = pair.delta != 0 and pair.delta_prime != 0
+    """(tag, evidence), as classify_galois returns them, for a separable pair
+    (delta and delta' nonzero), the only kind ReductionContext admits."""
     d, dp = pair.delta, pair.delta_prime
     evidence = {
         "q_irreducible": fraction_cubic_irreducible(pair.q),
-        "delta_nonsquare": separable and not naive_is_square(d),
-        "delta_prime_nonsquare": separable and not naive_is_square(dp),
-        "product_nonsquare": separable and not naive_is_square(d * dp),
-        "roots_in_interval": separable and fraction_temperedness_check(pair),
+        "delta_nonsquare": not naive_is_square(d),
+        "delta_prime_nonsquare": not naive_is_square(dp),
+        "product_nonsquare": not naive_is_square(d * dp),
+        "roots_in_interval": fraction_temperedness_check(pair),
     }
     if not all(evidence[k] for k in list(evidence)[:4]):
         tag = TAG_OTHER

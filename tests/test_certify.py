@@ -236,10 +236,10 @@ def test_scan_deterministic_and_parallel_equal(bundled_pair):
 
 
 def test_scan_pool_size_is_clamped(bundled_pair, monkeypatch):
-    # a serial stand-in records the pool size scan asks for, so no real
-    # pool is started: below 20000 the pair scans 2254 primes in three
-    # batches of at most 1000
-    asked = []
+    # a serial stand-in records the pool size and chunk size scan asks for,
+    # so no real pool is started: below 20000 the pair scans 2254 primes in
+    # three batches of at most 1000
+    asked, chunks = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -251,7 +251,8 @@ def test_scan_pool_size_is_clamped(bundled_pair, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, items)
 
     # scan imports the pool class when it pools, so the stand-in goes where
@@ -261,7 +262,7 @@ def test_scan_pool_size_is_clamped(bundled_pair, monkeypatch):
         monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
         records = []
         summary = scan(bundled_pair, 20000, record_sink=records.append, jobs=jobs)
-        assert asked[-1] == want, (jobs, cpus)
+        assert (asked[-1], chunks[-1]) == (want, 1000), (jobs, cpus)
         assert len(records) == summary.scanned == 2254
 
 

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2cert.arith import is_prime, primes_up_to
 from g2cert.errors import NotSeparableError
 from g2cert.poly import (
     RatPoly,
     _cubic_pattern,
     _cubic_ring,
+    _dickson,
     _frobenius,
     _sextic_pattern,
     cubic_discriminant,
@@ -224,6 +226,26 @@ def test_tower_frobenius_is_x_to_the_p(data):
 REACHABLE_PATTERNS = {
     (6,), (2, 4), (3, 3), (1, 1, 4), (2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1),
 }
+
+
+def _good_primes_above(ctx, n: int, count: int) -> list[int]:
+    out = []
+    while len(out) < count:
+        n += 1
+        if is_prime(n) and ctx.exclusion(n) is None:
+            out.append(n)
+    return out
+
+
+def test_dickson_at_p_is_the_frobenius_image(ctx_a, ctx_b):
+    # D_p(y) = y^p in characteristic p: the Dickson ladder and the Frobenius
+    # pass are two ladders in F_p[y]/(Q), and where they overlap they agree
+    for ctx in (ctx_a, ctx_b):
+        good = [p for p in primes_up_to(20000) if ctx.exclusion(p) is None]
+        primes = good + _good_primes_above(ctx, 10**6, 50) + _good_primes_above(ctx, 10**12, 50)
+        for p in primes:
+            q = ctx._q_mod(p)
+            assert _dickson(p, q, (0, 1, 0), p) == _frobenius(p, q)[0], (ctx.q, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

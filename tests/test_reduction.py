@@ -11,7 +11,7 @@ from g2cert import reduction
 from g2cert.arith import factor_integer, is_prime, primes_up_to
 from g2cert.errors import ExcludedPrimeError, G2CertError, WitnessMismatchError
 from g2cert.palindromic import TAG_D6
-from g2cert.poly import RatPoly, _cubic_ring, _frobenius, _sextic_pattern, integer_model
+from g2cert.poly import RatPoly, _cubic_ring, _dickson, _frobenius, _sextic_pattern, integer_model
 from g2cert.polyfile import load_polyfile
 from g2cert.reduction import (
     REASON_DENOMINATOR,
@@ -19,7 +19,6 @@ from g2cert.reduction import (
     REASON_RAMIFIED,
     REASON_STEINBERG,
     ReductionContext,
-    _dickson,
     frobenius_class,
 )
 from g2cert.weyl import FROBENIUS_LOOKUP, WEYL_CLASSES, torus_order
