@@ -111,28 +111,22 @@ class RatPoly:
 
 def format_poly(coeffs: Sequence, var: str) -> str:
     """Human form, highest degree first: "x^3 + 5/4*x^2 - 49/16"."""
-    if not coeffs:
-        return "0"
-    parts = []
+    text = ""
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
         if not c:
             continue
-        text = str(c)  # an int or a Fraction: "-" and then |c|, or |c|
-        sign, mag = ("-", text[1:]) if text[0] == "-" else ("+", text)
-        if i == 0:
-            body = mag
-        else:
+        mag = str(c)  # an int or a Fraction: "-" and then |c|, or |c|
+        if mag[0] == "-":
+            mag = mag[1:]
+            text += " - " if text else "-"
+        elif text:
+            text += " + "
+        if i:
             x = var if i == 1 else f"{var}^{i}"
-            body = x if mag == "1" else f"{mag}*{x}"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+            mag = x if mag == "1" else f"{mag}*{x}"
+        text += mag
+    return text or "0"
 
 
 def integer_model(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import DegreePattern
+from .poly import DegreePattern, format_poly
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,7 @@ def torus_order(label: str, q: int) -> int:
 def torus_poly_str(label: str) -> str:
     """Factored display form of the torus order polynomial."""
     c0, c1, c2 = WEYL_CLASSES[label].torus_poly
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc == 0:
+    if c1 * c1 == 4 * c2 * c0:
         root = -c1 // 2
         return f"(q - {root})^2" if root > 0 else f"(q + {-root})^2"
-    parts = "q^2"
-    if c1:
-        parts += f" - {-c1}q" if c1 < 0 else f" + {c1}q"
-    parts = parts.replace(" 1q", " q")
-    if c0:
-        parts += f" - {-c0}" if c0 < 0 else f" + {c0}"
-    return parts
+    return format_poly((c0, c1, c2), "q")

@@ -120,6 +120,26 @@ def test_deflate_root_one():
 def test_format_poly():
     f = RatPoly.from_coeffs([Fraction(-49, 16), Fraction(-11, 4), Fraction(5, 4), 1])
     assert format_poly(f.coeffs, "y") == "y^3 + 5/4*y^2 - 11/4*y - 49/16"
+    # a negative leading coefficient prints a bare "-", later ones " - "
+    assert format_poly((Fraction(1, 2), 0, Fraction(-3, 7)), "x") == "-3/7*x^2 + 1/2"
+    assert format_poly((-5, 2, -1), "x") == "-x^2 + 2*x - 5"
+    # a coefficient of +-1 drops its "1" except at degree 0
+    assert format_poly((1, 1, 1, 1), "x") == "x^3 + x^2 + x + 1"
+    assert format_poly((-1, -1, -1, -1), "x") == "-x^3 - x^2 - x - 1"
+    assert format_poly((-1,), "x") == "-1"
+    assert format_poly((1,), "x") == "1"
+    assert format_poly((0, -1), "x") == "-x"
+    assert format_poly((Fraction(-1), 0, Fraction(1)), "x") == "x^2 - 1"
+    # plain ints print as Fractions do
+    assert format_poly((-12, 0, 0, 7), "x") == "7*x^3 - 12"
+    assert format_poly((Fraction(-12), 0, 0, Fraction(7)), "x") == "7*x^3 - 12"
+    # the zero polynomial, empty or all zeros
+    assert format_poly((), "x") == "0"
+    assert format_poly((0, 0, 0), "x") == "0"
+    assert format_poly((Fraction(0),), "x") == "0"
+    # the variable is the caller's
+    assert format_poly((1, -1, 1), "q") == "q^2 - q + 1"
+    assert format_poly((0, 3, 0, -2), "q") == "-2*q^3 + 3*q"
 
 
 def _pad(a: list[int], n: int) -> tuple[int, ...]:

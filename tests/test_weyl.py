@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2cert.golden import TORUS_TABLE
 from g2cert.palindromic import g2_lift_check
 from g2cert.poly import RatPoly
 from g2cert.weyl import (
@@ -102,8 +103,9 @@ def test_torus_polynomials_symbolic():
     }
     for cls in WEYL_CLASSES.values():
         assert cls.torus_poly == expected[cls.weyl_class], cls.weyl_class
-    assert torus_poly_str("1a") == "(q - 1)^2"
-    assert torus_poly_str("6a") == "q^2 - q + 1"
+    for label, (display, _, _) in TORUS_TABLE.items():
+        assert torus_poly_str(label) == display, label
+    assert set(TORUS_TABLE) == set(WEYL_CLASSES)
 
 
 def test_torus_poly_matches_matrix_trace_det():
