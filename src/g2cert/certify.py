@@ -207,13 +207,12 @@ def scan(
     pair: Pair,
     limit: int,
     *,
-    record_sink: Callable[[CertificationReport], None] | None = None,
+    record_sink: Callable[[CertificationReport], None],
     jobs: int = 1,
 ) -> ScanSummary:
     """Certify every prime p > 5 up to limit that the pair does not exclude, ascending.
 
-    The record sink, when given, sees one report per scanned prime in
-    ascending order.  jobs is sweep's: the output does not depend on it.
+    record_sink sees one report per scanned prime in ascending order.  jobs is sweep's: the output does not depend on it.
     """
     all_primes = primes_up_to(limit)
     scan_primes = [p for p in all_primes if p > 5 and pair.exclusion(p) is None]
@@ -230,8 +229,7 @@ def scan(
         class_counts_b[report.class_b] += 1
         if report.verdict == VERDICT_CERTIFIED:
             certified.append(report.p)
-        if record_sink is not None:
-            record_sink(report)
+        record_sink(report)
 
     sweep(scan_primes, functools.partial(_certify_good_prime, pair), consume, jobs)
 

@@ -53,7 +53,6 @@ from .polyfile import (
     PolyFile,
     PolyFileError,
     bundled_polyfile,
-    digest,
     load_polyfile,
 )
 from .reduction import ReductionContext
@@ -74,12 +73,12 @@ def _load_input(arg: str) -> PolyFile:
     return load_polyfile(arg)
 
 
-def _decimal(fr: Fraction, places: int = 6) -> str:
+def _decimal(fr: Fraction) -> str:
     sign = "-" if fr < 0 else ""
     fr = abs(fr)
-    scaled = (fr.numerator * 10**places * 2 + fr.denominator) // (2 * fr.denominator)
-    whole, part = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{part:0{places}d}"
+    scaled = (fr.numerator * 10**6 * 2 + fr.denominator) // (2 * fr.denominator)
+    whole, part = divmod(scaled, 10**6)
+    return f"{sign}{whole}.{part:06d}"
 
 
 def _density_doc(fr: Fraction) -> dict:
@@ -95,7 +94,7 @@ def _input_doc(pf: PolyFile) -> dict:
     return {
         "name": pf.name,
         "steinberg_prime": pf.steinberg_prime,
-        "digest": digest(pf),
+        "digest": pf.digest,
     }
 
 

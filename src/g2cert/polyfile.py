@@ -48,7 +48,8 @@ class PolyFile:
         return RatPoly.from_coeffs(parsed)
 
     @functools.cached_property
-    def _digest(self) -> str:
+    def digest(self) -> str:
+        """sha256 of the canonical serialization, computed once per PolyFile."""
         return hashlib.sha256(serialize_polyfile(self).encode("utf-8")).hexdigest()
 
 
@@ -96,11 +97,6 @@ def serialize_polyfile(pf: PolyFile) -> str:
 def load_polyfile(path: str) -> PolyFile:
     with open(path, encoding="utf-8") as fh:
         return parse_polyfile(fh.read())
-
-
-def digest(pf: PolyFile) -> str:
-    """sha256 of the canonical serialization, computed once per PolyFile."""
-    return pf._digest
 
 
 @functools.cache

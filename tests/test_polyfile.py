@@ -6,7 +6,6 @@ from g2cert.polyfile import (
     BUNDLED_NAMES,
     PolyFileError,
     bundled_polyfile,
-    digest,
     load_polyfile,
     parse_polyfile,
     serialize_polyfile,
@@ -31,10 +30,10 @@ def test_bundled_roundtrip_byte_identical():
 
 def test_digests_are_frozen():
     # pinned so any edit to the bundled inputs is caught loudly
-    assert digest(bundled_polyfile("frobenius2")) == (
+    assert bundled_polyfile("frobenius2").digest == (
         "c51312ab747825d1d3cf72738448c837e5994778f1f37e2e0e2e1e2e55cf4d7e"
     )
-    assert digest(bundled_polyfile("frobenius3")) == (
+    assert bundled_polyfile("frobenius3").digest == (
         "b810482dc9fc143d81c70aeb585c26e1c1c793b5339d2b177a8eb26540eb4fd8"
     )
 
@@ -104,9 +103,9 @@ def test_parse_rejects_wrong_types():
 
 def test_digest_tracks_content():
     doc = _valid_doc()
-    base = digest(parse_polyfile(json.dumps(doc)))
+    base = parse_polyfile(json.dumps(doc)).digest
     doc["coefficients"][0] = "-2"
-    changed = digest(parse_polyfile(json.dumps(doc)))
+    changed = parse_polyfile(json.dumps(doc)).digest
     assert base != changed
 
 
