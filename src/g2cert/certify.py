@@ -56,13 +56,13 @@ PREDICTED_PATTERN_DENSITY = Fraction(1, 18)
 
 # The bounded maximal subgroups of G_2(p): (label, order, whether the
 # subgroup occurs at p).  p is a prime above 5 that the caller has proven
-# (certify_prime by is_prime, scan by its sieve), so the square tests are
-# Euler's criterion with no further check.
+# (certify_prime by is_prime, scan by its sieve), so L2(13)'s square test is
+# Euler's criterion alone.  L2(8) needs 2cos(2pi/9) in F_p: p = +-1 mod 9.
 BOUNDED_SUBGROUPS: tuple[tuple[str, int, Callable[[int], bool]], ...] = (
     ("2^3.L3(2)", 2**6 * 3 * 7, lambda p: True),
     ("L2(13)", 2**2 * 3 * 7 * 13, lambda p: pow(13, (p - 1) // 2, p) == 1),
     ("G2(2)", 2**6 * 3**3 * 7, lambda p: True),
-    ("L2(8)", 2**3 * 3**2 * 7, lambda p: pow(5, (p - 1) // 2, p) == 1),
+    ("L2(8)", 2**3 * 3**2 * 7, lambda p: p % 9 in (1, 8)),
     ("J1", 2**3 * 3 * 5 * 7 * 11 * 19, lambda p: p == 11),
 )
 

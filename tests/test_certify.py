@@ -25,6 +25,7 @@ from g2cert.reduction import ReductionContext
 from g2cert.weyl import WEYL_CLASSES
 from oracles import (
     BOUNDED_SUBGROUP_ORDERS,
+    ddf_degree_pattern,
     inflate_palindromic,
     naive_irreducibles,
     naive_legendre,
@@ -46,9 +47,10 @@ def test_subgroup_applicability():
     # L2(13) needs 13 to be a square mod p: true at 29, false at 7
     assert applies["L2(13)"](29)
     assert not applies["L2(13)"](7)
-    # L2(8) needs 5 to be a square mod p: true at 11, false at 7
-    assert applies["L2(8)"](11)
-    assert not applies["L2(8)"](7)
+    # L2(8) needs 2cos(2pi/9) in F_p, p = +-1 mod 9: true at 17 and 19,
+    # false at 11 and 29, where 5 is a square
+    assert applies["L2(8)"](17) and applies["L2(8)"](19)
+    assert not applies["L2(8)"](11) and not applies["L2(8)"](29)
     assert applies["J1"](11)
     assert not applies["J1"](29)
     assert applies["G2(2)"](29)
@@ -56,8 +58,13 @@ def test_subgroup_applicability():
     for p in primes_up_to(3000)[3:]:
         assert applies["2^3.L3(2)"](p) and applies["G2(2)"](p), p
         assert applies["L2(13)"](p) == (naive_legendre(13, p) == 1), p
-        assert applies["L2(8)"](p) == (naive_legendre(5, p) == 1), p
         assert applies["J1"](p) == (p == 11), p
+    # L2(8)'s 7-dimensional characters take the values -(z + 1/z) on its
+    # elements of order 9 (Fulton and Harris, Representation Theory, 5.2),
+    # so their field is Q(2cos(2pi/9)), cut out by y^3 - 3y + 1: the row
+    # holds exactly where that cubic has a root mod p
+    for p in primes_up_to(2 * 10**4)[3:]:
+        assert applies["L2(8)"](p) == (1 in ddf_degree_pattern([1, -3, 0, 1], p)), p
 
 
 def test_unbounded_families_hold_at_most_one_element():
@@ -133,7 +140,7 @@ def test_certified_at_29(bundled_pair):
     assert (report.class_a, report.class_b) == ("3a", "6a")
     assert (report.order_a, report.order_b) == (871, 813)
     labels = [label for label, why in report.excluded_subgroups]
-    assert labels == ["2^3.L3(2)", "L2(13)", "G2(2)", "L2(8)"]
+    assert labels == ["2^3.L3(2)", "L2(13)", "G2(2)"]
     for label, why in report.excluded_subgroups:
         assert why.startswith("excluded")
 
