@@ -212,7 +212,8 @@ def scan(
 ) -> ScanSummary:
     """Certify every prime p > 5 up to limit that the pair does not exclude, ascending.
 
-    record_sink sees one report per scanned prime in ascending order.  jobs is sweep's: the output does not depend on it.
+    record_sink sees one report per scanned prime in ascending order.
+    jobs is sweep's: the output does not depend on it.
     """
     all_primes = primes_up_to(limit)
     scan_primes = [p for p in all_primes if p > 5 and pair.exclusion(p) is None]

@@ -74,11 +74,10 @@ def _load_input(arg: str) -> PolyFile:
 
 
 def _decimal(fr: Fraction) -> str:
-    sign = "-" if fr < 0 else ""
-    fr = abs(fr)
+    # fr is a density, never negative: six places, rounded half up
     scaled = (fr.numerator * 10**6 * 2 + fr.denominator) // (2 * fr.denominator)
     whole, part = divmod(scaled, 10**6)
-    return f"{sign}{whole}.{part:06d}"
+    return f"{whole}.{part:06d}"
 
 
 def _density_doc(fr: Fraction) -> dict:
