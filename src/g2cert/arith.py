@@ -105,8 +105,7 @@ def _brent_rho(n: int, steps: float) -> tuple[int | None, float]:
     # sequence so factorizations are reproducible.  (factor, steps left), or
     # None once a block of steps y -> y^2 + c would spend more than steps; a
     # backtrack after a gcd of n retraces at most m = 128 of them uncounted.
-    if n % 2 == 0:
-        return 2, steps
+    # n is odd: factor_integer has divided out every prime below _TRIAL_BOUND.
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y

@@ -17,7 +17,7 @@ families against their standard orders over every prime up to 2*10^5,
 that the orders in the two classes are at least 7, and that among the
 bounded rows only L2(13) can ever contain both elements.
 
-sweep is the one loop over primes, for scan and for the frobenius command.
+sweep yields each prime's result; scan and the frobenius command own the loop.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .arith import is_square, primes_up_to, require_proven_prime
 from .errors import G2CertError, WitnessMismatchError
@@ -54,16 +54,17 @@ VERDICTS = (
 PREDICTED_PATTERN_DENSITY = Fraction(1, 18)
 
 
-# The bounded maximal subgroups of G_2(p): (label, order, whether the
-# subgroup occurs at p).  p is a prime above 5 that the caller has proven
-# (certify_prime by is_prime, scan by its sieve), so L2(13)'s square test is
-# Euler's criterion alone.  L2(8) needs 2cos(2pi/9) in F_p: p = +-1 mod 9.
+# The bounded maximal subgroups of G_2(p), p > 5 a prime the caller proves
+# (Kleidman, J. Algebra 117, 1988): (label, order, whether it occurs at p).
+# The derived rows need the field of their 7-dimensional characters in F_p:
+# for L2(13) sqrt 13, by Euler's criterion; for L2(8) 2cos(2pi/9), so p =
+# +-1 mod 9 (tests/test_certify.py).  The cited rows are Kleidman's alone.
 BOUNDED_SUBGROUPS: tuple[tuple[str, int, Callable[[int], bool]], ...] = (
-    ("2^3.L3(2)", 2**6 * 3 * 7, lambda p: True),
-    ("L2(13)", 2**2 * 3 * 7 * 13, lambda p: pow(13, (p - 1) // 2, p) == 1),
-    ("G2(2)", 2**6 * 3**3 * 7, lambda p: True),
-    ("L2(8)", 2**3 * 3**2 * 7, lambda p: p % 9 in (1, 8)),
-    ("J1", 2**3 * 3 * 5 * 7 * 11 * 19, lambda p: p == 11),
+    ("2^3.L3(2)", 2**6 * 3 * 7, lambda p: True),  # Kleidman, cited
+    ("L2(13)", 2**2 * 3 * 7 * 13, lambda p: pow(13, (p - 1) // 2, p) == 1),  # Kleidman, derived
+    ("G2(2)", 2**6 * 3**3 * 7, lambda p: True),  # Kleidman, cited
+    ("L2(8)", 2**3 * 3**2 * 7, lambda p: p % 9 in (1, 8)),  # Kleidman, derived
+    ("J1", 2**3 * 3 * 5 * 7 * 11 * 19, lambda p: p == 11),  # Kleidman, cited
 )
 
 
@@ -95,7 +96,7 @@ class Pair:
 
     @functools.cached_property
     def excluded(self) -> dict[int, str]:
-        return dict(sorted({**self.b.excluded, **self.a.excluded}.items()))
+        return {q: self.exclusion(q) for q in sorted(self.a.excluded.keys() | self.b.excluded.keys())}
 
     @classmethod
     def from_files(cls, file_a: PolyFile, file_b: PolyFile) -> "Pair":
@@ -179,28 +180,28 @@ class ScanSummary:
     pattern_density: Fraction
 
 
-def sweep(primes: list[int], work: Callable[[int], Any], sink: Callable[[Any], None], jobs: int = 1) -> None:
-    """Call sink(work(p)) for every p in primes, in order.
+def sweep(primes: list[int], work: Callable[[int], Any], jobs: int = 1) -> Iterator[Any]:
+    """Yield work(p) for every p in primes, in order.
 
-    jobs > 1 fans the primes out in batches (ProcessPoolExecutor.map's chunks)
-    over at most jobs processes, no more than there are batches or CPUs.
-    Batch boundaries are fixed by the primes alone and batches are sunk in
-    order, so the sink sees what a serial run gives it, or a prefix of that
-    when work raises.  Each batch pickles work: a module-level function, or a
-    functools.partial of one.
+    jobs > 1 fans the primes out in batches (Pool.imap's chunks) over at most
+    jobs processes, no more than there are batches or CPUs.  Batch boundaries
+    are fixed by the primes alone and results come back in order, so the
+    caller sees what a serial run yields, or a prefix of that when work
+    raises.  The pool lives as long as the loop: its with block terminates
+    the workers when the last result is out, when work raises, or when the
+    caller stops and the generator closes.  Each batch pickles work: a
+    module-level function, or a functools.partial of one.
     """
     if jobs > 1 and len(primes) > 1000:
         chunk = max(1000, len(primes) // (jobs * 8))
         workers = min(jobs, math.ceil(len(primes) / chunk), os.cpu_count() or 1)
         # imported here, so that a process that never pools never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(work, primes, chunksize=chunk):
-                sink(result)
+        with multiprocessing.Pool(workers) as pool:
+            yield from pool.imap(work, primes, chunksize=chunk)
     else:
-        for p in primes:
-            sink(work(p))
+        yield from map(work, primes)
 
 
 def scan(
@@ -212,8 +213,8 @@ def scan(
 ) -> ScanSummary:
     """Certify every prime p > 5 up to limit that the pair does not exclude, ascending.
 
-    record_sink sees one report per scanned prime in ascending order.
-    jobs is sweep's: the output does not depend on it.
+    record_sink sees each report that sweep yields, after scan counts it: one
+    per scanned prime, ascending.  jobs is sweep's: the output does not depend on it.
     """
     all_primes = primes_up_to(limit)
     scan_primes = [p for p in all_primes if p > 5 and pair.exclusion(p) is None]
@@ -224,15 +225,13 @@ def scan(
     class_counts_b = {c: 0 for c in CLASS_LABELS}
     certified: list[int] = []
 
-    def consume(report: CertificationReport) -> None:
+    for report in sweep(scan_primes, functools.partial(_certify_good_prime, pair), jobs):
         verdict_counts[report.verdict] += 1
         class_counts_a[report.class_a] += 1
         class_counts_b[report.class_b] += 1
         if report.verdict == VERDICT_CERTIFIED:
             certified.append(report.p)
         record_sink(report)
-
-    sweep(scan_primes, functools.partial(_certify_good_prime, pair), consume, jobs)
 
     scanned = len(scan_primes)
     pattern_count = scanned - verdict_counts[VERDICT_NOT_COXETER]  # every other verdict is a {3a, 6a} pair

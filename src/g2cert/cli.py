@@ -7,8 +7,8 @@ byte-identical bytes.  Exit codes: 0 all checks pass, 1 mathematical
 precondition or certification failure, 2 usage or I/O error, and 2 with no
 message when the reader of stdout goes away.
 
-`frobenius` and `scan` walk their primes in one loop, `certify.sweep`, and
-stream records through one writer, `_Report`.  JSON is `{`, a line per head
+`frobenius` and `scan` loop over one generator, `certify.sweep`, and stream
+its records through one writer, `_Report`.  JSON is `{`, a line per head
 field, `"records": [`, the records joined by `,\n    `, `\n  ]` (`]` if
 none), a line per tail field, `}`; each value is json.dumps(value,
 indent=indent) with its newlines padded to its depth (indent=2 gives
@@ -253,7 +253,8 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
     render = _frobenius_row if args.format == "csv" else (lambda r: r)
     with _output(args.out) as out:
         report = _Report(out, args.format, head, _FROBENIUS_COLUMNS, render, indent=2)
-        sweep(primes, functools.partial(_frobenius_record, ctx), report.record)
+        for record in sweep(primes, functools.partial(_frobenius_record, ctx)):
+            report.record(record)
         report.close({})
     return 0
 

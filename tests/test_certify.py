@@ -1,6 +1,6 @@
-import concurrent.futures
 import functools
 import math
+import multiprocessing
 import pickle
 from fractions import Fraction
 
@@ -19,7 +19,7 @@ from g2cert.certify import (
     certify_prime,
     scan,
 )
-from g2cert.errors import G2CertError, WitnessMismatchError
+from g2cert.errors import G2CertError, NotSeparableError, WitnessMismatchError
 from g2cert.poly import RatPoly
 from g2cert.reduction import ReductionContext
 from g2cert.weyl import WEYL_CLASSES
@@ -65,6 +65,14 @@ def test_subgroup_applicability():
     # holds exactly where that cubic has a root mod p
     for p in primes_up_to(2 * 10**4)[3:]:
         assert applies["L2(8)"](p) == (1 in ddf_degree_pattern([1, -3, 0, 1], p)), p
+    # L2(13)'s 7-dimensional characters take the values (1 +- sqrt 13)/2, the
+    # roots of y^2 - y - 3: the row holds exactly where they lie in F_p.  At 13
+    # the quadratic has a double root, which the oracle refuses
+    for p in primes_up_to(2 * 10**4)[3:]:
+        if p != 13:
+            assert applies["L2(13)"](p) == (1 in ddf_degree_pattern([-3, -1, 1], p)), p
+    with pytest.raises(NotSeparableError):
+        ddf_degree_pattern([-3, -1, 1], 13)
 
 
 def test_unbounded_families_hold_at_most_one_element():
@@ -249,8 +257,8 @@ def test_scan_pool_size_is_clamped(bundled_pair, monkeypatch):
     asked, chunks = [], []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+        def __init__(self, processes):
+            asked.append(processes)
 
         def __enter__(self):
             return self
@@ -258,13 +266,13 @@ def test_scan_pool_size_is_clamped(bundled_pair, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
+        def imap(self, fn, items, chunksize):
             chunks.append(chunksize)
             return map(fn, items)
 
     # scan imports the pool class when it pools, so the stand-in goes where
     # that import reads it
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     for jobs, cpus, want in ((2, 64, 2), (10**5, 64, 3), (10**5, None, 1)):
         monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
         records = []
@@ -288,14 +296,27 @@ def test_sweep_returns_a_worker_error_after_the_batches_before_it(bundled_pair):
     work = functools.partial(_witness_fails_at, bundled_pair, bad)
     serial, pooled = [], []
     with pytest.raises(WitnessMismatchError):
-        certify.sweep(primes, work, serial.append)
+        for r in certify.sweep(primes, work):
+            serial.append(r)
     with pytest.raises(WitnessMismatchError) as raised:
-        certify.sweep(primes, work, pooled.append, jobs=2)
+        for r in certify.sweep(primes, work, jobs=2):
+            pooled.append(r)
     e = raised.value
     assert type(e) is WitnessMismatchError
     assert (e.p, e.witness, e.expected, e.actual) == (bad, "planted", 7, (3, 3))
     assert [r.p for r in serial] == primes[:1500]
     assert 1000 <= len(pooled) <= 1500 and pooled == serial[: len(pooled)]
+
+
+def test_a_pooled_sweep_closed_early_leaves_no_worker(bundled_pair):
+    # 2254 primes in batches of at most 1000 at jobs=2: a real pool, which
+    # ends with the generator that holds it
+    primes = [p for p in primes_up_to(20000) if p > 5 and bundled_pair.exclusion(p) is None]
+    results = certify.sweep(primes, functools.partial(certify._certify_good_prime, bundled_pair), jobs=2)
+    assert next(results).p == primes[0]
+    assert multiprocessing.active_children() != []
+    results.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_certified_orders_present(bundled_pair):

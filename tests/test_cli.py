@@ -717,7 +717,7 @@ def scan(limit, jobs):
 for limit, jobs in (("500", "1"), ("500", "2"), ("10000", "1")):
     assert scan(limit, jobs) == 0 and loaded() == [], (limit, jobs, loaded())
 # 1,221 scanned primes: above 1,000, so jobs=2 starts a pool
-assert scan("10000", "2") == 0 and loaded() == pool, loaded()
+assert scan("10000", "2") == 0 and loaded() == ["multiprocessing"], loaded()
 """
 
 
@@ -785,10 +785,13 @@ BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 @pytest.mark.parametrize("argv", [
     ("frobenius", "frobenius2"),
     ("scan", "frobenius2", "frobenius3"),
+    ("scan", "frobenius2", "frobenius3", "--jobs", "2"),
 ])
 def test_a_reader_that_goes_away_ends_the_command_quietly(argv):
     # the reader takes one line and closes the pipe while the command still
-    # writes: both reports to 10^5 are several times what a pipe holds
+    # writes: every report to 10^5 is several times what a pipe holds.  The
+    # scan covers 9,584 primes, so at --jobs 2 it pools, and its workers must
+    # end as quietly
     proc = subprocess.Popen(
         [sys.executable, "-m", "g2cert", *argv, "--limit", "100000", "--format", "csv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV,
