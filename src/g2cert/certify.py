@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Mapping
 
@@ -166,6 +166,8 @@ def _certify_good_prime(pair: Pair, p: int) -> CertificationReport:
 
 @dataclass(frozen=True)
 class ScanSummary:
+    """What scan counts; its fields, in order, are the keys of a scan report's summary."""
+
     limit: int
     primes_total: int
     excluded_count: int
@@ -174,10 +176,12 @@ class ScanSummary:
     class_counts_a: Mapping[str, int]
     class_counts_b: Mapping[str, int]
     pattern_count: int
+    certified_count: int
     certified: tuple[int, ...]
     density: Fraction
     density_all: Fraction
     pattern_density: Fraction
+    predicted_pattern_density: Fraction = field(default=PREDICTED_PATTERN_DENSITY, init=False)
 
 
 def sweep(primes: list[int], work: Callable[[int], Any], jobs: int = 1) -> Iterator[Any]:
@@ -245,8 +249,9 @@ def scan(
         class_counts_a=class_counts_a,
         class_counts_b=class_counts_b,
         pattern_count=pattern_count,
+        certified_count=certified_n,
         certified=tuple(certified),
-        density=Fraction(certified_n, scanned) if scanned else Fraction(0),
-        density_all=Fraction(certified_n, len(all_primes)) if all_primes else Fraction(0),
-        pattern_density=Fraction(pattern_count, scanned) if scanned else Fraction(0),
+        density=Fraction(certified_n, scanned or 1),  # each numerator is 0 when its denominator is
+        density_all=Fraction(certified_n, len(all_primes) or 1),
+        pattern_density=Fraction(pattern_count, scanned or 1),
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -36,10 +37,10 @@ from typing import Any
 from . import __version__
 from .arith import primes_up_to, require_proven_prime, require_sievable
 from .certify import (
-    PREDICTED_PATTERN_DENSITY,
     VERDICT_CERTIFIED,
     CertificationReport,
     Pair,
+    ScanSummary,
     certify_prime,
     scan,
     sweep,
@@ -237,7 +238,7 @@ def _frobenius_record(ctx: ReductionContext, p: int) -> dict:
 def _frobenius_row(r: dict) -> list:
     """A record's CSV row: absent fields empty, the y-pattern joined by +."""
     r = {**r, "y_pattern": "+".join(map(str, r.get("y_pattern", ())))}
-    return [r.get(c, "") for c in _FROBENIUS_COLUMNS]
+    return [r.get(c) for c in _FROBENIUS_COLUMNS]
 
 
 def cmd_frobenius(args: argparse.Namespace) -> int:
@@ -307,28 +308,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
 # scan
 
 
-def _summary_doc(summary) -> dict:
-    return {
-        "limit": summary.limit,
-        "primes_total": summary.primes_total,
-        "excluded_count": summary.excluded_count,
-        "scanned": summary.scanned,
-        "verdict_counts": dict(summary.verdict_counts),
-        "class_counts_a": dict(summary.class_counts_a),
-        "class_counts_b": dict(summary.class_counts_b),
-        "pattern_count": summary.pattern_count,
-        "certified_count": len(summary.certified),
-        "certified": list(summary.certified),
-        "density": _density_doc(summary.density),
-        "density_all": _density_doc(summary.density_all),
-        "pattern_density": _density_doc(summary.pattern_density),
-        "predicted_pattern_density": _density_doc(PREDICTED_PATTERN_DENSITY),
-    }
+def _summary_doc(summary: ScanSummary) -> dict:
+    return {f.name: _density_doc(v) if isinstance(v, Fraction) else v
+            for f in dataclasses.fields(summary) for v in [getattr(summary, f.name)]}
 
 
 def _scan_row(r: CertificationReport) -> list:
-    return [r.p, r.class_a, r.class_b, "" if r.order_a is None else r.order_a,
-            "" if r.order_b is None else r.order_b, r.verdict]
+    return [r.p, r.class_a, r.class_b, r.order_a, r.order_b, r.verdict]  # csv writes None empty
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

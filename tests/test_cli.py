@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from g2cert import cli
 from g2cert.arith import SIEVE_LIMIT
-from g2cert.certify import Pair, scan
+from g2cert.certify import Pair, ScanSummary, scan
 from g2cert.poly import RatPoly
 from g2cert.polyfile import PolyFile, bundled_polyfile, load_polyfile, serialize_polyfile
 from g2cert.weyl import WEYL_CLASSES
@@ -247,6 +248,18 @@ def test_scan_json_schema_and_summary(tmp_path):
     assert summary["predicted_pattern_density"]["fraction"] == "1/18"
     # decimal renderings stay strings with six places
     assert summary["predicted_pattern_density"]["decimal"] == "0.055556"
+
+
+def test_scan_summary_keys_are_scan_summary_fields():
+    # the summary's key order is written once, in ScanSummary; JSON and CSV both carry it
+    summary = scan(Pair.from_files(bundled_polyfile("frobenius2"), bundled_polyfile("frobenius3")),
+                   300, record_sink=lambda r: None)
+    want = json.loads(json.dumps(cli._summary_doc(summary)))
+    doc = no_floats(run_cli("scan", "frobenius2", "frobenius3", "--limit", "300").stdout)
+    assert list(doc["summary"]) == [f.name for f in dataclasses.fields(ScanSummary)]
+    assert doc["summary"] == want
+    csv_out = run_cli("scan", "frobenius2", "frobenius3", "--limit", "300", "--format", "csv").stdout
+    assert csv_out.splitlines()[-1] == f"# {json.dumps(want)}"
 
 
 def test_scan_csv_golden_head():

@@ -99,6 +99,12 @@ def test_parse_rejects_wrong_types():
     del doc["variable"]
     with pytest.raises(PolyFileError):
         parse_polyfile(json.dumps(doc))
+    with pytest.raises(PolyFileError, match="^top level must be an object$"):
+        parse_polyfile(json.dumps([_valid_doc()]))
+    doc = _valid_doc()
+    doc["coefficients"][2] = 3
+    with pytest.raises(PolyFileError, match=r"^coefficients\[2\] must be a string$"):
+        parse_polyfile(json.dumps(doc))
 
 
 def test_digest_tracks_content():
