@@ -71,7 +71,7 @@ def require_proven_prime(n: int) -> None:
     if n >= PRIME_PROOF_BOUND:
         raise ValueError(f"need a prime below {PRIME_PROOF_BOUND}, where primality is proven; got {n}")
     if not is_prime(n):
-        raise ValueError(f"need an odd prime, got {n}")
+        raise ValueError(f"need a prime, got {n}")
 
 
 # primes_up_to(n) holds about n bytes plus 36 per prime: some 3 GB here

@@ -65,8 +65,6 @@ EXPECTED: dict[str, dict] = {
     },
 }
 
-INDEPENDENT = True
-
 # torus order table: label -> (display form, value at q = 2, value at q = 5)
 TORUS_TABLE = {
     "1a": ("(q - 1)^2", 1, 16),

@@ -145,9 +145,12 @@ def _cubic_irreducible(model: Model) -> bool:
     ((-c2 - s - 1) / 3, (-c2 - s) / 3] and z2 in [(s - c2) / 3, (s - c2 + 1) / 3).
     Each bracket (a / 3, (a + 1) / 3] or [a / 3, (a + 1) / 3), a an
     integer, lies in [k, k + 1] for k = floor(a / 3), since 3k >= a - 2.
-    So k1 <= z1 <= k1 + 1 and k2 <= z2 <= k2 + 1, and F is monotone on
-    [-B, k1], on [k1 + 1, k2] and on [k2 + 1, B], which hold every integer
-    of [-B, B].  Everything is integer arithmetic.
+    So k1 <= z1 <= k1 + 1 and k2 <= z2 <= k2 + 1, and F increases on
+    [-B, k1] (sign +1), decreases on [k1 + 1, k2] (sign -1) and increases on
+    [k2 + 1, B] (sign +1), which hold every integer of [-B, B].  On each,
+    sign * F is nondecreasing, so F has a root there iff it vanishes at the
+    least z with sign * F(z) >= 0, which bisection finds.  Everything is
+    integer arithmetic.
     """
     c0, c1, c2, den = model
     c1, c0 = c1 * den, c0 * den * den
@@ -155,32 +158,22 @@ def _cubic_irreducible(model: Model) -> bool:
     def value(z: int) -> int:
         return ((z + c2) * z + c1) * z + c0
 
-    def has_root(a: int, b: int) -> bool:  # F monotone on [a, b]
-        if a > b:
-            return False
-        fa, fb = value(a), value(b)
-        if fa == 0 or fb == 0:
-            return True
-        if (fa > 0) == (fb > 0):
-            return False
-        while b - a > 1:  # F(a), F(b) nonzero of opposite signs
+    def has_root(a: int, b: int, sign: int) -> bool:  # sign * F nondecreasing on [a, b]
+        while a < b:
             mid = (a + b) // 2
-            fm = value(mid)
-            if fm == 0:
-                return True
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
+            if sign * value(mid) >= 0:
                 b = mid
-        return False
+            else:
+                a = mid + 1
+        return a == b and value(a) == 0
 
     bound = 1 + max(abs(c2), abs(c1), abs(c0))
     d = c2 * c2 - 3 * c1
     if d <= 0:
-        return not has_root(-bound, bound)
+        return not has_root(-bound, bound, 1)
     s = math.isqrt(d)
     k1, k2 = (-c2 - s - 1) // 3, (s - c2) // 3
-    return not (has_root(-bound, k1) or has_root(k1 + 1, k2) or has_root(k2 + 1, bound))
+    return not (has_root(-bound, k1, 1) or has_root(k1 + 1, k2, -1) or has_root(k2 + 1, bound, 1))
 
 
 def classify_galois(model: Model, square_classes: tuple[int, int]) -> tuple[str, dict[str, bool]]:

@@ -13,8 +13,9 @@ ladder (checked on its own against the three-term recurrence), so it
 checks only the order in which order_report composes the ladders.  The
 fraction_* functions are the package's input analysis as it ran in
 Fraction arithmetic before the integer model of Q; fraction_cubic_irreducible
-keeps the package's root search, so against it the integer model's
-coefficients are what is checked.  factored_exclusions and
+keeps the former sign-change root search, which reads no direction, so
+against it both the integer model's coefficients and the package's
+directed bisection are checked.  factored_exclusions and
 factored_square_kernels are the input decisions as they ran on
 factorizations, before they became divisibility and square-root tests;
 they take their factors from the package's factor_integer, which
@@ -619,8 +620,9 @@ def fraction_g2_lift_check(q: RatPoly) -> bool:
 
 
 def fraction_cubic_irreducible(q: RatPoly) -> bool:
-    """No rational root: no integer root of F(z) = D^3 q(z / D), searched by
-    bisection on the stretches where F is monotone (the package's proof)."""
+    """No rational root: no integer root of F(z) = D^3 q(z / D), searched on
+    the stretches where F is monotone by the former sign-change bisection,
+    which compares the signs at both ends and reads no direction."""
     den = math.lcm(*(c.denominator for c in q.coeffs))
     c2, c1, c0 = (int(rat_coeff(q, 2) * den), int(rat_coeff(q, 1) * den**2),
                   int(rat_coeff(q, 0) * den**3))

@@ -163,7 +163,7 @@ def test_frobenius_non_prime_is_a_usage_error():
     r = run_cli("frobenius", "frobenius2", "--prime", "9")
     assert r.returncode == 2
     assert r.stdout == ""
-    assert "need an odd prime, got 9" in r.stderr
+    assert "need a prime, got 9" in r.stderr
 
 
 def test_frobenius_range_flags_even_prime_of_good_reduction(tmp_path):
@@ -228,7 +228,7 @@ def test_certify_refuses_primes_beyond_the_proof_bound_quickly():
     # psi_12 = 399165290221 * 798330580441 fools the first 12 witnesses
     psp = run_cli("certify", "frobenius2", "frobenius3", "--prime", "318665857834031151167461", timeout=10)
     assert psp.returncode == 2
-    assert "need an odd prime" in psp.stderr
+    assert "need a prime, got" in psp.stderr
 
 
 def test_scan_json_schema_and_summary(tmp_path):
@@ -670,7 +670,7 @@ def test_usage_errors_exit_two(tmp_path):
     for p in ("0", "1", "4", "-7", "9"):
         r = run_cli("certify", "frobenius2", "frobenius3", "--prime", p)
         assert (r.returncode, r.stdout) == (2, ""), p
-        assert f"need an odd prime, got {p}" in r.stderr, p
+        assert f"need a prime, got {p}" in r.stderr, p
     assert run_cli("frobenius", "frobenius2", "--prime", "4").returncode == 2
     assert run_cli("nonsense").returncode == 2
     assert run_cli("reduce", str(tmp_path / "missing.json")).returncode == 2

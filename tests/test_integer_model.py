@@ -58,7 +58,8 @@ def cubics(height: int, shared_factors: int, other_den: int):
     with roots in (-3, 3) moved by a small e, so mostly irreducible, often
     tempered and often failing one condition of the sign test alone; near a
     torus element's, with the lift identity, so often D6; with a double
-    root; or with a root at 2 or -2."""
+    root; with a rational root of the strategy's height; or with a root at 2
+    or -2."""
     r = rationals(height, shared_factors, other_den)
     generic = st.tuples(r, r, r)
     # y^3 - a y^2 + b y - c with a^2 = c + 2b + 4
@@ -73,10 +74,14 @@ def cubics(height: int, shared_factors: int, other_den: int):
     # (y - a)^2 (y - b) = y^3 - (2a + b) y^2 + (a^2 + 2ab) y - a^2 b
     double = st.builds(lambda a, b: (-a * a * b, a * a + 2 * a * b, -2 * a - b), r, r)
     # (y - e)(y^2 + s y + t) = y^3 + (s - e) y^2 + (t - e s) y - e t
-    at_two = st.builds(
-        lambda e, s, t: (-e * t, t - e * s, s - e), st.sampled_from((2, -2)), r, r
+    def planted(e, s, t):
+        return -e * t, t - e * s, s - e
+
+    rooted = st.builds(planted, r, r, r)
+    at_two = st.builds(planted, st.sampled_from((2, -2)), r, r)
+    return st.one_of(generic, lift, near, torus, double, rooted, at_two).map(
+        lambda body: RatPoly.from_coeffs([*body, 1])
     )
-    return st.one_of(generic, lift, near, torus, double, at_two).map(lambda body: RatPoly.from_coeffs([*body, 1]))
 
 
 def outcome(f, *args):
